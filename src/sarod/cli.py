@@ -18,15 +18,11 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .construction import RECIPES, generate
 from .graph import enumerate_triples, triple_index_components
-from .netio import load_measurements, load_network, save_network, write_report, write_result_csv
-from .rigidity import duality_check, infinitesimal_rigidity_test, quad_global_rigidity
+from .netio import _json_default, load_measurements, load_network, save_network, write_report, write_result_csv
+from .rigidity import _QUAD_EDGES, duality_check, infinitesimal_rigidity_test, quad_global_rigidity
 from .snl import SolverConfig, build_network, localizability_check, localize_network, solution_residuals
-
-_QUAD_EDGES = {(1, 2), (2, 3), (3, 4), (1, 4)}
 
 
 def _fail(message: str) -> int:
@@ -73,20 +69,10 @@ def cmd_analyze(args) -> int:
         return _fail(f"{args.net}: {exc}")
     config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
     report = _analysis_report(fw, anchors, config)
-
-    def _default(o):
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        return o.tolist()
-
-    text = json.dumps(report, indent=1, default=_default)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_report(args.out, report)
     else:
-        print(text)
+        print(json.dumps(report, indent=1, default=_json_default))
     return 0
 
 

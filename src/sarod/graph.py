@@ -13,7 +13,7 @@ integer-valued, so identities like C @ H == 0 hold exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -143,6 +143,9 @@ class TripleIndexSet:
 
     kind: str  # "sa" | "rod"
     triples: tuple[tuple[int, int, int], ...]
+    # Canonical indices of edges (apex, v) and (apex, w), per triple.
+    e1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
+    e2: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -288,7 +291,13 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
             j0 = nbrs[0]
             for k in nbrs[1:]:
                 target.append((u, j0, k))
-    return TripleIndexSet("sa", tuple(sa)), TripleIndexSet("rod", tuple(rod))
+    eidx = g.edge_index()
+
+    def index_set(kind, triples):
+        e = np.array([[eidx[(min(u, x), max(u, x))] for x in (v, w)] for (u, v, w) in triples], dtype=int).reshape(-1, 2)
+        return TripleIndexSet(kind, tuple(triples), e[:, 0], e[:, 1])
+
+    return index_set("sa", sa), index_set("rod", rod)
 
 
 def triple_index_components(t: TripleIndexSet, g: Graph):
@@ -300,7 +309,6 @@ def triple_index_components(t: TripleIndexSet, g: Graph):
     an m-vector of component ids in 0..count-1, numbered by smallest edge
     index.
     """
-    eidx = g.edge_index()
     parent = list(range(g.m))
 
     def find(x: int) -> int:
@@ -314,9 +322,7 @@ def triple_index_components(t: TripleIndexSet, g: Graph):
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for (u, v, w) in t.triples:
-        e1 = eidx[(min(u, v), max(u, v))]
-        e2 = eidx[(min(u, w), max(u, w))]
+    for e1, e2 in zip(t.e1.tolist(), t.e2.tolist()):
         union(e1, e2)
 
     labels = np.empty(g.m, dtype=int)

@@ -7,6 +7,14 @@ mapped to vertex coordinates by kron(H, I_2).  A framework on n >= 3
 vertices is infinitesimally rigid exactly when the matrix has rank 2n - 4;
 the four-dimensional null space always contains the two translations, the
 rotation field, and the scaling field.
+
+The rank test and the duality check factor the ``reduced`` rows (2m - n
+of them, spanning the same row space as the full set) scaled to unit norm,
+one SVD per matrix.  A diagonal row scaling leaves the exact rank
+unchanged.  With unit rows an SA row is the RoD row of the same triple
+times blockdiag(R(pi/2)), up to sign, so swapping the bipartition gives an
+orthogonal transform of the matrix and the relative rank cut sees one
+spectrum for both.
 """
 
 from __future__ import annotations
@@ -23,14 +31,16 @@ from .geometry import (
     check_distinct,
     fit_similarity,
     rigidity_function,
+    rot90,
 )
-from .graph import TripleIndexSet, enumerate_triples, incidence_matrix
+from .graph import TripleIndexSet, enumerate_triples
 
 __all__ = [
     "RigidityMatrix",
     "RankReport",
     "QuadVerdict",
     "assemble_rigidity_matrix",
+    "svd_factor",
     "numerical_rank",
     "null_space",
     "infinitesimal_rigidity_test",
@@ -51,12 +61,6 @@ class RigidityMatrix:
     rod_triples: TripleIndexSet
     edge_factor: np.ndarray  # (|T|, 2m): SA rows then RoD rows
     incidence_kron: np.ndarray  # (2m, 2n)
-
-    def row_of(self, triple: tuple[int, int, int]) -> int:
-        try:
-            return self.sa_triples.triples.index(triple)
-        except ValueError:
-            return len(self.sa_triples) + self.rod_triples.triples.index(triple)
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,6 @@ class RankReport:
         }
 
 
-def _edge_geometry(fw: Framework):
-    p = fw.points
-    vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in fw.graph.edges])
-    lens = np.linalg.norm(vecs, axis=1)
-    bearings = vecs / lens[:, None]
-    return bearings, lens
-
-
 def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatrix:
     """Rigidity matrix of the framework, with SA rows before RoD rows.
 
@@ -100,55 +96,64 @@ def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatri
     on the (r,t)-edge block; the RoD row of (i, j, k) carries
     -kappa b_e1^T/len_e1 and +kappa b_e2^T/len_e2.  Orientation signs of the
     canonical edges cancel, so the blocks are the same whichever way the
-    apex sits on each edge.
+    apex sits on each edge.  ``matrix`` (= edge_factor @ incidence_kron) is
+    scattered from the same blocks: minus at each edge's tail, plus at its head.
     """
     check_distinct(fw.points)
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, mode)
-    bearings, lens = _edge_geometry(fw)
-    eidx = fw.graph.edge_index()
-    m = fw.graph.m
-    rows = np.zeros((len(sa) + len(rod), 2 * m))
+    ends = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1  # (m, 2): tail, head
+    vecs = fw.points[ends[:, 1]] - fw.points[ends[:, 0]]
+    lens = np.linalg.norm(vecs, axis=1)
+    grad = vecs / (lens**2)[:, None]  # bearing / length, per edge
+    kappa = (lens[rod.e2] / lens[rod.e1])[:, None]
+    e1, e2 = np.concatenate([sa.e1, rod.e1]), np.concatenate([sa.e2, rod.e2])
+    block1 = np.vstack([grad[sa.e1] @ rot90(), -kappa * grad[rod.e1]])
+    block2 = np.vstack([-grad[sa.e2] @ rot90(), kappa * grad[rod.e2]])
 
-    def eid(u, v):
-        return eidx[(min(u, v), max(u, v))]
+    n_rows, m, n = len(e1), fw.m, fw.n
+    rows = np.arange(n_rows)
+    edge = np.zeros((n_rows, m, 2))
+    edge[rows, e1] = block1
+    edge[rows, e2] = block2
+    vert = np.zeros((n_rows, n, 2))
+    for e, block in ((e1, block1), (e2, block2)):
+        np.add.at(vert, (rows, ends[e, 0]), -block)
+        np.add.at(vert, (rows, ends[e, 1]), block)
+    hbar = np.zeros((m, 2, n, 2))  # kron(H, I_2)
+    hbar[np.arange(m), :, ends[:, 0], :] = -np.eye(2)
+    hbar[np.arange(m), :, ends[:, 1], :] = np.eye(2)
+    return RigidityMatrix(vert.reshape(n_rows, 2 * n), sa, rod, edge.reshape(n_rows, 2 * m), hbar.reshape(2 * m, 2 * n))
 
-    r90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for row, (r, s, t) in enumerate(sa.triples):
-        e1, e2 = eid(r, s), eid(r, t)
-        rows[row, 2 * e1 : 2 * e1 + 2] = bearings[e1] @ r90 / lens[e1]
-        rows[row, 2 * e2 : 2 * e2 + 2] = -bearings[e2] @ r90 / lens[e2]
-    off = len(sa)
-    for row, (i, j, k) in enumerate(rod.triples):
-        e1, e2 = eid(i, j), eid(i, k)
-        kappa = lens[e2] / lens[e1]
-        rows[off + row, 2 * e1 : 2 * e1 + 2] = -kappa * bearings[e1] / lens[e1]
-        rows[off + row, 2 * e2 : 2 * e2 + 2] = kappa * bearings[e2] / lens[e2]
 
-    hbar = np.kron(incidence_matrix(fw.graph), np.eye(2))
-    return RigidityMatrix(rows @ hbar, sa, rod, rows, hbar)
+def _rank(s: np.ndarray, rtol: float) -> int:
+    return int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def svd_factor(matrix, rtol: float = DEFAULT_RTOL):
+    """One SVD: (rank, sigma, U, Vt) with rank = #{sigma_i > rtol * sigma_max}.
+
+    Thin unless there are fewer rows than columns, so ``U`` has one column
+    per singular value and ``Vt`` is always square: ``Vt[rank:]`` spans the
+    null space at the same cut that gives the rank.
+    """
+    M = np.asarray(matrix, dtype=float)
+    rows, cols = M.shape
+    if M.size == 0:
+        return 0, np.zeros(0), np.zeros((rows, 0)), np.eye(cols)
+    u, s, vt = np.linalg.svd(M, full_matrices=rows < cols)
+    return _rank(s, rtol), s, u, vt
 
 
 def numerical_rank(matrix, rtol: float = DEFAULT_RTOL):
     """(rank, singular values) with rank = #{sigma_i > rtol * sigma_max}."""
     M = np.asarray(matrix, dtype=float)
-    if M.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > rtol * s[0])), s
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    return _rank(s, rtol), s
 
 
 def null_space(matrix, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Orthonormal null-space basis (columns), at the shared rank tolerance."""
-    M = np.asarray(matrix, dtype=float)
-    if M.size == 0:
-        return np.eye(M.shape[1] if M.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > rtol * s[0]))
-    else:
-        rank = 0
+    rank, _, _, vt = svd_factor(matrix, rtol)
     return vt[rank:].T
 
 
@@ -163,21 +168,29 @@ def trivial_motions(points) -> np.ndarray:
     return np.column_stack([t1, t2, rot, scale])
 
 
-def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL, mode: str = "full") -> RankReport:
-    """Rank test: rigid iff rank equals 2n - 4; also checks the trivial null space."""
+def _rank_test_matrix(fw: Framework, mode: str = "reduced") -> np.ndarray:
+    """Rigidity matrix with every row scaled to unit norm (same exact rank and null space)."""
+    M = assemble_rigidity_matrix(fw, mode).matrix
+    return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+
+def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL, mode: str = "reduced") -> RankReport:
+    """Rank test: rigid iff rank equals 2n - 4; also checks the trivial null space.
+
+    One SVD of the ``reduced`` matrix with unit-norm rows (see the module
+    docstring); ``sigma``, ``null_basis`` and ``trivial_motion_residual``
+    refer to that matrix.
+    """
     if fw.n < 3:
         raise ValueError("rigidity analysis needs n >= 3")
-    rm = assemble_rigidity_matrix(fw, mode)
-    rank, sigma = numerical_rank(rm.matrix, rtol)
-    basis = null_space(rm.matrix, rtol)
+    M = _rank_test_matrix(fw, mode)
+    rank, sigma, _, vt = svd_factor(M, rtol)
     required = 2 * fw.n - 4
+    T = trivial_motions(fw.points)
     smax = sigma[0] if sigma.size else 0.0
-    resid = 0.0
-    if smax > 0:
-        for v in trivial_motions(fw.points).T:
-            resid = max(resid, float(np.linalg.norm(rm.matrix @ v) / (smax * np.linalg.norm(v))))
+    resid = float(np.max(np.linalg.norm(M @ T, axis=0) / (smax * np.linalg.norm(T, axis=0)))) if smax > 0 else 0.0
     verdict = "rigid" if rank == required else "flexible"
-    return RankReport(rank, required, verdict, sigma, basis, rtol, resid)
+    return RankReport(rank, required, verdict, sigma, vt[rank:].T, rtol, resid)
 
 
 @dataclass(frozen=True)
@@ -191,9 +204,12 @@ class DualityResult:
 
 
 def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
-    """Rank comparison after swapping the A/D parts of the bipartition."""
-    r1, _ = numerical_rank(assemble_rigidity_matrix(fw).matrix, rtol)
-    r2, _ = numerical_rank(assemble_rigidity_matrix(fw.swapped()).matrix, rtol)
+    """Rank comparison after swapping the A/D parts of the bipartition.
+
+    Both ranks come from the reduced unit-row matrices of the rank test.
+    """
+    r1, _ = numerical_rank(_rank_test_matrix(fw), rtol)
+    r2, _ = numerical_rank(_rank_test_matrix(fw.swapped()), rtol)
     return DualityResult(r1, r2)
 
 

@@ -33,7 +33,8 @@ from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, path_matrix, triple_index_components
-from .rigidity import null_space, numerical_rank
+# benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
+from .rigidity import null_space, numerical_rank, svd_factor  # noqa: F401
 
 __all__ = [
     "InfeasibleMeasurementsError",
@@ -81,10 +82,6 @@ class SensorNetwork:
     @property
     def truth(self) -> np.ndarray:
         return self.framework.points
-
-    def free_vertices(self) -> tuple[int, ...]:
-        a = set(self.anchors)
-        return tuple(v for v in range(1, self.graph.n + 1) if v not in a)
 
 
 def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = None) -> SensorNetwork:
@@ -164,26 +161,33 @@ class EdgeParameterization:
         return self.basis.shape[1]
 
 
-def _edge_id_map(g: Graph):
-    return g.edge_index()
+def _sa_relations(net: SensorNetwork):
+    """Per SA triple (u, v, w): signs of edges (u, v) and (u, w), and the measured angle.
+
+    A sign is +1 when the apex is the canonical tail (apex bearing = edge bearing).
+    """
+    tri = np.array(net.sa_triples.triples, dtype=int).reshape(-1, 3)
+    s1 = np.where(tri[:, 0] < tri[:, 1], 1.0, -1.0)
+    s2 = np.where(tri[:, 0] < tri[:, 2], 1.0, -1.0)
+    theta = np.array([net.sa[t] for t in net.sa_triples.triples], dtype=float)
+    return s1, s2, theta
 
 
-def _sign(u: int, v: int) -> float:
-    # +1 when the apex is the canonical tail, so the apex bearing equals the edge bearing.
-    return 1.0 if u < v else -1.0
+def _rod_ratios(net: SensorNetwork) -> np.ndarray:
+    return np.array([net.rod[t] for t in net.rod_triples.triples], dtype=float)
 
 
-def _component_walk(net: SensorNetwork, triples: TripleIndexSet, relation, combine, check, start_value):
+def _component_walk(net: SensorNetwork, triples: TripleIndexSet, deltas, combine, check, start_value):
     """Generic BFS over a triple index graph, accumulating per-edge transport.
 
-    ``relation(triple)`` gives (e1, e2, delta); ``combine(acc, delta, forward)``
-    transports the accumulator across the index edge; ``check(expected,
-    actual)`` validates closure on non-tree index edges.
+    ``deltas[k]`` is the transport across triple k (from its edge ``e1`` to
+    its edge ``e2``); ``combine(acc, delta, forward)`` transports the
+    accumulator across the index edge; ``check(expected, actual)``
+    validates closure on non-tree index edges.
     """
     g = net.graph
     adj: list[list[tuple[int, object]]] = [[] for _ in range(g.m)]
-    for t in triples.triples:
-        e1, e2, delta = relation(t)
+    for e1, e2, delta in zip(triples.e1.tolist(), triples.e2.tolist(), deltas):
         adj[e1].append((e2, (delta, True)))
         adj[e2].append((e1, (delta, False)))
     labels = np.full(g.m, -1, dtype=int)
@@ -218,16 +222,9 @@ def propagate_bearings(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameteriz
     around an index cycle raise ``InfeasibleMeasurementsError``.
     """
     g = net.graph
-    eidx = _edge_id_map(g)
-
-    def relation(t):
-        u, v, w = t
-        e1 = eidx[(min(u, v), max(u, v))]
-        e2 = eidx[(min(u, w), max(u, w))]
-        theta = net.sa[t]
-        if _sign(u, v) * _sign(u, w) < 0:
-            theta = theta + np.pi
-        return e1, e2, theta
+    eidx = g.edge_index()
+    s1, s2, theta = _sa_relations(net)
+    theta = np.where(s1 * s2 < 0, theta + np.pi, theta)
 
     def combine(phi, theta, forward):
         return phi + theta if forward else phi - theta
@@ -237,7 +234,7 @@ def propagate_bearings(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameteriz
         if abs(err) > tol:
             raise InfeasibleMeasurementsError(f"infeasible SA data: rotation mismatch {err:.3e} around an index cycle")
 
-    labels, n_comp, phi = _component_walk(net, net.sa_triples, relation, combine, check, 0.0)
+    labels, n_comp, phi = _component_walk(net, net.sa_triples, theta.tolist(), combine, check, 0.0)
     phi = np.array(phi)
 
     offset = np.zeros((g.m, 2))
@@ -270,13 +267,7 @@ def propagate_bearings(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameteriz
 def propagate_distances(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameterization:
     """Resolve edge distances per RoD-index component (multiplicative transport)."""
     g = net.graph
-    eidx = _edge_id_map(g)
-
-    def relation(t):
-        r, s, tt = t
-        e1 = eidx[(min(r, s), max(r, s))]
-        e2 = eidx[(min(r, tt), max(r, tt))]
-        return e1, e2, net.rod[t]
+    eidx = g.edge_index()
 
     def combine(rho, kappa, forward):
         return rho * kappa if forward else rho / kappa
@@ -285,7 +276,7 @@ def propagate_distances(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameteri
         if abs(expected / actual - 1.0) > tol:
             raise InfeasibleMeasurementsError(f"infeasible RoD data: ratio mismatch {expected / actual - 1.0:.3e} around an index cycle")
 
-    labels, n_comp, rho = _component_walk(net, net.rod_triples, relation, combine, check, 1.0)
+    labels, n_comp, rho = _component_walk(net, net.rod_triples, _rod_ratios(net).tolist(), combine, check, 1.0)
     rho = np.array(rho)
 
     offset = np.zeros(g.m)
@@ -335,17 +326,16 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     vector.
     """
     g = net.graph
-    eidx = _edge_id_map(g)
+    eidx = g.edge_index()
     Cb = cycle_bearing_matrix(g, bearings)
     n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_distances)
     A = np.zeros((n_rows, g.m))
     y = np.zeros(n_rows)
     A[: Cb.shape[0]] = Cb
-    r = Cb.shape[0]
-    for (u, s, t) in net.rod_triples.triples:
-        A[r, eidx[(min(u, s), max(u, s))]] = -net.rod[(u, s, t)]
-        A[r, eidx[(min(u, t), max(u, t))]] = 1.0
-        r += 1
+    rows = Cb.shape[0] + np.arange(len(net.rod_triples))
+    A[rows, net.rod_triples.e1] = -_rod_ratios(net)
+    A[rows, net.rod_triples.e2] = 1.0
+    r = Cb.shape[0] + len(net.rod_triples)
     for (i, j), d_star in sorted(net.anchor_distances.items()):
         A[r, eidx[(i, j)]] = 1.0
         y[r] = d_star
@@ -370,33 +360,42 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     with I_2), one 2-row block per SA triple enforcing the rotation
     relation in canonical edge coordinates, and one 2-row block per anchor
     pair pinning its bearing.  Returns the system with its rank, null-space
-    basis, and minimum-norm solution at the shared tolerance.
+    basis, and minimum-norm solution at the shared tolerance, all from one
+    SVD.
     """
     g = net.graph
-    eidx = _edge_id_map(g)
+    eidx = g.edge_index()
+    sa = net.sa_triples
     C = fundamental_cycle_basis(g).matrix.astype(float)
     C1 = np.kron(C * distances, np.eye(2))
-    n_rows = C1.shape[0] + 2 * len(net.sa_triples) + 2 * len(net.anchor_bearings)
+    n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_bearings)
     A = np.zeros((n_rows, 2 * g.m))
     z = np.zeros(n_rows)
     A[: C1.shape[0]] = C1
-    r = C1.shape[0]
-    for t in net.sa_triples.triples:
-        u, v, w = t
-        e1 = eidx[(min(u, v), max(u, v))]
-        e2 = eidx[(min(u, w), max(u, w))]
-        A[r : r + 2, 2 * e2 : 2 * e2 + 2] += _sign(u, w) * np.eye(2)
-        A[r : r + 2, 2 * e1 : 2 * e1 + 2] += -_sign(u, v) * rotation(net.sa[t])
-        r += 2
+    # One 2x2 block row per SA triple: s2 I on edge e2, -s1 R(theta) on edge e1.
+    s1, s2, theta = _sa_relations(net)
+    blocks = A[C1.shape[0] : C1.shape[0] + 2 * len(sa)].reshape(len(sa), 2, g.m, 2)
+    k = np.arange(len(sa))
+    blocks[k, :, sa.e2, :] = s2[:, None, None] * np.eye(2)
+    blocks[k, :, sa.e1, :] = -s1[:, None, None] * rotation(theta).transpose(2, 0, 1)
+    r = C1.shape[0] + 2 * len(sa)
     for (i, j), b_star in sorted(net.anchor_bearings.items()):
         e = eidx[(i, j)]
         A[r : r + 2, 2 * e : 2 * e + 2] = np.eye(2)
         z[r : r + 2] = b_star
         r += 2
-    rank, _ = numerical_rank(A, rtol)
-    basis = null_space(A, rtol)
-    sol, *_ = lstsq(A, z, cond=rtol, lapack_driver="gelsd")
+    rank, basis, sol = _min_norm_solve(A, z, rtol)
     return BearingSystem(A, z, rank, 2 * g.m - rank, basis, sol)
+
+
+def _min_norm_solve(A: np.ndarray, rhs: np.ndarray, rtol: float):
+    """(rank, null basis, min-norm least-squares solution) of A x = rhs from one SVD.
+
+    The rank cut is the one gelsd applies with cond=rtol.
+    """
+    rank, s, u, vt = svd_factor(A, rtol)
+    x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    return rank, vt[rank:].T, x
 
 
 # --- solvers ----------------------------------------------------------------
@@ -444,8 +443,7 @@ def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -
         raise ValueError("bearings unresolved; use disconnected solver")
     b = state.offset
     A, y = assemble_distance_system(net, b)
-    rank, sigma = numerical_rank(A, config.rtol)
-    d, *_ = lstsq(A, y, cond=config.rtol, lapack_driver="gelsd")
+    rank, _, d = _min_norm_solve(A, y, config.rtol)
     residual = float(np.linalg.norm(A @ d - y))
     status = "localizable" if rank == net.graph.m else "unlocalizable"
     info = {
@@ -718,30 +716,24 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     ``unit_norm`` is the largest deviation of a bearing from unit length.
     """
     g = net.graph
-    eidx = _edge_id_map(g)
+    eidx = g.edge_index()
     b, d = solution.bearings, solution.distances
-
-    def eid(u, v):
-        return eidx[(min(u, v), max(u, v))]
-
-    rot_res = 0.0
-    for t in net.sa_triples.triples:
-        u, v, w = t
-        lhs = _sign(u, w) * b[eid(u, w)] - rotation(net.sa[t]) @ (_sign(u, v) * b[eid(u, v)])
-        rot_res = max(rot_res, float(np.linalg.norm(lhs)))
-    ratio_res = 0.0
-    for t in net.rod_triples.triples:
-        r, s, w = t
-        ratio_res = max(ratio_res, abs(d[eid(r, w)] - net.rod[t] * d[eid(r, s)]) / max(d[eid(r, w)], 1e-300))
+    sa, rod = net.sa_triples, net.rod_triples
+    s1, s2, theta = _sa_relations(net)
+    rotated = np.einsum("ijk,kj->ki", rotation(theta), s1[:, None] * b[sa.e1])
+    rot_res = np.max(np.linalg.norm(s2[:, None] * b[sa.e2] - rotated, axis=1), initial=0.0)
+    d2 = d[rod.e2]
+    ratio_res = np.max(np.abs(d2 - _rod_ratios(net) * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
     Cb = cycle_bearing_matrix(g, b)
     cyc_res = float(np.max(np.abs(Cb @ d))) if Cb.size else 0.0
     anchor_res = 0.0
     for (i, j), b_star in net.anchor_bearings.items():
-        anchor_res = max(anchor_res, float(np.linalg.norm(b[eid(i, j)] - b_star)))
-        anchor_res = max(anchor_res, abs(d[eid(i, j)] - net.anchor_distances[(i, j)]))
+        e = eidx[(i, j)]
+        anchor_res = max(anchor_res, float(np.linalg.norm(b[e] - b_star)))
+        anchor_res = max(anchor_res, abs(d[e] - net.anchor_distances[(i, j)]))
     return {
-        "rotation": rot_res,
-        "ratio": ratio_res,
+        "rotation": float(rot_res),
+        "ratio": float(ratio_res),
         "cycle": cyc_res,
         "anchor": anchor_res,
         "unit_norm": _unit_norm_defect(b),

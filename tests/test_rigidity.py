@@ -23,6 +23,7 @@ from sarod import (
     quad_global_rigidity,
     rigidity_function,
 )
+from sarod.construction import generate
 from sarod.rigidity import assemble_rigidity_matrix, trivial_motions
 
 from conftest import random_framework
@@ -126,6 +127,38 @@ def test_reduced_mode_has_same_rank(rng):
         full = numerical_rank(assemble_rigidity_matrix(fw, "full").matrix)[0]
         red = numerical_rank(assemble_rigidity_matrix(fw, "reduced").matrix)[0]
         assert full == red
+
+
+@pytest.mark.parametrize(
+    "recipe, n, seed",
+    [
+        ("minimal", 270, 1842395555),
+        ("minimal", 270, 1919854647),
+        ("minimal", 270, 1495899629),
+        ("type2D1", 250, 1151303600),
+        ("quad2v", 260, 834329843),
+        ("quad2v", 260, 922900161),
+    ],
+)
+def test_rank_and_duality_on_recipe_instances(recipe, n, seed):
+    # Rigid by construction.  Unscaled rows put SA entries at 1/len and RoD
+    # entries at kappa/len, and the relative rank cut then dropped a
+    # direction or split the duality ranks on each of these instances (on
+    # the last one only with the reduced rows left unscaled).
+    fw = generate(recipe, n, seed).framework
+    assert infinitesimal_rigidity_test(fw).rank == 2 * n - 4
+    dual = duality_check(fw)
+    assert dual.equal and dual.rank == 2 * n - 4
+
+
+def test_swapped_bipartition_has_the_same_spectrum(rng):
+    # With unit rows the swapped matrix is an orthogonal transform of the
+    # original up to row signs, so the rank test sees one spectrum.
+    for _ in range(15):
+        fw = random_framework(int(rng.integers(4, 11)), rng)
+        s = infinitesimal_rigidity_test(fw).sigma
+        s_swapped = infinitesimal_rigidity_test(fw.swapped()).sigma
+        assert np.max(np.abs(s - s_swapped)) <= 1e-10 * s[0]
 
 
 def test_rigid_frameworks_satisfy_edge_lower_bound(rng):

@@ -8,9 +8,11 @@ reproduce the configuration under either spanning tree.
 
 import numpy as np
 import pytest
+from scipy.linalg import lstsq, null_space
 
 from sarod import (
     Bipartition,
+    EdgeSolution,
     Framework,
     Graph,
     InfeasibleMeasurementsError,
@@ -31,7 +33,9 @@ from sarod import (
     solve_rod_connected,
     solve_sa_connected,
 )
-from sarod.snl import assemble_bearing_system, assemble_distance_system
+from sarod.construction import generate
+from sarod.rigidity import numerical_rank
+from sarod.snl import assemble_bearing_system, assemble_distance_system, solution_residuals
 
 
 def truth_edges(net):
@@ -345,3 +349,93 @@ def test_bilateration_bearing_system_full_column_rank():
         system = assemble_bearing_system(net, dist.offset)
         assert system.rank == 4 * n - 6, (n, seed, system.rank)
         assert system.null_dim == 0
+
+
+def _reference_factorization(A, rhs, rtol=1e-8):
+    """Rank, null basis and min-norm solution from three separate factorizations."""
+    rank, _ = numerical_rank(A, rtol)
+    x, *_ = lstsq(A, rhs, cond=rtol, lapack_driver="gelsd")
+    return rank, null_space(A, rcond=rtol), x
+
+
+def _bearing_systems():
+    for recipe in ("bilat-D1A1", "mix-D2A1"):
+        for seed in range(3):
+            net = build_network(generate(recipe, 70, seed).framework, [1, 2])
+            yield net, propagate_distances(net).offset
+    # Fewer rows than columns: one SA triple on a 4-cycle.
+    fw = Framework(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))), Bipartition.from_a_set(4, [2]),
+                   np.array([[0.0, 0.0], [1.0, 0.1], [1.2, 1.0], [0.1, 0.9]]))
+    net = build_network(fw, [1, 2])
+    yield net, truth_edges(net)[1]
+
+
+def test_bearing_system_single_svd_matches_reference():
+    wide = 0
+    for net, d in _bearing_systems():
+        system = assemble_bearing_system(net, d)
+        A = system.matrix
+        wide += A.shape[0] < A.shape[1]
+        rank, N, x = _reference_factorization(A, system.rhs)
+        assert system.rank == rank
+        assert system.null_dim == N.shape[1] == A.shape[1] - rank
+        P, P_ref = system.null_basis @ system.null_basis.T, N @ N.T
+        assert np.max(np.abs(P - P_ref)) <= 1e-10
+        assert np.max(np.abs(system.min_norm_solution - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+    assert wide == 1
+
+
+def test_distance_solve_single_svd_matches_reference():
+    for seed in range(3):
+        net = build_network(generate("quad2v", 70, seed).framework, [1, 2])
+        sol = solve_sa_connected(net)
+        A, y = assemble_distance_system(net, sol.bearings)
+        rank, _, d = _reference_factorization(A, y)
+        assert sol.info["rank_distance_system"] == rank == net.graph.m
+        assert np.max(np.abs(sol.distances - d)) <= 1e-10 * np.max(d)
+
+
+def _loop_reference_systems(net, b, d):
+    """Per-triple loop assembly of the SA and RoD rows, and their worst residuals."""
+    eidx = net.graph.edge_index()
+
+    def eid(u, v):
+        return eidx[(min(u, v), max(u, v))]
+
+    def sign(u, v):
+        return 1.0 if u < v else -1.0
+
+    m = net.graph.m
+    sa_rows = np.zeros((2 * len(net.sa_triples), 2 * m))
+    rot_res = 0.0
+    for k, (u, v, w) in enumerate(net.sa_triples.triples):
+        R = np.array([[np.cos(net.sa[(u, v, w)]), -np.sin(net.sa[(u, v, w)])],
+                      [np.sin(net.sa[(u, v, w)]), np.cos(net.sa[(u, v, w)])]])
+        e1, e2 = eid(u, v), eid(u, w)
+        sa_rows[2 * k : 2 * k + 2, 2 * e2 : 2 * e2 + 2] = sign(u, w) * np.eye(2)
+        sa_rows[2 * k : 2 * k + 2, 2 * e1 : 2 * e1 + 2] = -sign(u, v) * R
+        rot_res = max(rot_res, np.linalg.norm(sign(u, w) * b[e2] - R @ (sign(u, v) * b[e1])))
+    rod_rows = np.zeros((len(net.rod_triples), m))
+    ratio_res = 0.0
+    for k, (u, v, w) in enumerate(net.rod_triples.triples):
+        rod_rows[k, eid(u, v)] = -net.rod[(u, v, w)]
+        rod_rows[k, eid(u, w)] = 1.0
+        ratio_res = max(ratio_res, abs(d[eid(u, w)] - net.rod[(u, v, w)] * d[eid(u, v)]) / d[eid(u, w)])
+    return sa_rows, rod_rows, rot_res, ratio_res
+
+
+def test_vectorized_assembly_matches_loop_reference():
+    for recipe in ("bilat-D1A1", "mix-D2A1", "type2D1"):
+        net = build_network(generate(recipe, 30, 4).framework, [1, 2])
+        b, d = truth_edges(net)
+        noise = np.random.default_rng(4).standard_normal((net.graph.m, 3))  # nonzero residuals
+        b, d = b + 1e-3 * noise[:, :2], d * (1.0 + 1e-3 * noise[:, 2])
+        sa_rows, rod_rows, rot_res, ratio_res = _loop_reference_systems(net, b, d)
+        n_cyc = net.graph.m - net.graph.n + 1
+        A_b = assemble_bearing_system(net, d).matrix
+        assert np.array_equal(A_b[2 * n_cyc : 2 * n_cyc + len(sa_rows)], sa_rows)
+        A_d, _ = assemble_distance_system(net, b)
+        assert np.array_equal(A_d[2 * n_cyc : 2 * n_cyc + len(rod_rows)], rod_rows)
+        rep = solution_residuals(net, EdgeSolution(b, d, "reference", "localizable"))
+        assert rep["rotation"] == pytest.approx(rot_res, rel=1e-12)
+        assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
