@@ -147,6 +147,10 @@ class TripleIndexSet:
     e1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
     e2: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
 
+    def __post_init__(self):
+        if not len(self.e1) == len(self.e2) == len(self.triples):
+            raise GraphError("need one (e1, e2) edge-index pair per triple")
+
     def __len__(self) -> int:
         return len(self.triples)
 

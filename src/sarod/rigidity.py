@@ -33,14 +33,13 @@ from .geometry import (
     rigidity_function,
     rot90,
 )
-from .graph import TripleIndexSet, enumerate_triples
+from .graph import TripleIndexSet, enumerate_triples, incidence_matrix
 
 __all__ = [
     "RigidityMatrix",
     "RankReport",
     "QuadVerdict",
     "assemble_rigidity_matrix",
-    "svd_factor",
     "numerical_rank",
     "null_space",
     "infinitesimal_rigidity_test",
@@ -119,17 +118,15 @@ def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatri
     for e, block in ((e1, block1), (e2, block2)):
         np.add.at(vert, (rows, ends[e, 0]), -block)
         np.add.at(vert, (rows, ends[e, 1]), block)
-    hbar = np.zeros((m, 2, n, 2))  # kron(H, I_2)
-    hbar[np.arange(m), :, ends[:, 0], :] = -np.eye(2)
-    hbar[np.arange(m), :, ends[:, 1], :] = np.eye(2)
-    return RigidityMatrix(vert.reshape(n_rows, 2 * n), sa, rod, edge.reshape(n_rows, 2 * m), hbar.reshape(2 * m, 2 * n))
+    hbar = np.kron(incidence_matrix(fw.graph), np.eye(2))
+    return RigidityMatrix(vert.reshape(n_rows, 2 * n), sa, rod, edge.reshape(n_rows, 2 * m), hbar)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
 
 
-def svd_factor(matrix, rtol: float = DEFAULT_RTOL):
+def _svd_factor(matrix, rtol: float = DEFAULT_RTOL):
     """One SVD: (rank, sigma, U, Vt) with rank = #{sigma_i > rtol * sigma_max}.
 
     Thin unless there are fewer rows than columns, so ``U`` has one column
@@ -153,7 +150,7 @@ def numerical_rank(matrix, rtol: float = DEFAULT_RTOL):
 
 def null_space(matrix, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Orthonormal null-space basis (columns), at the shared rank tolerance."""
-    rank, _, _, vt = svd_factor(matrix, rtol)
+    rank, _, _, vt = _svd_factor(matrix, rtol)
     return vt[rank:].T
 
 
@@ -168,13 +165,13 @@ def trivial_motions(points) -> np.ndarray:
     return np.column_stack([t1, t2, rot, scale])
 
 
-def _rank_test_matrix(fw: Framework, mode: str = "reduced") -> np.ndarray:
-    """Rigidity matrix with every row scaled to unit norm (same exact rank and null space)."""
-    M = assemble_rigidity_matrix(fw, mode).matrix
+def _rank_test_matrix(fw: Framework) -> np.ndarray:
+    """Reduced rigidity matrix with every row scaled to unit norm (same exact rank and null space)."""
+    M = assemble_rigidity_matrix(fw, "reduced").matrix
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL, mode: str = "reduced") -> RankReport:
+def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL) -> RankReport:
     """Rank test: rigid iff rank equals 2n - 4; also checks the trivial null space.
 
     One SVD of the ``reduced`` matrix with unit-norm rows (see the module
@@ -183,8 +180,8 @@ def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL, mode:
     """
     if fw.n < 3:
         raise ValueError("rigidity analysis needs n >= 3")
-    M = _rank_test_matrix(fw, mode)
-    rank, sigma, _, vt = svd_factor(M, rtol)
+    M = _rank_test_matrix(fw)
+    rank, sigma, _, vt = _svd_factor(M, rtol)
     required = 2 * fw.n - 4
     T = trivial_motions(fw.points)
     smax = sigma[0] if sigma.size else 0.0

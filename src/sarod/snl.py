@@ -34,7 +34,7 @@ from scipy.stats import qmc
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, path_matrix, triple_index_components
 # benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
-from .rigidity import null_space, numerical_rank, svd_factor  # noqa: F401
+from .rigidity import _svd_factor, null_space, numerical_rank  # noqa: F401
 
 __all__ = [
     "InfeasibleMeasurementsError",
@@ -389,11 +389,8 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
 
 
 def _min_norm_solve(A: np.ndarray, rhs: np.ndarray, rtol: float):
-    """(rank, null basis, min-norm least-squares solution) of A x = rhs from one SVD.
-
-    The rank cut is the one gelsd applies with cond=rtol.
-    """
-    rank, s, u, vt = svd_factor(A, rtol)
+    """(rank, null basis, min-norm least-squares solution) of A x = rhs from one SVD, cut as gelsd's cond=rtol."""
+    rank, s, u, vt = _svd_factor(A, rtol)
     x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     return rank, vt[rank:].T, x
 

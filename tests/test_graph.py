@@ -179,6 +179,13 @@ def test_index_components_empty_triples():
     assert c == g.m
 
 
+def test_triple_index_set_needs_one_edge_pair_per_triple():
+    from sarod.graph import TripleIndexSet
+
+    with pytest.raises(GraphError):
+        TripleIndexSet("sa", ((1, 2, 3),))
+
+
 def test_index_components_star_single():
     g = Graph(4, ((1, 2), (1, 3), (1, 4)))
     sa, _ = enumerate_triples(g, Bipartition.from_a_set(4, [1]), "full")
