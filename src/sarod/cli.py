@@ -131,10 +131,11 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"{args.spec}: {exc}")
     runs = spec["runs"] if isinstance(spec, dict) else spec
-    fields = [
-        "recipe", "n", "seed", "method", "status", "m", "sa_components", "rod_components",
-        "rank_distance_system", "rank_bearing_system", "null_dim", "variables", "mse", "runtime_s",
+    evidence = [
+        "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim", "sa_closure_mismatch",
+        "rod_closure_mismatch", "rank_distance_system", "rank_bearing_system", "null_dim", "variables",
     ]
+    fields = ["recipe", "n", "seed", "method", "status", "m", *evidence, "mse", "runtime_s"]
     rows = []
     for entry in runs:
         recipe = entry["recipe"]
@@ -145,20 +146,13 @@ def cmd_report(args) -> int:
             try:
                 con = generate(recipe, n, int(seed))
                 net = build_network(con.framework, (1, 2))
-                _, c_a = triple_index_components(net.sa_triples, net.graph)
-                _, c_d = triple_index_components(net.rod_triples, net.graph)
                 config = SolverConfig(seed=int(seed), starts=args.starts, rtol=args.rtol)
                 t0 = time.perf_counter()
                 result = localize_network(net, method, config)
+                row.update({k: result.solution.info.get(k, "") for k in evidence})
                 row.update(
                     status=result.solution.status,
                     m=net.graph.m,
-                    sa_components=c_a,
-                    rod_components=c_d,
-                    rank_distance_system=result.solution.info.get("rank_distance_system", ""),
-                    rank_bearing_system=result.solution.info.get("rank_bearing_system", ""),
-                    null_dim=result.solution.info.get("null_dim", ""),
-                    variables=result.solution.info.get("variables", ""),
                     mse=f"{result.mse:.6e}",
                     runtime_s=f"{time.perf_counter() - t0:.4f}",
                 )

@@ -154,20 +154,31 @@ def rigidity_function(points, sa_triples: TripleIndexSet, rod_triples: TripleInd
     """Stacked measurement vector: all signed angles first, then all ratios.
 
     The entry order (SA in ``sa_triples`` order, then RoD in ``rod_triples``
-    order) is the row order of the rigidity matrix.
+    order) is the row order of the rigidity matrix.  Entries equal
+    ``signed_angle`` and ``ratio_of_distance`` of each triple up to
+    rounding, evaluated for all triples at once: the angle is
+    atan2(cross, dot) of the two arm vectors, the ratio the square root of
+    their squared-length ratio.
     """
     p = as_points(points)
-    vals = [signed_angle(p, t) for t in sa_triples.triples]
-    vals += [ratio_of_distance(p, t) for t in rod_triples.triples]
-    return np.array(vals, dtype=float)
+    t = np.concatenate([sa_triples.vertex_index, rod_triples.vertex_index])
+    arms = p[t[:, 1:]] - p[t[:, :1]]  # (T, 2, 2): apex -> v, apex -> w
+    x, y = arms[..., 0], arms[..., 1]
+    sq = x * x + y * y
+    if not sq.all():
+        k, arm = np.unravel_index(np.argmin(sq), sq.shape)
+        raise CollocationError(f"collocated nodes (Assumption 1): vertices {t[k, 0] + 1} and {t[k, arm + 1] + 1}")
+    vals = np.sqrt(sq[:, 1] / sq[:, 0])
+    s = slice(0, len(sa_triples))
+    vals[s] = wrap_angle(np.arctan2(x[s, 0] * y[s, 1] - y[s, 0] * x[s, 1], x[s, 0] * x[s, 1] + y[s, 0] * y[s, 1]))
+    return vals
 
 
 def synthesize_measurements(points, sa_triples: TripleIndexSet, rod_triples: TripleIndexSet) -> MeasurementSet:
     """Exact measurements over the given triple sets."""
-    p = as_points(points)
-    sa = {t: signed_angle(p, t) for t in sa_triples.triples}
-    rod = {t: ratio_of_distance(p, t) for t in rod_triples.triples}
-    return MeasurementSet(sa, rod)
+    vals = rigidity_function(points, sa_triples, rod_triples).tolist()
+    n_sa = len(sa_triples)
+    return MeasurementSet(dict(zip(sa_triples.triples, vals[:n_sa])), dict(zip(rod_triples.triples, vals[n_sa:])))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -30,6 +32,7 @@ __all__ = [
     "fundamental_cycle_basis",
     "path_matrix",
     "enumerate_triples",
+    "index_graph",
     "triple_index_components",
     "augment_anchor_clique",
 ]
@@ -87,18 +90,9 @@ class Graph:
         return sum(1 for (i, j) in self.edges if i == v or j == v)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.neighbors()
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        ij = np.array(self.edges, dtype=int).reshape(-1, 2) - 1
+        adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
+        return connected_components(adj, directed=False)[0] == 1
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,17 @@ class TripleIndexSet:
     # Canonical indices of edges (apex, v) and (apex, w), per triple.
     e1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
     e2: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
+    # The triples as a (T, 3) array of 0-based vertex indices (apex, v, w).
+    vertex_index: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not len(self.e1) == len(self.e2) == len(self.triples):
             raise GraphError("need one (e1, e2) edge-index pair per triple")
+        t = np.array(self.triples, dtype=int).reshape(-1, 3)
+        repeated = (t[:, 0] == t[:, 1]) | (t[:, 0] == t[:, 2]) | (t[:, 1] == t[:, 2])
+        if repeated.any():
+            raise GraphError(f"triple {self.triples[int(repeated.argmax())]} must have three distinct vertices")
+        object.__setattr__(self, "vertex_index", t - 1)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -304,6 +305,19 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
     return index_set("sa", sa), index_set("rod", rod)
 
 
+def index_graph(t: TripleIndexSet, m: int) -> csr_matrix:
+    """Triple index graph over m edges as a sparse matrix with entries +-(k + 1).
+
+    Triple k joins its edges e1 -> e2 with +(k + 1) and e2 -> e1 with
+    -(k + 1).  Two edges share at most one apex, so each edge pair carries
+    at most one triple.
+    """
+    k = np.arange(1, len(t) + 1)
+    rows = np.concatenate([t.e1, t.e2])
+    cols = np.concatenate([t.e2, t.e1])
+    return csr_matrix((np.concatenate([k, -k]), (rows, cols)), shape=(m, m))
+
+
 def triple_index_components(t: TripleIndexSet, g: Graph):
     """Connected components of the triple index graph, over all edges of g.
 
@@ -313,30 +327,8 @@ def triple_index_components(t: TripleIndexSet, g: Graph):
     an m-vector of component ids in 0..count-1, numbered by smallest edge
     index.
     """
-    parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for e1, e2 in zip(t.e1.tolist(), t.e2.tolist()):
-        union(e1, e2)
-
-    labels = np.empty(g.m, dtype=int)
-    remap: dict[int, int] = {}
-    for e in range(g.m):
-        r = find(e)
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[e] = remap[r]
-    return labels, len(remap)
+    count, labels = connected_components(index_graph(t, g.m), directed=False)
+    return labels, int(count)
 
 
 def augment_anchor_clique(g: Graph, anchors: Iterable[int]) -> Graph:

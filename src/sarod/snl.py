@@ -14,25 +14,38 @@ edge bearings and distances, constrained by
 Propagation over the triple index graphs resolves each connected component
 up to one free reference (a 2-vector per SA component, a positive scalar
 per RoD component); the component containing an anchor edge is pinned.
+Both sides run one walk: angles (SA) and log-ratios (RoD) are additive
+potentials summed along a spanning tree of each component, and one
+vectorized check bounds every triple's closure mismatch.  Each network
+propagates each side once (``SensorNetwork.bearing_param`` /
+``distance_param``), and every solution carries the same evidence: both
+component counts, free dimensions and worst closure mismatches.
+
 Three solvers cover the connectivity regimes: a linear distance solve when
 all bearings resolve, a (possibly null-space-parameterized) bearing solve
 when all distances resolve, and a reduced nonlinear solve over the free
-references when neither side resolves.  Positions are recovered by
-telescoping edge displacements along spanning-tree paths from an anchor.
+references when neither side resolves.  ``localize_network`` picks the
+regime, and ``localizability_check`` reads its verdict off that same
+localization.  Positions are recovered by telescoping edge displacements
+along spanning-tree paths from an anchor.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import least_squares
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_tree
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
-from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, path_matrix, triple_index_components
+from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, triple_index_components
 # benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
 from .rigidity import _svd_factor, null_space, numerical_rank  # noqa: F401
 
@@ -62,6 +75,20 @@ class InfeasibleMeasurementsError(ValueError):
     """Raised when measurements are mutually inconsistent around an index cycle."""
 
 
+@dataclass
+class SolverConfig:
+    """Settable solver options, plus the fixed tolerances every solve uses."""
+
+    seed: int = 0
+    starts: int = 20
+    rtol: float = 1e-8
+    zero_tol: ClassVar[float] = 1e-16  # accept threshold on the squared-residual objective
+    cluster_tol: ClassVar[float] = 1e-6
+    positivity_eps: ClassVar[float] = 1e-6
+    consistency_tol: ClassVar[float] = 1e-8  # closure and anchor-agreement bound in propagation
+    box_half_width: ClassVar[float] = 2.0
+
+
 @dataclass(frozen=True)
 class SensorNetwork:
     """Anchor-augmented framework plus exact measurements and anchor targets."""
@@ -82,6 +109,16 @@ class SensorNetwork:
     @property
     def truth(self) -> np.ndarray:
         return self.framework.points
+
+    @cached_property
+    def bearing_param(self) -> "EdgeParameterization":
+        """Bearings propagated over the SA index graph, computed once per network."""
+        return propagate_bearings(self)
+
+    @cached_property
+    def distance_param(self) -> "EdgeParameterization":
+        """Distances propagated over the RoD index graph, computed once per network."""
+        return propagate_distances(self)
 
 
 def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = None) -> SensorNetwork:
@@ -142,6 +179,8 @@ class EdgeParameterization:
     ``offset`` carries the resolved values (zeros on unresolved edges);
     ``basis`` spans the free directions (one 2-column block per unresolved
     SA component, one positive column per unresolved RoD component).
+    ``closure_mismatch`` is the worst transport mismatch over all triples
+    (radians for bearings, log-ratio for distances).
     """
 
     kind: str  # "bearing" | "distance"
@@ -151,6 +190,7 @@ class EdgeParameterization:
     basis: np.ndarray  # (2m, 2k) or (m, k)
     free_components: tuple[int, ...]
     resolved: np.ndarray  # (m,) bool
+    closure_mismatch: float
 
     @property
     def fully_resolved(self) -> bool:
@@ -166,7 +206,7 @@ def _sa_relations(net: SensorNetwork):
 
     A sign is +1 when the apex is the canonical tail (apex bearing = edge bearing).
     """
-    tri = np.array(net.sa_triples.triples, dtype=int).reshape(-1, 3)
+    tri = net.sa_triples.vertex_index
     s1 = np.where(tri[:, 0] < tri[:, 1], 1.0, -1.0)
     s2 = np.where(tri[:, 0] < tri[:, 2], 1.0, -1.0)
     theta = np.array([net.sa[t] for t in net.sa_triples.triples], dtype=float)
@@ -177,43 +217,56 @@ def _rod_ratios(net: SensorNetwork) -> np.ndarray:
     return np.array([net.rod[t] for t in net.rod_triples.triples], dtype=float)
 
 
-def _component_walk(net: SensorNetwork, triples: TripleIndexSet, deltas, combine, check, start_value):
-    """Generic BFS over a triple index graph, accumulating per-edge transport.
+def _centered(x: np.ndarray, period: float | None) -> np.ndarray:
+    return x if period is None else np.mod(x + period / 2, period) - period / 2
 
-    ``deltas[k]`` is the transport across triple k (from its edge ``e1`` to
-    its edge ``e2``); ``combine(acc, delta, forward)`` transports the
-    accumulator across the index edge; ``check(expected, actual)``
-    validates closure on non-tree index edges.
+
+def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, anchor_values: dict, period: float | None, side: str):
+    """Additive potentials over one triple index graph, pinned by the anchor edges.
+
+    Triple k carries the potential of its edge e1 to its edge e2 by adding
+    ``steps[k]``.  Each component's smallest edge is its root, at potential
+    0; every other edge sums the steps along a breadth-first tree from it.
+    A component holding an anchor edge is shifted to reproduce the anchor
+    value there.  Returns (labels, count, potentials, pinned potentials (NaN
+    on free components), free component ids, worst closure mismatch);
+    mismatches above the consistency tolerance raise
+    ``InfeasibleMeasurementsError``.
     """
     g = net.graph
-    adj: list[list[tuple[int, object]]] = [[] for _ in range(g.m)]
-    for e1, e2, delta in zip(triples.e1.tolist(), triples.e2.tolist(), deltas):
-        adj[e1].append((e2, (delta, True)))
-        adj[e2].append((e1, (delta, False)))
-    labels = np.full(g.m, -1, dtype=int)
-    value = [start_value] * g.m
-    n_comp = 0
-    for root in range(g.m):
-        if labels[root] >= 0:
-            continue
-        labels[root] = n_comp
-        value[root] = start_value
-        stack = [root]
-        while stack:
-            e = stack.pop()
-            for (f, (delta, forward)) in adj[e]:
-                cand = combine(value[e], delta, forward)
-                if labels[f] < 0:
-                    labels[f] = n_comp
-                    value[f] = cand
-                    stack.append(f)
-                else:
-                    check(value[f], cand)
-        n_comp += 1
-    return labels, n_comp, value
+    m = g.m
+    labels, n_comp = triple_index_components(triples, g)
+    roots = np.unique(labels, return_index=True)[1]
+    # A hub vertex m joined to every root makes one traversal span the forest.
+    graph = index_graph(triples, m)
+    graph.resize(m + 1, m + 1)
+    graph = graph + csr_matrix((np.ones(len(roots)), (np.full(len(roots), m), roots)), shape=(m + 1, m + 1))
+    tree = breadth_first_tree(graph, m).tocoo()
+    inner = tree.row < m
+    k = tree.data[inner].astype(int)
+    up = np.full(m + 1, m)
+    up[tree.col[inner]] = tree.row[inner]
+    pot = np.zeros(m + 1)
+    pot[tree.col[inner]] = np.sign(k) * steps[np.abs(k) - 1]
+    # Pointer doubling: pot[e] sums the steps from e up to up[e].
+    while np.any(up != m):
+        pot, up = pot + pot[up], up[up]
+    pot = pot[:m]
+    tol = SolverConfig.consistency_tol
+    mismatch = float(np.max(np.abs(_centered(pot[triples.e2] - pot[triples.e1] - steps, period)), initial=0.0))
+    if mismatch > tol:
+        raise InfeasibleMeasurementsError(f"infeasible {side} data: worst closure mismatch {mismatch:.3e} around an index cycle (tolerance {tol:g})")
+    eidx = g.edge_index()
+    edges = np.array([eidx[e] for e in anchor_values], dtype=int)
+    shift = np.array(list(anchor_values.values()), dtype=float) - pot[edges]
+    ref = np.full(n_comp, np.nan)
+    ref[labels[edges]] = shift
+    if np.any(np.abs(_centered(shift - ref[labels[edges]], period)) > tol):
+        raise InfeasibleMeasurementsError(f"infeasible {side} data: anchor values disagree within a component")
+    return labels, n_comp, pot, pot + ref[labels], np.flatnonzero(np.isnan(ref)), mismatch
 
 
-def propagate_bearings(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameterization:
+def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge bearings per SA-index component.
 
     Within a component every edge bearing is a fixed rotation of the
@@ -221,87 +274,29 @@ def propagate_bearings(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameteriz
     components contribute a free 2-vector each.  Inconsistent rotations
     around an index cycle raise ``InfeasibleMeasurementsError``.
     """
-    g = net.graph
-    eidx = g.edge_index()
     s1, s2, theta = _sa_relations(net)
-    theta = np.where(s1 * s2 < 0, theta + np.pi, theta)
-
-    def combine(phi, theta, forward):
-        return phi + theta if forward else phi - theta
-
-    def check(expected, actual):
-        err = np.mod(expected - actual + np.pi, 2.0 * np.pi) - np.pi
-        if abs(err) > tol:
-            raise InfeasibleMeasurementsError(f"infeasible SA data: rotation mismatch {err:.3e} around an index cycle")
-
-    labels, n_comp, phi = _component_walk(net, net.sa_triples, theta.tolist(), combine, check, 0.0)
-    phi = np.array(phi)
-
-    offset = np.zeros((g.m, 2))
-    resolved = np.zeros(g.m, dtype=bool)
-    comp_ref: dict[int, np.ndarray] = {}
-    for (i, j), b_star in net.anchor_bearings.items():
-        e = eidx[(i, j)]
-        c = labels[e]
-        ref = rotation(-phi[e]) @ b_star
-        if c in comp_ref:
-            if np.linalg.norm(comp_ref[c] - ref) > tol:
-                raise InfeasibleMeasurementsError("infeasible SA data: anchor bearings disagree within a component")
-        else:
-            comp_ref[c] = ref
-    for e in range(g.m):
-        c = labels[e]
-        if c in comp_ref:
-            offset[e] = rotation(phi[e]) @ comp_ref[c]
-            resolved[e] = True
-    free = tuple(c for c in range(n_comp) if c not in comp_ref)
-    basis = np.zeros((2 * g.m, 2 * len(free)))
-    for t, c in enumerate(free):
-        for e in np.nonzero(labels == c)[0]:
-            R = rotation(phi[e])
-            basis[2 * e : 2 * e + 2, 2 * t] = R[:, 0]
-            basis[2 * e : 2 * e + 2, 2 * t + 1] = R[:, 1]
-    return EdgeParameterization("bearing", labels, n_comp, offset, basis, free, resolved)
+    steps = np.where(s1 * s2 < 0, theta + np.pi, theta)
+    anchors = {e: float(np.arctan2(b[1], b[0])) for e, b in net.anchor_bearings.items()}
+    labels, n_comp, phi, angle, free, mismatch = _propagate(net, net.sa_triples, steps, anchors, 2.0 * np.pi, "SA")
+    e = np.flatnonzero(np.isnan(angle))
+    t = np.searchsorted(free, labels[e])
+    c, s = np.cos(phi[e]), np.sin(phi[e])
+    basis = np.zeros((2 * net.graph.m, 2 * len(free)))
+    basis[2 * e, 2 * t], basis[2 * e + 1, 2 * t] = c, s  # R(phi) e_x
+    basis[2 * e, 2 * t + 1], basis[2 * e + 1, 2 * t + 1] = -s, c  # R(phi) e_y
+    offset = np.nan_to_num(np.column_stack([np.cos(angle), np.sin(angle)]))
+    return EdgeParameterization("bearing", labels, n_comp, offset, basis, tuple(free.tolist()), ~np.isnan(angle), mismatch)
 
 
-def propagate_distances(net: SensorNetwork, tol: float = 1e-8) -> EdgeParameterization:
-    """Resolve edge distances per RoD-index component (multiplicative transport)."""
-    g = net.graph
-    eidx = g.edge_index()
-
-    def combine(rho, kappa, forward):
-        return rho * kappa if forward else rho / kappa
-
-    def check(expected, actual):
-        if abs(expected / actual - 1.0) > tol:
-            raise InfeasibleMeasurementsError(f"infeasible RoD data: ratio mismatch {expected / actual - 1.0:.3e} around an index cycle")
-
-    labels, n_comp, rho = _component_walk(net, net.rod_triples, _rod_ratios(net).tolist(), combine, check, 1.0)
-    rho = np.array(rho)
-
-    offset = np.zeros(g.m)
-    resolved = np.zeros(g.m, dtype=bool)
-    comp_scale: dict[int, float] = {}
-    for (i, j), d_star in net.anchor_distances.items():
-        e = eidx[(i, j)]
-        c = labels[e]
-        scale = d_star / rho[e]
-        if c in comp_scale:
-            if abs(comp_scale[c] / scale - 1.0) > tol:
-                raise InfeasibleMeasurementsError("infeasible RoD data: anchor distances disagree within a component")
-        else:
-            comp_scale[c] = scale
-    for e in range(g.m):
-        c = labels[e]
-        if c in comp_scale:
-            offset[e] = rho[e] * comp_scale[c]
-            resolved[e] = True
-    free = tuple(c for c in range(n_comp) if c not in comp_scale)
-    basis = np.zeros((g.m, len(free)))
-    for t, c in enumerate(free):
-        mask = labels == c
-        basis[mask, t] = rho[mask]
-    return EdgeParameterization("distance", labels, n_comp, offset, basis, free, resolved)
+def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
+    """Resolve edge distances per RoD-index component (ratios transported as log-sums)."""
+    anchors = {e: float(np.log(d)) for e, d in net.anchor_distances.items()}
+    labels, n_comp, log_rho, log_d, free, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
+    e = np.flatnonzero(np.isnan(log_d))
+    basis = np.zeros((net.graph.m, len(free)))
+    basis[e, np.searchsorted(free, labels[e])] = np.exp(log_rho[e])
+    offset = np.nan_to_num(np.exp(log_d))
+    return EdgeParameterization("distance", labels, n_comp, offset, basis, tuple(free.tolist()), ~np.isnan(log_d), mismatch)
 
 
 # --- linear systems ---------------------------------------------------------
@@ -399,18 +394,6 @@ def _min_norm_solve(A: np.ndarray, rhs: np.ndarray, rtol: float):
 
 
 @dataclass
-class SolverConfig:
-    seed: int = 0
-    starts: int = 20
-    rtol: float = 1e-8
-    zero_tol: float = 1e-16  # accept threshold on the squared-residual objective
-    cluster_tol: float = 1e-6
-    positivity_eps: float = 1e-6
-    consistency_tol: float = 1e-8
-    box_half_width: float = 2.0
-
-
-@dataclass
 class EdgeSolution:
     """Per-edge bearings/distances plus the solve verdict and evidence."""
 
@@ -429,27 +412,38 @@ def _unit_norm_defect(b: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.norm(b, axis=1) - 1.0))) if b.size else 0.0
 
 
+def _evidence(net: SensorNetwork) -> dict:
+    """Connectivity evidence shared by every solution: both propagations' counts, free dimensions and mismatches."""
+    bear, dist = net.bearing_param, net.distance_param
+    return {
+        "sa_components": bear.n_components,
+        "rod_components": dist.n_components,
+        "free_bearing_dim": bear.dim,
+        "free_distance_dim": dist.dim,
+        "sa_closure_mismatch": bear.closure_mismatch,
+        "rod_closure_mismatch": dist.closure_mismatch,
+    }
+
+
 def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
     """Bearings by propagation, distances by one linear least-squares solve.
 
     Localizable exactly when the distance system has full column rank m.
     """
     config = config or SolverConfig()
-    state = propagate_bearings(net, config.consistency_tol)
-    if not state.fully_resolved:
+    if not net.bearing_param.fully_resolved:
         raise ValueError("bearings unresolved; use disconnected solver")
-    b = state.offset
+    info = _evidence(net)
+    b = net.bearing_param.offset
     A, y = assemble_distance_system(net, b)
     rank, _, d = _min_norm_solve(A, y, config.rtol)
-    residual = float(np.linalg.norm(A @ d - y))
     status = "localizable" if rank == net.graph.m else "unlocalizable"
-    info = {
-        "rank_distance_system": rank,
-        "m": net.graph.m,
-        "distance_residual": residual,
-        "unit_norm_defect": _unit_norm_defect(b),
-        "sa_components": state.n_components,
-    }
+    info.update(
+        rank_distance_system=rank,
+        m=net.graph.m,
+        distance_residual=float(np.linalg.norm(A @ d - y)),
+        unit_norm_defect=_unit_norm_defect(b),
+    )
     if status == "localizable" and np.any(d <= 0):
         status = "infeasible"
         info["note"] = "solved distances not strictly positive"
@@ -483,17 +477,12 @@ def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) 
     distinct converged zeros are clustered to assess uniqueness.
     """
     config = config or SolverConfig()
-    state = propagate_distances(net, config.consistency_tol)
-    if not state.fully_resolved:
+    if not net.distance_param.fully_resolved:
         raise ValueError("distances unresolved; use disconnected solver")
-    d = state.offset
+    info = _evidence(net)
+    d = net.distance_param.offset
     system = assemble_bearing_system(net, d, config.rtol)
-    info = {
-        "rank_bearing_system": system.rank,
-        "null_dim": system.null_dim,
-        "m": net.graph.m,
-        "rod_components": state.n_components,
-    }
+    info.update(rank_bearing_system=system.rank, null_dim=system.null_dim, m=net.graph.m)
     if system.null_dim == 0:
         b = system.min_norm_solution.reshape(-1, 2)
         info["bearing_residual"] = float(np.linalg.norm(system.matrix @ system.min_norm_solution - system.rhs))
@@ -530,8 +519,7 @@ def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) 
         if obj < config.zero_tol:
             b = bearing_stack(sol.x).reshape(-1, 2)
             zeros.append((b, d, obj))
-    info["objective_best"] = best_obj
-    info["starts"] = len(starts)
+    info.update(objective_best=best_obj, starts=len(starts), heuristic=True, zero_clusters=0)
     if not zeros:
         return EdgeSolution(b0.reshape(-1, 2), d, "rod-connected", "solver-failed", info)
     reps = _cluster_positions(net, zeros, config.cluster_tol)
@@ -550,8 +538,7 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
     zeros.
     """
     config = config or SolverConfig()
-    bear = propagate_bearings(net, config.consistency_tol)
-    dist = propagate_distances(net, config.consistency_tol)
+    bear, dist = net.bearing_param, net.distance_param
     g = net.graph
     m = g.m
     C = fundamental_cycle_basis(g).matrix.astype(float)
@@ -660,15 +647,7 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
                 zeros.append((bearings_of(w), d, obj))
             else:
                 positivity_failures += 1
-    info = {
-        "free_bearing_dim": kw,
-        "free_distance_dim": ky,
-        "variables": dim,
-        "sa_components": bear.n_components,
-        "rod_components": dist.n_components,
-        "objective_best": best_obj,
-        "starts": len(starts),
-    }
+    info = {**_evidence(net), "variables": dim, "objective_best": best_obj, "starts": len(starts), "heuristic": True, "zero_clusters": 0}
     if not zeros:
         status = "infeasible" if positivity_failures else "solver-failed"
         return EdgeSolution(bear.offset, dist.offset, "disconnected", status, info)
@@ -738,45 +717,6 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     }
 
 
-def localizability_check(net: SensorNetwork, config: SolverConfig | None = None) -> tuple[str, dict]:
-    """Dispatching localizability verdict with its evidence.
-
-    Fully resolved bearings reduce the question to the distance-system rank
-    (exact); fully resolved distances with a trivial bearing null space are
-    exact as well; anything else falls back to the multi-start uniqueness
-    heuristic and says so.
-    """
-    config = config or SolverConfig()
-    bear = propagate_bearings(net, config.consistency_tol)
-    dist = propagate_distances(net, config.consistency_tol)
-    evidence = {
-        "sa_components": bear.n_components,
-        "rod_components": dist.n_components,
-        "free_bearing_dim": bear.dim,
-        "free_distance_dim": dist.dim,
-    }
-    if bear.fully_resolved:
-        A, _ = assemble_distance_system(net, bear.offset)
-        rank, _ = numerical_rank(A, config.rtol)
-        evidence["rank_distance_system"] = rank
-        evidence["m"] = net.graph.m
-        return ("localizable" if rank == net.graph.m else "unlocalizable"), evidence
-    if dist.fully_resolved:
-        system = assemble_bearing_system(net, dist.offset, config.rtol)
-        evidence["rank_bearing_system"] = system.rank
-        evidence["null_dim"] = system.null_dim
-        if system.null_dim == 0:
-            return "localizable", evidence
-        sol = solve_rod_connected(net, config)
-        evidence["zero_clusters"] = sol.info.get("zero_clusters", 0)
-        evidence["heuristic"] = True
-        return ("heuristic-unique" if sol.status == "heuristic-unique" else "heuristic-ambiguous"), evidence
-    sol = solve_disconnected(net, config)
-    evidence["zero_clusters"] = sol.info.get("zero_clusters", 0)
-    evidence["heuristic"] = True
-    return ("heuristic-unique" if sol.status == "heuristic-unique" else "heuristic-ambiguous"), evidence
-
-
 @dataclass
 class LocalizationResult:
     solution: EdgeSolution
@@ -787,24 +727,25 @@ class LocalizationResult:
 
 def localize_network(net: SensorNetwork, method: str = "auto", config: SolverConfig | None = None) -> LocalizationResult:
     """Run the solver matching the measurement connectivity (or the requested one)."""
-    config = config or SolverConfig()
     if method == "auto":
-        _, c_a = triple_index_components(net.sa_triples, net.graph)
-        if c_a == 1 or propagate_bearings(net, config.consistency_tol).fully_resolved:
-            method = "sa"
-        else:
-            _, c_d = triple_index_components(net.rod_triples, net.graph)
-            if c_d == 1 or propagate_distances(net, config.consistency_tol).fully_resolved:
-                method = "rod"
-            else:
-                method = "general"
-    if method == "sa":
-        sol = solve_sa_connected(net, config)
-    elif method == "rod":
-        sol = solve_rod_connected(net, config)
-    elif method == "general":
-        sol = solve_disconnected(net, config)
-    else:
+        method = "sa" if net.bearing_param.fully_resolved else "rod" if net.distance_param.fully_resolved else "general"
+    solvers = {"sa": solve_sa_connected, "rod": solve_rod_connected, "general": solve_disconnected}
+    if method not in solvers:
         raise ValueError(f"unknown method {method!r}")
+    sol = solvers[method](net, config)
     x = recover_positions(net, sol.bearings, sol.distances, warn=False)
     return LocalizationResult(sol, x, mean_squared_error(x, net.truth), method)
+
+
+def localizability_check(net: SensorNetwork, config: SolverConfig | None = None) -> tuple[str, dict]:
+    """Localizability verdict of the "auto" localization, with its evidence.
+
+    The exact regimes (all bearings resolve: distance-system rank; all
+    distances resolve with a trivial bearing null space) keep the solve
+    status.  The multi-start regimes give ``heuristic-unique`` or
+    ``heuristic-ambiguous`` and say so with ``heuristic: True``.
+    """
+    sol = localize_network(net, "auto", config).solution
+    if not sol.info.get("heuristic"):
+        return sol.status, sol.info
+    return ("heuristic-unique" if sol.status == "heuristic-unique" else "heuristic-ambiguous"), sol.info

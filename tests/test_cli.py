@@ -114,6 +114,36 @@ def test_cli_localize_external_measurements(tmp_path):
     assert main(["localize", "--net", str(net_path), "--measurements", str(meas_path)]) == 0
 
 
+def test_cli_localize_rejects_inconsistent_ratio_on_sa_connected_network(tmp_path, capsys):
+    from sarod import MeasurementSet, build_network
+
+    con = generate_quadrilateralized(12, 0)
+    net = build_network(con.framework, (1, 2))
+    assert net.bearing_param.fully_resolved
+    rod = dict(net.rod)
+    # Triples at an apex of degree >= 3 close a cycle in the RoD index graph.
+    key = next(t for t in rod if sum(u == t[0] for u, _, _ in rod) >= 3)
+    rod[key] *= 1.01
+    net_path, meas_path = tmp_path / "n.json", tmp_path / "m.json"
+    save_network(net_path, con.framework, anchors=(1, 2))
+    save_measurements(meas_path, MeasurementSet(dict(net.sa), rod))
+    assert main(["localize", "--net", str(net_path), "--measurements", str(meas_path)]) == 1
+    assert "infeasible RoD data" in capsys.readouterr().err
+
+
+def test_cli_report_reads_solution_evidence(tmp_path):
+    spec = tmp_path / "batch.json"
+    out = tmp_path / "batch.csv"
+    spec.write_text(json.dumps({"runs": [{"recipe": "bilat-D1A1", "n": 9, "seeds": [0]}]}))
+    assert main(["report", "--spec", str(spec), "--out", str(out)]) == 0
+    (row,) = list(csv.DictReader(open(out)))
+    assert row["status"] == "localizable"
+    assert row["rod_components"] == "1" and row["free_distance_dim"] == "0"
+    assert int(row["sa_components"]) > 1
+    assert float(row["sa_closure_mismatch"]) < 1e-12 and float(row["rod_closure_mismatch"]) < 1e-12
+    assert row["rank_bearing_system"] == str(4 * 9 - 6)
+
+
 def test_cli_analyze_report_fields(tmp_path):
     net = tmp_path / "n.json"
     out = tmp_path / "report.json"

@@ -107,6 +107,37 @@ def test_rigidity_function_triangle_order():
     assert f[0] == pytest.approx(signed_angle(fw.points, sa.triples[0]))
 
 
+def test_rigidity_function_matches_per_triple_reference():
+    # The vectorized evaluation reproduces signed_angle / ratio_of_distance:
+    # ratios to 1e-15 relative, angles to 1e-15 absolute on their [0, 2*pi)
+    # range (a relative bound cannot hold for angles near 0).
+    from sarod.construction import generate
+
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for n, seed in ((12, 0), (70, 1)):
+            fw = generate(recipe, n, seed).framework
+            sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
+            f = rigidity_function(fw.points, sa, rod)
+            angles = np.array([signed_angle(fw.points, t) for t in sa.triples])
+            ratios = np.array([ratio_of_distance(fw.points, t) for t in rod.triples])
+            assert np.max(np.abs(f[: len(sa)] - angles), initial=0.0) <= 1e-15
+            assert np.max(np.abs(f[len(sa) :] - ratios) / ratios, initial=0.0) <= 1e-15
+            ms = synthesize_measurements(fw.points, sa, rod)
+            assert list(ms.sa) == list(sa.triples) and list(ms.rod) == list(rod.triples)
+            assert np.array_equal(np.array(list(ms.sa.values()) + list(ms.rod.values())), f)
+
+
+def test_rigidity_function_rejects_collocated_and_repeated_vertices():
+    g = Graph(3, ((1, 2), (1, 3), (2, 3)))
+    sa, rod = enumerate_triples(g, Bipartition.from_a_set(3, [2]), "full")
+    with pytest.raises(CollocationError, match="vertices 1 and 3"):
+        rigidity_function(np.array([[0.0, 0], [1, 0], [0, 0]]), sa, rod)
+    from sarod.graph import TripleIndexSet
+
+    with pytest.raises(ValueError, match="distinct"):
+        TripleIndexSet("sa", ((1, 2, 2),), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+
+
 def test_rigidity_function_defined_on_degenerate_triangle():
     # Collinear but not collocated: all entries finite.
     g = Graph(3, ((1, 2), (1, 3), (2, 3)))

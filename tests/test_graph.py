@@ -165,10 +165,14 @@ def test_index_components_reference_graph():
     g = Graph.from_edges(6, [(1, 2), (1, 4), (2, 3), (2, 5), (2, 6), (3, 4), (4, 5), (5, 6)])
     bip = Bipartition.from_a_set(6, [2])
     sa, rod = enumerate_triples(g, bip, "full")
-    _, c_sa = triple_index_components(sa, g)
-    _, c_rod = triple_index_components(rod, g)
+    labels_sa, c_sa = triple_index_components(sa, g)
+    labels_rod, c_rod = triple_index_components(rod, g)
     assert c_sa == 5
     assert c_rod == 1
+    # Components are numbered by their smallest edge index: the three edges
+    # at the A apex 2 join edge (1, 2); the others stand alone.
+    assert labels_sa.tolist() == [0, 1, 0, 0, 0, 2, 3, 4]
+    assert labels_rod.tolist() == [0] * 8
 
 
 def test_index_components_empty_triples():

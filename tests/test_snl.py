@@ -17,6 +17,7 @@ from sarod import (
     Graph,
     InfeasibleMeasurementsError,
     MeasurementSet,
+    SolverConfig,
     build_network,
     cycle_bearing_matrix,
     generate_bilateration,
@@ -34,6 +35,7 @@ from sarod import (
     solve_sa_connected,
 )
 from sarod.construction import generate
+from sarod.geometry import rotation
 from sarod.rigidity import numerical_rank
 from sarod.snl import assemble_bearing_system, assemble_distance_system, solution_residuals
 
@@ -126,6 +128,59 @@ def test_propagation_dimensions_follow_component_counts(rng):
         assert np.max(np.abs(dist.offset[dist.resolved] - dt[dist.resolved]) / dt[dist.resolved]) < 1e-10
 
 
+def _walk_reference(m, triples, steps, combine, start):
+    """Per-edge BFS transport as a plain loop: labels numbered by smallest edge, and values from each root."""
+    adj = [[] for _ in range(m)]
+    for k, (e1, e2) in enumerate(zip(triples.e1.tolist(), triples.e2.tolist())):
+        adj[e1].append((e2, steps[k], True))
+        adj[e2].append((e1, steps[k], False))
+    labels, value, count = [-1] * m, [start] * m, 0
+    for root in range(m):
+        if labels[root] >= 0:
+            continue
+        labels[root] = count
+        queue = [root]
+        for e in queue:
+            for f, step, forward in adj[e]:
+                if labels[f] < 0:
+                    labels[f], value[f] = count, combine(value[e], step, forward)
+                    queue.append(f)
+        count += 1
+    return np.array(labels), count, np.array(value)
+
+
+def test_propagation_matches_loop_reference():
+    # Potential sums over a spanning tree equal the loop's products of
+    # ratios and sums of rotation angles, to rounding of ~100-step paths.
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        net = build_network(generate(recipe, 40, 1).framework, [1, 2])
+        m, eidx = net.graph.m, net.graph.edge_index()
+        rod = [net.rod[t] for t in net.rod_triples.triples]
+        labels, count, rho = _walk_reference(m, net.rod_triples, rod, lambda r, k, f: r * k if f else r / k, 1.0)
+        dist = propagate_distances(net)
+        assert np.array_equal(dist.labels, labels) and dist.n_components == count
+        free = ~dist.resolved
+        assert np.allclose(dist.basis[free].sum(axis=1), rho[free], rtol=1e-13, atol=0)
+        (i, j), d_star = next(iter(net.anchor_distances.items()))
+        pinned = dist.resolved & (labels == labels[eidx[(i, j)]])
+        assert np.allclose(dist.offset[pinned], rho[pinned] * d_star / rho[eidx[(i, j)]], rtol=1e-13, atol=0)
+
+        tri = np.array(net.sa_triples.triples).reshape(-1, 3)
+        theta = np.array([net.sa[t] for t in net.sa_triples.triples])
+        steps = theta + np.pi * ((tri[:, 0] < tri[:, 1]) != (tri[:, 0] < tri[:, 2]))
+        labels, count, phi = _walk_reference(m, net.sa_triples, steps, lambda a, t, f: a + t if f else a - t, 0.0)
+        bear = propagate_bearings(net)
+        assert np.array_equal(bear.labels, labels) and bear.n_components == count
+        e = np.flatnonzero(~bear.resolved)
+        first = bear.basis[:, 0::2]  # R(phi) e_x column of each free component
+        assert np.allclose((first[2 * e].sum(axis=1), first[2 * e + 1].sum(axis=1)), (np.cos(phi[e]), np.sin(phi[e])), rtol=0, atol=1e-12)
+        (i, j), b_star = next(iter(net.anchor_bearings.items()))
+        a = eidx[(i, j)]
+        pinned = np.flatnonzero(bear.resolved & (labels == labels[a]))
+        ref = np.stack([rotation(x - phi[a]) @ b_star for x in phi[pinned]])
+        assert np.allclose(bear.offset[pinned], ref, rtol=0, atol=1e-12)
+
+
 def test_propagation_detects_inconsistent_measurements(rng):
     # A degree-3 apex emits three triples forming an index-graph cycle, so a
     # single perturbed measurement contradicts the other two.
@@ -136,7 +191,7 @@ def test_propagation_detects_inconsistent_measurements(rng):
     key = next(iter(t for t in net.sa if t[0] == 1))
     sa_bad[key] += 0.3
     bad = build_network(fw, [1, 2], MeasurementSet(sa_bad, dict(net.rod)))
-    with pytest.raises(InfeasibleMeasurementsError, match="SA"):
+    with pytest.raises(InfeasibleMeasurementsError, match=r"SA data: worst closure mismatch 3\.000e-01"):
         propagate_bearings(bad)
 
     rod_bad = dict(net.rod)
@@ -281,6 +336,70 @@ def test_localize_network_dispatch(rng):
     assert localize_network(net).method == "general"
     with pytest.raises(ValueError, match="unknown method"):
         localize_network(net, "nope")
+
+
+def test_localize_and_localizability_propagate_once(monkeypatch):
+    import sarod.snl
+
+    calls = {"propagate_bearings": 0, "propagate_distances": 0}
+    for name in calls:
+        original = getattr(sarod.snl, name)
+
+        def counted(net, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(net)
+
+        monkeypatch.setattr(sarod.snl, name, counted)
+    net = build_network(generate_mixed(16, 2).framework, [1, 2])
+    verdict, evidence = localizability_check(net)
+    result = localize_network(net)
+    assert verdict == "heuristic-unique" and result.method == "rod"
+    assert calls == {"propagate_bearings": 1, "propagate_distances": 1}
+
+
+EVIDENCE_KEYS = (
+    "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim",
+    "sa_closure_mismatch", "rod_closure_mismatch",
+)
+
+
+def test_localize_and_localizability_agree_per_regime():
+    # One dispatch: the verdict is the localization's status (exact
+    # regimes) or its heuristic reading, and the evidence is its info.
+    expected = {"quad2v": ("sa", "localizable"), "bilat-D1A1": ("rod", "localizable"), "type2D1": ("general", "heuristic-unique")}
+    for recipe, (method, verdict) in expected.items():
+        for seed in range(3):
+            fw = generate(recipe, 12, seed).framework
+            result = localize_network(build_network(fw, [1, 2]))
+            v, evidence = localizability_check(build_network(fw, [1, 2]))
+            assert (result.method, v) == (method, verdict), (recipe, seed)
+            assert evidence == result.solution.info
+            assert evidence.get("heuristic", False) == (method == "general")
+            for key in EVIDENCE_KEYS:
+                assert key in evidence
+            assert max(evidence["sa_closure_mismatch"], evidence["rod_closure_mismatch"]) < 1e-12
+
+
+def test_localize_rejects_inconsistent_ratio_on_sa_connected_network():
+    net = build_network(generate_quadrilateralized(12, 0).framework, [1, 2])
+    assert localize_network(net).method == "sa"
+    rod = dict(net.rod)
+    key = next(t for t in rod if sum(u == t[0] for u, _, _ in rod) >= 3)
+    rod[key] *= 1.01
+    bad = build_network(net.framework, [1, 2], MeasurementSet(dict(net.sa), rod))
+    with pytest.raises(InfeasibleMeasurementsError, match="RoD"):
+        localize_network(bad)
+    with pytest.raises(InfeasibleMeasurementsError, match="RoD"):
+        localizability_check(bad)
+
+
+def test_solver_config_settable_fields():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(SolverConfig)] == ["seed", "starts", "rtol"]
+    assert SolverConfig().zero_tol == 1e-16
+    with pytest.raises(TypeError):
+        SolverConfig(zero_tol=1e-10)
 
 
 def test_localize_reports_positive_distances_and_unit_bearings(rng):
