@@ -7,18 +7,20 @@ orientation of an edge is tail = smaller id, head = larger id, so the
 incidence matrix row of edge (i, j) has -1 at column i and +1 at column j.
 
 All matrices produced here (incidence, cycle basis, path matrices) are
-integer-valued, so identities like C @ H == 0 hold exactly.
+integer-valued, so identities like C @ H == 0 hold exactly.  Every
+spanning-tree sum is one breadth-first forest walk, ``tree_sums``, over a
+``signed_graph`` (the vertex graph or a triple index graph); each ``Graph``
+builds its vertex tree at most once per orientation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_tree, connected_components
 
 __all__ = [
     "Graph",
@@ -28,11 +30,15 @@ __all__ = [
     "PathMatrix",
     "edge_code",
     "incidence_matrix",
+    "SpanningTree",
     "bfs_spanning_tree",
     "fundamental_cycle_basis",
     "path_matrix",
     "enumerate_triples",
+    "signed_graph",
     "index_graph",
+    "vertex_graph",
+    "tree_sums",
     "triple_index_components",
     "augment_anchor_clique",
 ]
@@ -90,9 +96,15 @@ class Graph:
         return sum(1 for (i, j) in self.edges if i == v or j == v)
 
     def is_connected(self) -> bool:
-        ij = np.array(self.edges, dtype=int).reshape(-1, 2) - 1
-        adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
-        return connected_components(adj, directed=False)[0] == 1
+        return connected_components(vertex_graph(self), directed=False)[0] == 1
+
+    def spanning_tree(self, reverse_neighbors: bool = False) -> "SpanningTree":
+        """BFS spanning tree from vertex 1, built at most once per graph and orientation (see ``_spanning_tree``)."""
+        # Cached in the instance dict, as functools.cached_property does on frozen classes.
+        trees = self.__dict__.setdefault("_spanning_trees", {})
+        if reverse_neighbors not in trees:
+            trees[reverse_neighbors] = _spanning_tree(self, reverse_neighbors)
+        return trees[reverse_neighbors]
 
 
 @dataclass(frozen=True)
@@ -157,15 +169,20 @@ class TripleIndexSet:
 
 
 @dataclass(frozen=True)
+class SpanningTree:
+    """Breadth-first spanning tree from vertex 1 with its signed root-path rows."""
+
+    parent: tuple[int, ...]  # parent id per vertex (0 for the root), 1-based slots
+    parent_edge: tuple[int, ...]  # canonical index of the edge to the parent (-1 for the root)
+    root_rows: np.ndarray  # (n, m) read-only ints: row v - 1 is the signed edge indicator of the path 1 -> v
+
+
+@dataclass(frozen=True)
 class CycleBasis:
     """Fundamental-cycle matrix of a spanning tree; C @ H == 0 exactly."""
 
     matrix: np.ndarray  # (m-n+1, m) ints
     tree_parent: tuple[int, ...]  # parent id per vertex (0 for the root), 1-based slots
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,80 +209,46 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return H
 
 
-def bfs_spanning_tree(g: Graph, root: int = 1, reverse_neighbors: bool = False):
-    """BFS spanning tree from ``root``.
-
-    Returns (parent, parent_edge) where parent[v] is the BFS parent of v
-    (0 at the root) and parent_edge[v] the canonical index of the tree edge
-    joining them.  ``reverse_neighbors`` visits neighbors in descending order,
-    which yields a different tree on cyclic graphs; it exists so that
-    tree-independence properties can be exercised.
-    """
-    if not g.is_connected():
-        raise GraphError("graph not connected")
-    adj = g.neighbors()
-    eidx = g.edge_index()
-    parent = [0] * (g.n + 1)
-    parent_edge = [-1] * (g.n + 1)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        nbrs = adj[u][::-1] if reverse_neighbors else adj[u]
-        for w in nbrs:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                parent_edge[w] = eidx[(min(u, w), max(u, w))]
-                queue.append(w)
-    return tuple(parent), tuple(parent_edge)
-
-
-def _root_path_rows(g: Graph, parent, parent_edge, root: int) -> np.ndarray:
-    """Row v = signed edge-indicator of the tree path root -> v."""
-    rows = np.zeros((g.n + 1, g.m), dtype=int)
-    order = deque([root])
-    children: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for v in range(1, g.n + 1):
-        if v != root:
-            children[parent[v]].append(v)
-    while order:
-        u = order.popleft()
-        for v in children[u]:
-            e = parent_edge[v]
-            i, j = g.edges[e]
-            sign = 1 if (u, v) == (i, j) else -1
-            rows[v] = rows[u]
-            rows[v, e] += sign
-            order.append(v)
-    return rows
+def bfs_spanning_tree(g: Graph, reverse_neighbors: bool = False):
+    """(parent, parent_edge) of the graph's BFS spanning tree from vertex 1."""
+    tree = g.spanning_tree(reverse_neighbors)
+    return tree.parent, tree.parent_edge
 
 
 def fundamental_cycle_basis(g: Graph, reverse_neighbors: bool = False) -> CycleBasis:
-    """Cycle basis from the shared BFS spanning tree; exactly m-n+1 rows."""
-    parent, parent_edge = bfs_spanning_tree(g, reverse_neighbors=reverse_neighbors)
-    tree_edges = {e for e in parent_edge if e >= 0}
-    root_rows = _root_path_rows(g, parent, parent_edge, root=1)
-    rows = []
-    for e, (u, v) in enumerate(g.edges):
-        if e in tree_edges:
-            continue
-        # Cycle: traverse e from u to v, then the tree path v -> u.
-        z = root_rows[u] - root_rows[v]
-        z[e] += 1
-        rows.append(z)
-    C = np.array(rows, dtype=int).reshape(len(rows), g.m)
-    return CycleBasis(C, tuple(parent))
+    """Cycle basis from the graph's BFS spanning tree; exactly m-n+1 rows.
+
+    Non-tree edge (u, v) gives the cycle u -> v, then the tree path v -> u.
+    """
+    tree = g.spanning_tree(reverse_neighbors)
+    chords = np.setdiff1d(np.arange(g.m), tree.parent_edge)
+    ends = np.array(g.edges, dtype=int).reshape(-1, 2)[chords] - 1
+    C = tree.root_rows[ends[:, 0]] - tree.root_rows[ends[:, 1]]
+    C[np.arange(len(chords)), chords] += 1
+    return CycleBasis(C, tree.parent)
 
 
 def path_matrix(g: Graph, base: int, reverse_neighbors: bool = False) -> PathMatrix:
-    """Path matrix with the given base vertex, built from the shared BFS tree."""
+    """Path matrix with the given base vertex, from the graph's BFS spanning tree."""
     if not (1 <= base <= g.n):
         raise GraphError(f"base vertex {base} not in 1..{g.n}")
-    parent, parent_edge = bfs_spanning_tree(g, reverse_neighbors=reverse_neighbors)
-    root_rows = _root_path_rows(g, parent, parent_edge, root=1)
-    P = root_rows[1:] - root_rows[base]
-    return PathMatrix(P, base, tuple(parent))
+    tree = g.spanning_tree(reverse_neighbors)
+    return PathMatrix(tree.root_rows - tree.root_rows[base - 1], base, tree.parent)
+
+
+def _spanning_tree(g: Graph, reverse: bool) -> SpanningTree:
+    """BFS tree over ascending neighbours, or descending ones with ``reverse`` (a second tree for
+    tree-independence checks; renaming v to n + 1 - v turns descending order into ascending)."""
+    root = g.n - 1 if reverse else 0
+    # A tree path uses an edge at most once, so int8 sums are exact and keep pointer doubling cache-sized.
+    parent, entry, rows = tree_sums(vertex_graph(g, relabel=reverse), [root], np.eye(g.m, dtype=np.int8))
+    if np.count_nonzero(parent < 0) > 1:
+        raise GraphError("graph not connected")
+    if reverse:  # back from the relabelled ids
+        parent, entry, rows = np.where(parent < 0, -1, g.n - 1 - parent)[::-1], entry[::-1], rows[::-1]
+    rows = rows.astype(int)
+    rows.flags.writeable = False
+    return SpanningTree((0, *(parent + 1).tolist()), (-1, *(np.abs(entry) - 1).tolist()), rows)
 
 
 def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
@@ -305,27 +288,62 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
     return index_set("sa", sa), index_set("rod", rod)
 
 
-def index_graph(t: TripleIndexSet, m: int) -> csr_matrix:
-    """Triple index graph over m edges as a sparse matrix with entries +-(k + 1).
+def signed_graph(a: np.ndarray, b: np.ndarray, size: int) -> csr_matrix:
+    """Sparse graph on ``size`` nodes: entry k joins a[k] -> b[k] with +(k + 1) and b[k] -> a[k] with -(k + 1)."""
+    k = np.arange(1, len(a) + 1)
+    return csr_matrix((np.concatenate([k, -k]), (np.concatenate([a, b]), np.concatenate([b, a]))), shape=(size, size))
 
-    Triple k joins its edges e1 -> e2 with +(k + 1) and e2 -> e1 with
-    -(k + 1).  Two edges share at most one apex, so each edge pair carries
-    at most one triple.
+
+def index_graph(t: TripleIndexSet, m: int) -> csr_matrix:
+    """Triple index graph over m edges: triple k joins its edges e1 -> e2 with +(k + 1).
+
+    Two edges share at most one apex, so each edge pair carries at most one
+    triple.
     """
-    k = np.arange(1, len(t) + 1)
-    rows = np.concatenate([t.e1, t.e2])
-    cols = np.concatenate([t.e2, t.e1])
-    return csr_matrix((np.concatenate([k, -k]), (rows, cols)), shape=(m, m))
+    return signed_graph(t.e1, t.e2, m)
+
+
+def vertex_graph(g: Graph, relabel: bool = False) -> csr_matrix:
+    """Vertex graph over 0-based ids, edge e joining tail -> head with +(e + 1); ``relabel`` renames v to n + 1 - v."""
+    ends = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
+    return signed_graph(*(g.n - 1 - ends if relabel else ends).T, g.n)
+
+
+def tree_sums(graph: csr_matrix, roots, steps: np.ndarray):
+    """Breadth-first forest of a signed graph from ``roots``, and each node's summed steps.
+
+    Walking entry +-(k + 1) adds +-``steps[k]``.  A hub node joined to every
+    root makes one traversal (ascending neighbours) span the forest.  Returns
+    per node the tree parent (-1 at roots and unreached nodes), the entry
+    walked into it (0 there) and the steps summed along the path from its root.
+    """
+    size = graph.shape[0]
+    # The hub is row ``size``, appended to the CSR arrays; ``roots`` ascend, as sorted rows need.
+    hub = (np.append(graph.data, np.ones(len(roots))), np.append(graph.indices, roots), np.append(graph.indptr, graph.nnz + len(roots)))
+    tree = breadth_first_tree(csr_matrix(hub, shape=(size + 1, size + 1)), size).tocoo()
+    inner = tree.row < size
+    child, k = tree.col[inner], tree.data[inner].astype(int)
+    up = np.full(size + 1, size)
+    up[child] = tree.row[inner]
+    entry = np.zeros(size, dtype=int)
+    entry[child] = k
+    parent = np.where(up[:size] == size, -1, up[:size])
+    sums = np.zeros((size + 1, *steps.shape[1:]), dtype=steps.dtype)
+    sums[child] = (np.sign(k) * steps[np.abs(k) - 1].T).T
+    # Pointer doubling: sums[v] holds the steps from up[v] down to v.
+    while np.any(up != size):
+        sums, up = sums + sums[up], up[up]
+    return parent, entry, sums[:size]
 
 
 def triple_index_components(t: TripleIndexSet, g: Graph):
     """Connected components of the triple index graph, over all edges of g.
 
-    Index-graph vertices are the edge codes of g; each triple (u, v, w)
-    joins the codes of edges (u, v) and (u, w).  An edge incident to no
-    triple is its own component.  Returns (labels, count) with ``labels``
-    an m-vector of component ids in 0..count-1, numbered by smallest edge
-    index.
+    Index-graph nodes are the canonical edge indices of g; each triple
+    (u, v, w) joins the indices of edges (u, v) and (u, w).  An edge
+    incident to no triple is its own component.  Returns (labels, count)
+    with ``labels`` an m-vector of component ids in 0..count-1, numbered
+    by smallest edge index.
     """
     count, labels = connected_components(index_graph(t, g.m), directed=False)
     return labels, int(count)

@@ -26,8 +26,10 @@ all bearings resolve, a (possibly null-space-parameterized) bearing solve
 when all distances resolve, and a reduced nonlinear solve over the free
 references when neither side resolves.  ``localize_network`` picks the
 regime, and ``localizability_check`` reads its verdict off that same
-localization.  Positions are recovered by telescoping edge displacements
-along spanning-tree paths from an anchor.
+localization.  The bearing system's cycle rows and the nonlinear solve
+take distances in units of the largest anchor distance, so verdicts and
+ranks do not depend on scale.  Positions are recovered by telescoping
+edge displacements along the graph's cached spanning tree from an anchor.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import least_squares
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_tree
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
-from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, triple_index_components
+from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, tree_sums, triple_index_components
 # benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
 from .rigidity import _svd_factor, null_space, numerical_rank  # noqa: F401
 
@@ -183,12 +183,10 @@ class EdgeParameterization:
     (radians for bearings, log-ratio for distances).
     """
 
-    kind: str  # "bearing" | "distance"
     labels: np.ndarray  # (m,) component ids
     n_components: int
     offset: np.ndarray  # (m, 2) bearings or (m,) distances
     basis: np.ndarray  # (2m, 2k) or (m, k)
-    free_components: tuple[int, ...]
     resolved: np.ndarray  # (m,) bool
     closure_mismatch: float
 
@@ -226,32 +224,18 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
 
     Triple k carries the potential of its edge e1 to its edge e2 by adding
     ``steps[k]``.  Each component's smallest edge is its root, at potential
-    0; every other edge sums the steps along a breadth-first tree from it.
-    A component holding an anchor edge is shifted to reproduce the anchor
+    0; every other edge sums the steps along a breadth-first tree from it
+    (``graph.tree_sums``, the walk the vertex spanning tree uses too).  A
+    component holding an anchor edge is shifted to reproduce the anchor
     value there.  Returns (labels, count, potentials, pinned potentials (NaN
     on free components), free component ids, worst closure mismatch);
     mismatches above the consistency tolerance raise
     ``InfeasibleMeasurementsError``.
     """
     g = net.graph
-    m = g.m
     labels, n_comp = triple_index_components(triples, g)
     roots = np.unique(labels, return_index=True)[1]
-    # A hub vertex m joined to every root makes one traversal span the forest.
-    graph = index_graph(triples, m)
-    graph.resize(m + 1, m + 1)
-    graph = graph + csr_matrix((np.ones(len(roots)), (np.full(len(roots), m), roots)), shape=(m + 1, m + 1))
-    tree = breadth_first_tree(graph, m).tocoo()
-    inner = tree.row < m
-    k = tree.data[inner].astype(int)
-    up = np.full(m + 1, m)
-    up[tree.col[inner]] = tree.row[inner]
-    pot = np.zeros(m + 1)
-    pot[tree.col[inner]] = np.sign(k) * steps[np.abs(k) - 1]
-    # Pointer doubling: pot[e] sums the steps from e up to up[e].
-    while np.any(up != m):
-        pot, up = pot + pot[up], up[up]
-    pot = pot[:m]
+    pot = tree_sums(index_graph(triples, g.m), roots, steps)[2]
     tol = SolverConfig.consistency_tol
     mismatch = float(np.max(np.abs(_centered(pot[triples.e2] - pot[triples.e1] - steps, period)), initial=0.0))
     if mismatch > tol:
@@ -285,7 +269,7 @@ def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     basis[2 * e, 2 * t], basis[2 * e + 1, 2 * t] = c, s  # R(phi) e_x
     basis[2 * e, 2 * t + 1], basis[2 * e + 1, 2 * t + 1] = -s, c  # R(phi) e_y
     offset = np.nan_to_num(np.column_stack([np.cos(angle), np.sin(angle)]))
-    return EdgeParameterization("bearing", labels, n_comp, offset, basis, tuple(free.tolist()), ~np.isnan(angle), mismatch)
+    return EdgeParameterization(labels, n_comp, offset, basis, ~np.isnan(angle), mismatch)
 
 
 def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
@@ -296,7 +280,7 @@ def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
     basis = np.zeros((net.graph.m, len(free)))
     basis[e, np.searchsorted(free, labels[e])] = np.exp(log_rho[e])
     offset = np.nan_to_num(np.exp(log_d))
-    return EdgeParameterization("distance", labels, n_comp, offset, basis, tuple(free.tolist()), ~np.isnan(log_d), mismatch)
+    return EdgeParameterization(labels, n_comp, offset, basis, ~np.isnan(log_d), mismatch)
 
 
 # --- linear systems ---------------------------------------------------------
@@ -305,11 +289,7 @@ def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
 def cycle_bearing_matrix(g: Graph, bearings: np.ndarray) -> np.ndarray:
     """Column-wise pairing of cycle-basis signs with edge bearings, 2(m-n+1) x m."""
     C = fundamental_cycle_basis(g).matrix.astype(float)
-    ncyc = C.shape[0]
-    Cb = np.zeros((2 * ncyc, g.m))
-    Cb[0::2] = C * bearings[:, 0]
-    Cb[1::2] = C * bearings[:, 1]
-    return Cb
+    return (C[:, None, :] * bearings.T).reshape(-1, g.m)
 
 
 def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
@@ -352,17 +332,18 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     """Stacked linear system on the 2m stacked edge bearings.
 
     Rows: distance-scaled cycle closure (kron of the weighted cycle basis
-    with I_2), one 2-row block per SA triple enforcing the rotation
-    relation in canonical edge coordinates, and one 2-row block per anchor
-    pair pinning its bearing.  Returns the system with its rank, null-space
-    basis, and minimum-norm solution at the shared tolerance, all from one
-    SVD.
+    with I_2, distances in units of the largest anchor distance so that the
+    rank cut does not depend on units), one 2-row block per SA triple
+    enforcing the rotation relation in canonical edge coordinates, and one
+    2-row block per anchor pair pinning its bearing.  Returns the system
+    with its rank, null-space basis, and minimum-norm solution at the
+    shared tolerance, all from one SVD.
     """
     g = net.graph
     eidx = g.edge_index()
     sa = net.sa_triples
     C = fundamental_cycle_basis(g).matrix.astype(float)
-    C1 = np.kron(C * distances, np.eye(2))
+    C1 = np.kron(C * (distances / max(net.anchor_distances.values())), np.eye(2))
     n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_bearings)
     A = np.zeros((n_rows, 2 * g.m))
     z = np.zeros(n_rows)
@@ -450,8 +431,8 @@ def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -
     return EdgeSolution(b, d, "sa-connected", status, info)
 
 
-def _cluster_positions(net: SensorNetwork, candidates, tol_scale: float):
-    """Group candidate (b, d) zeros whose recovered positions coincide."""
+def _cluster_positions(net: SensorNetwork, candidates, tol_scale: float, method: str, info: dict) -> EdgeSolution:
+    """Cluster candidate (b, d) zeros by recovered positions; the best zero answers, unique if one cluster."""
     scale = max(net.anchor_distances.values())
     reps = []
     for b, d, obj in candidates:
@@ -465,7 +446,9 @@ def _cluster_positions(net: SensorNetwork, candidates, tol_scale: float):
                 break
         if new:
             reps.append({"bearings": b, "distances": d, "positions": x, "objective": obj})
-    return reps
+    info["zero_clusters"] = len(reps)
+    best = min(reps, key=lambda r: r["objective"])
+    return EdgeSolution(best["bearings"], best["distances"], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
 
 def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
@@ -522,11 +505,7 @@ def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) 
     info.update(objective_best=best_obj, starts=len(starts), heuristic=True, zero_clusters=0)
     if not zeros:
         return EdgeSolution(b0.reshape(-1, 2), d, "rod-connected", "solver-failed", info)
-    reps = _cluster_positions(net, zeros, config.cluster_tol)
-    info["zero_clusters"] = len(reps)
-    best = min(reps, key=lambda r: r["objective"])
-    status = "heuristic-unique" if len(reps) == 1 else "ambiguous"
-    return EdgeSolution(best["bearings"], best["distances"], "rod-connected", status, info)
+    return _cluster_positions(net, zeros, config.cluster_tol, "rod-connected", info)
 
 
 def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
@@ -535,7 +514,8 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
     Minimizes the squared cycle-closure and unit-norm residuals over the
     affine parameterizations from propagation, with a quadratic penalty
     against nonpositive distances; feasibility is re-checked at accepted
-    zeros.
+    zeros.  Distances are solved in units of the largest anchor distance,
+    so the positivity margin and the zero threshold are relative bounds.
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
@@ -545,11 +525,12 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
     kw = bear.dim
     ky = dist.dim
     NB = bear.basis  # (2m, kw)
-    ND = dist.basis  # (m, ky)
+    ND = dist.basis  # (m, ky), dimensionless ratios
     b0 = bear.offset.ravel()
-    d0 = dist.offset
+    unit = max(net.anchor_distances.values())
+    d0 = dist.offset / unit
     eps = config.positivity_eps
-    scale_guess = float(np.mean(list(net.anchor_distances.values())))
+    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / unit
 
     def split(x):
         return x[:kw], x[kw:]
@@ -588,10 +569,6 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
         J[2 * ncyc + m :, kw:] = -(ND * active[:, None])
         return J
 
-    def objective(x):
-        r = residuals(x)
-        return float(np.sum(r**2))
-
     # The cycle rows are linear in w for fixed d and linear in y for fixed
     # b (exactly linear jointly when no edge is free on both sides), so a
     # few alternating least-squares sweeps give an excellent start.
@@ -613,28 +590,21 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
             x0 = np.concatenate([w, y])
         return x0
 
-    rng = np.random.default_rng(config.seed)
     dim = kw + ky
-    starts = []
-    if dim == 0:
-        starts = [np.zeros(0)]
-    else:
-        starts.append(smart_start())
-        if config.starts > 1:
-            sampler = qmc.LatinHypercube(d=dim, seed=rng)
-            pts = sampler.random(config.starts - 1)
-            for row in pts:
-                x0 = (2.0 * row - 1.0) * config.box_half_width
-                x0[kw:] = np.abs(x0[kw:]) * scale_guess + 0.1 * scale_guess
-                starts.append(x0)
+    starts = [smart_start()]
+    if dim and config.starts > 1:
+        pts = qmc.LatinHypercube(d=dim, seed=np.random.default_rng(config.seed)).random(config.starts - 1)
+        for row in pts:
+            x0 = (2.0 * row - 1.0) * config.box_half_width
+            x0[kw:] = np.abs(x0[kw:]) * scale_guess + 0.1 * scale_guess
+            starts.append(x0)
 
     zeros = []
     best_obj = np.inf
     positivity_failures = 0
     for x0 in starts:
         if dim == 0:
-            obj = objective(x0)
-            sol_x = x0
+            sol_x, obj = x0, float(np.sum(residuals(x0) ** 2))
         else:
             sol = least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
             sol_x = sol.x
@@ -644,32 +614,28 @@ def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -
             w, y = split(sol_x)
             d = distances_of(y)
             if np.all(d > 0):
-                zeros.append((bearings_of(w), d, obj))
+                zeros.append((bearings_of(w), d * unit, obj))
             else:
                 positivity_failures += 1
     info = {**_evidence(net), "variables": dim, "objective_best": best_obj, "starts": len(starts), "heuristic": True, "zero_clusters": 0}
     if not zeros:
         status = "infeasible" if positivity_failures else "solver-failed"
         return EdgeSolution(bear.offset, dist.offset, "disconnected", status, info)
-    reps = _cluster_positions(net, zeros, config.cluster_tol)
-    info["zero_clusters"] = len(reps)
-    best = min(reps, key=lambda r: r["objective"])
-    status = "heuristic-unique" if len(reps) == 1 else "ambiguous"
-    return EdgeSolution(best["bearings"], best["distances"], "disconnected", status, info)
+    return _cluster_positions(net, zeros, config.cluster_tol, "disconnected", info)
 
 
 # --- recovery and dispatch --------------------------------------------------
 
 
-def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, base: int | None = None, warn: bool = True, reverse_tree: bool = False) -> np.ndarray:
+def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True, reverse_tree: bool = False) -> np.ndarray:
     """Positions by telescoping signed edge displacements from an anchor.
 
-    The base vertex defaults to the lowest-index anchor; its true position
-    seeds the tree-path accumulation x = x_base + P (d * b).  A warning is
-    issued when the other anchors are not reproduced (gauge drift).
+    The base vertex is the lowest-index anchor; its true position seeds the
+    tree-path accumulation x = x_base + P (d * b) along the graph's cached
+    spanning tree.  A warning is issued when the other anchors are not
+    reproduced (gauge drift).
     """
-    if base is None:
-        base = min(net.anchors)
+    base = min(net.anchors)
     P = path_matrix(net.graph, base, reverse_neighbors=reverse_tree).matrix.astype(float)
     disp = distances[:, None] * bearings
     x = net.truth[base - 1] + P @ disp

@@ -16,7 +16,9 @@ from sarod import (
     path_matrix,
     triple_index_components,
 )
+from sarod.construction import generate
 from sarod.graph import GraphError, bfs_spanning_tree
+from sarod.snl import SolverConfig, build_network, localize_network, solution_residuals
 
 from conftest import random_connected_graph
 
@@ -124,6 +126,79 @@ def test_bfs_tree_reverse_differs_on_cycles():
     t1 = bfs_spanning_tree(g)[0]
     t2 = bfs_spanning_tree(g, reverse_neighbors=True)[0]
     assert t1 != t2
+
+
+def _loop_tree_reference(g, reverse_neighbors):
+    """Queue-based BFS from vertex 1 and root-path rows, one vertex at a time."""
+    adj = g.neighbors()
+    eidx = g.edge_index()
+    parent, parent_edge = [0] * (g.n + 1), [-1] * (g.n + 1)
+    order, seen = [1], {1}
+    for u in order:
+        for w in adj[u][::-1] if reverse_neighbors else adj[u]:
+            if w not in seen:
+                seen.add(w)
+                parent[w], parent_edge[w] = u, eidx[(min(u, w), max(u, w))]
+                order.append(w)
+    rows = np.zeros((g.n + 1, g.m), dtype=int)
+    for v in order[1:]:
+        e = parent_edge[v]
+        rows[v] = rows[parent[v]]
+        rows[v, e] += 1 if g.edges[e] == (parent[v], v) else -1
+    chords = [e for e in range(g.m) if e not in set(parent_edge)]
+    C = np.array([rows[g.edges[e][0]] - rows[g.edges[e][1]] + np.eye(g.m, dtype=int)[e] for e in chords], dtype=int)
+    return tuple(parent), tuple(parent_edge), rows, C.reshape(len(chords), g.m)
+
+
+def _reference_graphs(rng):
+    graphs = [random_connected_graph(int(rng.integers(4, 11)), rng, p) for p in (0.3, 0.5, 0.8) for _ in range(10)]
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for n in (12, 70):
+            g = generate(recipe, n, 0).framework.graph
+            graphs += [g, augment_anchor_clique(g, [1, 2, 3])]
+    return graphs
+
+
+def test_spanning_tree_matches_loop_reference(rng):
+    for g in _reference_graphs(rng):
+        for reverse in (False, True):
+            parent, parent_edge, rows, C = _loop_tree_reference(g, reverse)
+            assert bfs_spanning_tree(g, reverse_neighbors=reverse) == (parent, parent_edge)
+            cb = fundamental_cycle_basis(g, reverse_neighbors=reverse)
+            assert cb.tree_parent == parent
+            assert cb.matrix.dtype == C.dtype and np.array_equal(cb.matrix, C)
+            for base in (1, 2, g.n):
+                pm = path_matrix(g, base, reverse_neighbors=reverse)
+                assert pm.tree_parent == parent
+                assert pm.matrix.dtype == rows.dtype and np.array_equal(pm.matrix, rows[1:] - rows[base])
+
+
+def test_spanning_tree_cached_read_only():
+    g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
+    tree = g.spanning_tree()
+    assert g.spanning_tree() is tree and g.spanning_tree(True) is not tree
+    with pytest.raises(ValueError):
+        tree.root_rows[1, 0] = 5
+    with pytest.raises(ValueError):
+        g.spanning_tree(True).root_rows[0, 0] = 1
+
+
+def test_localization_builds_the_vertex_tree_once(monkeypatch):
+    import sarod.graph
+
+    builds = []
+    original = sarod.graph._spanning_tree
+
+    def counted(g, reverse):
+        builds.append(reverse)
+        return original(g, reverse)
+
+    monkeypatch.setattr(sarod.graph, "_spanning_tree", counted)
+    net = build_network(generate("mix-D2A1", 16, 2).framework, [1, 2])
+    result = localize_network(net, config=SolverConfig(starts=5))
+    solution_residuals(net, result.solution)
+    assert result.solution.info["zero_clusters"] >= 1
+    assert builds == [False]
 
 
 def test_enumerate_triples_star():

@@ -393,6 +393,41 @@ def test_localize_rejects_inconsistent_ratio_on_sa_connected_network():
         localizability_check(bad)
 
 
+SCALE_INVARIANT_INFO = (
+    "rank_distance_system", "rank_bearing_system", "null_dim", "sa_components", "rod_components",
+    "free_bearing_dim", "free_distance_dim", "zero_clusters",
+)
+
+
+def _moved_localization(fw, scale, turn):
+    p = fw.points * scale
+    if turn:
+        p = p @ rotation(2.1).T + scale * np.array([3.0, -7.0])
+    net = build_network(Framework(fw.graph, fw.bipartition, p), [1, 2])
+    result = localize_network(net, config=SolverConfig(starts=5))
+    info = result.solution.info
+    verdict = (result.method, result.solution.status, *(info.get(k) for k in SCALE_INVARIANT_INFO))
+    return verdict, np.sqrt(result.mse) / scale
+
+
+def test_localization_invariant_under_scaling_and_rigid_motion():
+    # The sensors see only similarity-invariant quantities, so scaling the
+    # network by 1e-6..1e6, rotating and shifting it changes no verdict,
+    # rank or component count, and the positions follow the map.
+    disagree = []
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for seed in range(3):
+            fw = generate(recipe, 14 + 2 * (seed % 2), seed).framework
+            reference, _ = _moved_localization(fw, 1.0, False)
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                for turn in (False, True):
+                    verdict, rel_rmse = _moved_localization(fw, scale, turn)
+                    if verdict != reference:
+                        disagree.append((recipe, seed, scale, turn, reference, verdict))
+                    assert rel_rmse <= 1e-9, (recipe, seed, scale, turn, rel_rmse)
+    assert not disagree, disagree
+
+
 def test_solver_config_settable_fields():
     from dataclasses import fields
 
