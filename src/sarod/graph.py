@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_tree, connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 __all__ = [
     "Graph",
@@ -318,13 +318,17 @@ def tree_sums(graph: csr_matrix, roots, steps: np.ndarray):
     walked into it (0 there) and the steps summed along the path from its root.
     """
     size = graph.shape[0]
-    # The hub is row ``size``, appended to the CSR arrays; ``roots`` ascend, as sorted rows need.
-    hub = (np.append(graph.data, np.ones(len(roots))), np.append(graph.indices, roots), np.append(graph.indptr, graph.nnz + len(roots)))
-    tree = breadth_first_tree(csr_matrix(hub, shape=(size + 1, size + 1)), size).tocoo()
-    inner = tree.row < size
-    child, k = tree.col[inner], tree.data[inner].astype(int)
+    # The hub is row ``size``, appended to the CSR arrays.  Their rows must be sorted, as ``signed_graph``
+    # builds them and the key lookup below needs; ``roots`` ascend too.
+    data, indices, indptr = np.append(graph.data, np.ones(len(roots))), np.append(graph.indices, roots), np.append(graph.indptr, graph.nnz + len(roots))
+    order, pred = breadth_first_order(csr_matrix((data, indices, indptr), shape=(size + 1, size + 1)), size, return_predecessors=True)
+    reached = order[1:]  # every node but the hub
     up = np.full(size + 1, size)
-    up[child] = tree.row[inner]
+    up[reached] = pred[reached]
+    child = reached[up[reached] < size]
+    # The tree entry (up, child), looked up by its row-major key among the sorted CSR entries.
+    keys = np.repeat(np.arange(size + 1), np.diff(indptr)) * (size + 1) + indices
+    k = data[np.searchsorted(keys, up[child] * (size + 1) + child)].astype(int)
     entry = np.zeros(size, dtype=int)
     entry[child] = k
     parent = np.where(up[:size] == size, -1, up[:size])

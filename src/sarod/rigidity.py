@@ -15,6 +15,10 @@ unchanged.  With unit rows an SA row is the RoD row of the same triple
 times blockdiag(R(pi/2)), up to sign, so swapping the bipartition gives an
 orthogonal transform of the matrix and the relative rank cut sees one
 spectrum for both.
+
+The equivalent-shape oracle moves all of its starts in one batched
+Levenberg-Marquardt iteration.  Its Jacobian is the rigidity matrix itself,
+evaluated in closed form from the triples' arm vectors for the whole batch.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+# benchmarks/tracing.py wraps least_squares and rigidity_function on this module.
+from scipy.optimize import least_squares  # noqa: F401
 
 from .geometry import (
     Framework,
@@ -32,6 +37,7 @@ from .geometry import (
     fit_similarity,
     rigidity_function,
     rot90,
+    wrap_angle,
 )
 from .graph import TripleIndexSet, enumerate_triples, incidence_matrix
 
@@ -332,6 +338,104 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
 # --- brute-force equivalent-shape oracle ----------------------------------
 
 
+def _shape_starts(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The search's ``trials`` starts for vertices 3..n, one flattened row each.
+
+    Start 0 is the input; then each free vertex reflected across a line
+    through two other vertices (flip ambiguities are the dominant
+    second-shape family, and their basins can be tiny); then uniform draws
+    over the padded bounding box (odd index) alternating with log-radial
+    draws around vertex 1, which reach shapes of a very different size.
+    """
+    n = p.shape[0]
+    scale = float(np.linalg.norm(p[1] - p[0]))
+    lo, hi = p.min(axis=0) - 0.5 * scale, p.max(axis=0) + 0.5 * scale
+    starts = [p[2:].ravel()]
+    for v, (a, b) in itertools.product(range(2, n), itertools.combinations(range(n), 2)):
+        axis = p[b] - p[a]
+        nrm = np.linalg.norm(axis)
+        if v in (a, b) or nrm < 1e-12:
+            continue
+        axis = axis / nrm
+        rel = p[v] - p[a]
+        q0 = p.copy()
+        q0[v] = p[a] + 2.0 * (rel @ axis) * axis - rel
+        starts.append(q0[2:].ravel())
+    del starts[trials:]
+    for start in range(len(starts), trials):
+        if start % 2:
+            starts.append(rng.uniform(lo, hi, size=(n - 2, 2)).ravel())
+        else:
+            r = scale * 10.0 ** rng.uniform(-1.2, 1.2, size=n - 2)
+            phi = rng.uniform(0.0, 2.0 * np.pi, size=n - 2)
+            starts.append((p[0] + np.column_stack([r * np.cos(phi), r * np.sin(phi)])).ravel())
+    return np.array(starts).reshape(trials, 2 * (n - 2))
+
+
+def _measurements_and_jacobian(q: np.ndarray, t: np.ndarray, n_sa: int):
+    """``rigidity_function`` (S, T) and its Jacobian (S, T, 2n) for configurations q (S, n, 2).
+
+    ``t`` holds the SA then the RoD triples as (T, 3) vertex indices.  With
+    arms a = q_v - q_apex and b = q_w - q_apex, the angle arg b - arg a has
+    gradients -R a/|a|^2 and R b/|b|^2 (R the rotation by pi/2), the ratio
+    rho = |b|/|a| has -rho a/|a|^2 and rho b/|b|^2, and the apex takes minus
+    their sum: the ``"full"`` rigidity matrix.  Collocated arms give
+    non-finite entries instead of an error.
+    """
+    arms = q[:, t[:, 1:]] - q[:, t[:, :1]]  # (S, T, 2, 2): apex -> v, apex -> w
+    x, y = arms[..., 0], arms[..., 1]
+    sq = x * x + y * y
+    vals = np.sqrt(sq[..., 1] / sq[..., 0])
+    xs, ys = x[:, :n_sa], y[:, :n_sa]
+    vals[:, :n_sa] = wrap_angle(np.arctan2(xs[..., 0] * ys[..., 1] - ys[..., 0] * xs[..., 1], xs[..., 0] * xs[..., 1] + ys[..., 0] * ys[..., 1]))
+    grad = arms / sq[..., None]
+    grad[:, :n_sa] = grad[:, :n_sa] @ rot90().T
+    grad[:, n_sa:] *= vals[:, n_sa:, None, None]
+    grad[..., 0, :] *= -1.0
+    rows = np.arange(len(t))
+    jac = np.zeros((*vals.shape, q.shape[1], 2))
+    jac[:, rows, t[:, 1]] = grad[:, :, 0]
+    jac[:, rows, t[:, 2]] = grad[:, :, 1]
+    jac[:, rows, t[:, 0]] = -grad.sum(axis=2)
+    return vals, jac.reshape(*vals.shape, -1)
+
+
+def _batched_lm(x: np.ndarray, fun, tiny: float):
+    """Levenberg-Marquardt from every row of ``x`` at once; returns the final rows and residuals.
+
+    ``fun`` maps an (S, k) batch to residuals (S, T) and Jacobian (S, T, k).
+    One call solves (J^T J + lam diag(J^T J)) delta = -J^T r for all active
+    starts.  Each start keeps its own ``lam`` and moves only if its squared
+    residual drops.  It stops at residual max-norm ``tiny``, a negligible
+    step, blown-up ``lam``, or 100 iterations per unknown (scipy's lm
+    default).  Starts with a non-finite residual never move.
+    """
+    r, jac = fun(x)
+    cost = np.sum(r * r, axis=1)
+    lam = np.full(len(x), 1e-3)
+    active = np.isfinite(cost) & (np.max(np.abs(r), axis=1, initial=0.0) > tiny)
+    k = x.shape[1]
+    for _ in range(100 * k):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        ji = jac[idx]
+        jtj = np.einsum("stk,stl->skl", ji, ji)
+        diag = np.einsum("skk->sk", jtj)
+        jtj[:, np.arange(k), np.arange(k)] += lam[idx, None] * np.where(diag > 0.0, diag, 1.0)
+        step = np.linalg.solve(jtj, -np.einsum("stk,st->sk", ji, r[idx])[..., None])[..., 0]
+        trial = x[idx] + step
+        r_t, jac_t = fun(trial)
+        cost_t = np.sum(r_t * r_t, axis=1)
+        better = cost_t < cost[idx]  # False for a non-finite trial
+        take = idx[better]
+        x[take], r[take], jac[take], cost[take] = trial[better], r_t[better], jac_t[better], cost_t[better]
+        lam[idx] = np.where(better, np.maximum(lam[idx] * 0.1, 1e-15), lam[idx] * 10.0)
+        negligible = np.linalg.norm(step, axis=1) <= 1e-15 * np.linalg.norm(x[idx], axis=1)
+        active[idx] = ~negligible & (lam[idx] < 1e16) & (np.max(np.abs(r[idx]), axis=1, initial=0.0) > tiny)
+    return x, r
+
+
 def equivalent_shape_search(
     fw: Framework,
     trials: int = 50,
@@ -342,88 +446,40 @@ def equivalent_shape_search(
     """Desk-scale search for all shapes satisfying the framework's constraints.
 
     Multi-start nonlinear least squares on the measurement residual with the
-    similarity gauge removed by pinning vertices 1 and 2; distinct converged
-    solutions below ``residual_tol`` (max-norm) are clustered modulo
-    similarity and returned as configurations.  The true configuration is
-    always among the starts, so at least one shape is found.
+    similarity gauge removed by pinning vertices 1 and 2: one batched
+    Levenberg-Marquardt run (``_batched_lm``) moves all ``trials`` starts at
+    once, with the rigidity matrix as analytic Jacobian.  Solutions below
+    ``residual_tol`` (max-norm) are clustered modulo similarity in start
+    order and returned as configurations.  The true configuration is always
+    among the starts, so at least one shape is found.
     """
     if fw.n > 8:
         raise ValueError("oracle is desk-scale only (n <= 8)")
     check_distinct(fw.points)
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
     target = rigidity_function(fw.points, sa, rod)
+    t = np.concatenate([sa.vertex_index, rod.vertex_index])
     n_sa = len(sa)
     p = np.asarray(fw.points, dtype=float)
-    fixed = p[:2]
     scale = float(np.linalg.norm(p[1] - p[0]))
 
     def unpack(x):
-        return np.vstack([fixed, x.reshape(-1, 2)])
+        return np.concatenate([np.broadcast_to(p[:2], (len(x), 2, 2)), x.reshape(len(x), -1, 2)], axis=1)
 
     def residual(x):
-        q = unpack(x)
-        vals = rigidity_function(q, sa, rod)
+        vals, jac = _measurements_and_jacobian(unpack(x), t, n_sa)
         r = vals - target
-        r[:n_sa] = np.mod(r[:n_sa] + np.pi, 2.0 * np.pi) - np.pi
-        return r
+        r[:, :n_sa] = np.mod(r[:, :n_sa] + np.pi, 2.0 * np.pi) - np.pi
+        return r, jac[..., 4:]
 
-    rng = np.random.default_rng(seed)
-    lo = p.min(axis=0) - 0.5 * scale
-    hi = p.max(axis=0) + 0.5 * scale
-
-    # Deterministic flip starts: each free vertex reflected across a line
-    # through two other vertices.  Flip ambiguities are the dominant
-    # second-shape family, and their basins can be tiny.
-    flip_starts = []
-    for v in range(2, fw.n):
-        for a, b in itertools.combinations(range(fw.n), 2):
-            if v in (a, b):
-                continue
-            axis = p[b] - p[a]
-            nrm = np.linalg.norm(axis)
-            if nrm < 1e-12:
-                continue
-            axis = axis / nrm
-            rel = p[v] - p[a]
-            mirrored = p[a] + 2.0 * (rel @ axis) * axis - rel
-            q0 = p.copy()
-            q0[v] = mirrored
-            flip_starts.append(q0[2:].ravel())
-
+    x0 = _shape_starts(p, trials, np.random.default_rng(seed))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # collocated iterates: masked as non-finite
+        x, r = _batched_lm(x0, residual, 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(target), initial=0.0)))
     shapes: list[np.ndarray] = []
-    for start in range(trials):
-        if start == 0:
-            x0 = p[2:].ravel()
-        elif start <= len(flip_starts):
-            x0 = flip_starts[start - 1]
-        elif start % 2:
-            x0 = rng.uniform(lo, hi, size=(fw.n - 2, 2)).ravel()
-        else:
-            # Log-radial starts around the pinned edge cover solutions whose
-            # overall size differs by orders of magnitude from the input.
-            r = scale * 10.0 ** rng.uniform(-1.2, 1.2, size=fw.n - 2)
-            phi = rng.uniform(0.0, 2.0 * np.pi, size=fw.n - 2)
-            x0 = (p[0] + np.column_stack([r * np.cos(phi), r * np.sin(phi)])).ravel()
-        try:
-            sol = least_squares(residual, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except Exception:
+    tol = cluster_tol * scale
+    for q, ok in zip(unpack(x), np.all(np.abs(r) <= residual_tol, axis=1)):  # False where non-finite
+        if not ok or np.min([np.linalg.norm(q[i] - q[j]) for i, j in itertools.combinations(range(fw.n), 2)]) < 1e-9 * scale:
             continue
-        if not np.all(np.isfinite(sol.x)):
-            continue
-        q = unpack(sol.x)
-        if np.max(np.abs(residual(sol.x))) > residual_tol:
-            continue
-        if np.min([np.linalg.norm(q[i] - q[j]) for i, j in itertools.combinations(range(fw.n), 2)]) < 1e-9 * scale:
-            continue
-        is_new = True
-        for rep in shapes:
-            if np.max(np.linalg.norm(q - rep, axis=1)) < cluster_tol * scale:
-                is_new = False
-                break
-            _, resid, same = fit_similarity(rep, q, tol=cluster_tol * scale)
-            if same:
-                is_new = False
-                break
-        if is_new:
+        if not any(np.max(np.linalg.norm(q - rep, axis=1)) < tol or fit_similarity(rep, q, tol=tol)[2] for rep in shapes):
             shapes.append(q)
     return shapes

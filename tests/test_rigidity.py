@@ -4,17 +4,26 @@ The finite-difference Jacobian is the independent oracle for the assembled
 matrix; seeded random sweeps cover the rank bound, the trivial null space,
 duality under bipartition swap, and reduced-mode rank equality.  The
 quadrilateral criterion is pinned on the published coordinate examples and
-cross-checked against the brute-force shape search.
+cross-checked against the brute-force shape search, whose batched
+Levenberg-Marquardt run is checked against the per-start scipy loop kept
+here as its reference.  Ranks and quad verdicts must not depend on vertex
+labels.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+import sarod.rigidity
 from sarod import (
     Bipartition,
+    CollocationError,
     Framework,
     Graph,
     duality_check,
+    enumerate_triples,
     equivalent_shape_search,
     fit_similarity,
     infinitesimal_rigidity_test,
@@ -24,7 +33,7 @@ from sarod import (
     rigidity_function,
 )
 from sarod.construction import generate
-from sarod.rigidity import assemble_rigidity_matrix, trivial_motions
+from sarod.rigidity import _measurements_and_jacobian, _shape_starts, assemble_rigidity_matrix, trivial_motions
 
 from conftest import random_framework
 
@@ -161,6 +170,24 @@ def test_swapped_bipartition_has_the_same_spectrum(rng):
         assert np.max(np.abs(s - s_swapped)) <= 1e-10 * s[0]
 
 
+def _relabelled(fw, perm):
+    """The same framework with old vertex v renamed perm[v - 1] + 1."""
+    g = Graph.from_edges(fw.n, [(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in fw.graph.edges])
+    attrs, points = np.empty(fw.n, dtype=object), np.empty_like(fw.points)
+    attrs[perm], points[perm] = fw.bipartition.attrs, fw.points
+    return Framework(g, Bipartition(tuple(attrs)), points)
+
+
+def test_ranks_invariant_under_vertex_relabelling():
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for seed in range(3):
+            fw = generate(recipe, 30, seed).framework
+            other = _relabelled(fw, np.random.default_rng(seed).permutation(fw.n))
+            assert infinitesimal_rigidity_test(other).rank == infinitesimal_rigidity_test(fw).rank, (recipe, seed)
+            dual, dual_other = duality_check(fw), duality_check(other)
+            assert (dual_other.rank, dual_other.rank_swapped) == (dual.rank, dual.rank_swapped), (recipe, seed)
+
+
 def test_rigid_frameworks_satisfy_edge_lower_bound(rng):
     seen = 0
     for _ in range(40):
@@ -244,6 +271,19 @@ def test_quad_single_a_kite_and_collinear():
     assert len(equivalent_shape_search(fw3, trials=50, seed=5)) >= 2
 
 
+def test_quad_verdict_invariant_under_cyclic_relabelling():
+    rng = np.random.default_rng(9)
+    references = [
+        Framework(QUAD, Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]])),
+        Framework(QUAD, Bipartition.from_a_set(4, [1, 3]), np.array([[1.0, np.sqrt(3.0)], [0, 0], [4, 0], [2, np.sqrt(3.0)]])),
+    ]
+    for fw in references + [fw for fw, _ in _off_boundary_quads(rng, 10)]:
+        verdict = quad_global_rigidity(fw)
+        for shift in range(1, 4):
+            rotated = quad_global_rigidity(_relabelled(fw, (np.arange(4) + shift) % 4))
+            assert (rotated.rigid, rotated.case) == (verdict.rigid, verdict.case), (fw.points.tolist(), shift)
+
+
 def test_degenerate_collinear_quadrilateral_is_flexible():
     # All four vertices on a line: globally rigid by the case-2 criterion but
     # not infinitesimally rigid.
@@ -278,3 +318,144 @@ def test_oracle_guard():
     fw = random_framework(9, np.random.default_rng(0))
     with pytest.raises(ValueError, match="desk-scale"):
         equivalent_shape_search(fw)
+
+
+# --- the batched shape oracle against the per-start scipy loop --------------
+
+
+def reference_starts(fw, trials, seed):
+    """The oracle's starts as the per-start loop drew them, one at a time."""
+    p = np.asarray(fw.points, dtype=float)
+    scale = float(np.linalg.norm(p[1] - p[0]))
+    rng = np.random.default_rng(seed)
+    lo = p.min(axis=0) - 0.5 * scale
+    hi = p.max(axis=0) + 0.5 * scale
+    flip_starts = []
+    for v in range(2, fw.n):
+        for a, b in itertools.combinations(range(fw.n), 2):
+            if v in (a, b):
+                continue
+            axis = p[b] - p[a]
+            nrm = np.linalg.norm(axis)
+            if nrm < 1e-12:
+                continue
+            axis = axis / nrm
+            rel = p[v] - p[a]
+            mirrored = p[a] + 2.0 * (rel @ axis) * axis - rel
+            q0 = p.copy()
+            q0[v] = mirrored
+            flip_starts.append(q0[2:].ravel())
+    starts = []
+    for start in range(trials):
+        if start == 0:
+            x0 = p[2:].ravel()
+        elif start <= len(flip_starts):
+            x0 = flip_starts[start - 1]
+        elif start % 2:
+            x0 = rng.uniform(lo, hi, size=(fw.n - 2, 2)).ravel()
+        else:
+            r = scale * 10.0 ** rng.uniform(-1.2, 1.2, size=fw.n - 2)
+            phi = rng.uniform(0.0, 2.0 * np.pi, size=fw.n - 2)
+            x0 = (p[0] + np.column_stack([r * np.cos(phi), r * np.sin(phi)])).ravel()
+        starts.append(x0)
+    return starts
+
+
+def reference_shape_search(fw, trials=50, seed=0, residual_tol=1e-10, cluster_tol=1e-6):
+    """The oracle as one scipy ``least_squares(method="lm")`` call per start, in start order."""
+    sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
+    target = rigidity_function(fw.points, sa, rod)
+    n_sa = len(sa)
+    p = np.asarray(fw.points, dtype=float)
+    scale = float(np.linalg.norm(p[1] - p[0]))
+
+    def unpack(x):
+        return np.vstack([p[:2], x.reshape(-1, 2)])
+
+    def residual(x):
+        r = rigidity_function(unpack(x), sa, rod) - target
+        r[:n_sa] = np.mod(r[:n_sa] + np.pi, 2.0 * np.pi) - np.pi
+        return r
+
+    shapes = []
+    for x0 in reference_starts(fw, trials, seed):
+        try:
+            sol = least_squares(residual, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        except (CollocationError, ValueError):  # an iterate or the start itself collocates two vertices
+            continue
+        if not np.all(np.isfinite(sol.x)):
+            continue
+        q = unpack(sol.x)
+        if np.max(np.abs(residual(sol.x))) > residual_tol:
+            continue
+        if np.min([np.linalg.norm(q[i] - q[j]) for i, j in itertools.combinations(range(fw.n), 2)]) < 1e-9 * scale:
+            continue
+        if not any(np.max(np.linalg.norm(q - rep, axis=1)) < cluster_tol * scale or fit_similarity(rep, q, tol=cluster_tol * scale)[2] for rep in shapes):
+            shapes.append(q)
+    return shapes
+
+
+def _off_boundary_quads(rng, count):
+    """``count`` random 4-cycles per A-set class, away from the criterion's threshold."""
+    for a_set in ([1, 2, 3], [1], [1, 2], [1, 3]):
+        done = 0
+        while done < count:
+            fw = Framework(QUAD, Bipartition.from_a_set(4, a_set), rng.uniform(0.0, 1.0, (4, 2)))
+            if np.min(np.linalg.norm(fw.points[:, None] - fw.points[None], axis=2) + np.eye(4)) <= 0.05:
+                continue
+            verdict = quad_global_rigidity(fw)
+            if verdict.margin > 1e-6 and not verdict.boundary:
+                done += 1
+                yield fw, verdict
+
+
+def test_shape_starts_match_reference(rng):
+    frameworks = [fw for fw, _ in _off_boundary_quads(rng, 1)] + [random_framework(n, rng) for n in (5, 7)]
+    for fw in frameworks:
+        for seed in range(3):
+            for trials in (3, 50):  # fewer starts than flips, and random draws after them
+                starts = _shape_starts(np.asarray(fw.points), trials, np.random.default_rng(seed))
+                assert np.array_equal(starts, np.array(reference_starts(fw, trials, seed)))
+
+
+def test_batched_jacobian_is_the_rigidity_matrix(rng):
+    for _ in range(8):
+        fw = random_framework(int(rng.integers(4, 9)), rng)
+        sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
+        t = np.concatenate([sa.vertex_index, rod.vertex_index])
+        q = rng.uniform(-1.0, 1.0, (5, fw.n, 2))
+        vals, jac = _measurements_and_jacobian(q, t, len(sa))
+        for s in range(len(q)):
+            assert np.allclose(vals[s], rigidity_function(q[s], sa, rod), rtol=1e-15, atol=1e-14)
+            M = assemble_rigidity_matrix(Framework(fw.graph, fw.bipartition, q[s]), "full").matrix
+            assert np.linalg.norm(jac[s] - M) <= 1e-12 * np.linalg.norm(M)
+
+
+def test_shape_count_matches_reference(monkeypatch):
+    def no_scipy_call(*args, **kwargs):
+        raise AssertionError("the oracle must not call least_squares")
+
+    monkeypatch.setattr(sarod.rigidity, "least_squares", no_scipy_call)
+    for k, (fw, verdict) in enumerate(_off_boundary_quads(np.random.default_rng(11), 5)):
+        shapes = equivalent_shape_search(fw, trials=50, seed=k)
+        assert len(shapes) == len(reference_shape_search(fw, trials=50, seed=k)), fw.points.tolist()
+        assert (len(shapes) == 1) == verdict.rigid
+
+
+def test_verdict_matches_reference_on_larger_frameworks():
+    # Flexible frameworks have a continuum of shapes, so only the verdict is compared.
+    rng = np.random.default_rng(26)
+    for n, p in itertools.product((5, 6, 7), (0.5, 0.9)):
+        fw = random_framework(n, rng, p)
+        shapes = equivalent_shape_search(fw, trials=50, seed=n)
+        assert (len(shapes) == 1) == (len(reference_shape_search(fw, trials=50, seed=n)) == 1), (n, p)
+
+
+def test_oracle_runs_with_fewer_measurements_than_unknowns():
+    # A 5-cycle has 5 triples for 6 free coordinates.  scipy's lm refuses such
+    # systems, so the per-start loop found no shape at all, not even the input.
+    g = Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
+    fw = Framework(g, Bipartition.from_a_set(5, [1, 3]), np.random.default_rng(3).uniform(0.0, 1.0, (5, 2)))
+    assert reference_shape_search(fw, trials=5) == []
+    shapes = equivalent_shape_search(fw, trials=5)
+    assert len(shapes) >= 2 and np.allclose(shapes[0], fw.points, rtol=0.0, atol=1e-12)
