@@ -57,6 +57,7 @@ from .snl import (
     assemble_bearing_system,
     assemble_distance_system,
     build_network,
+    closure_system,
     cycle_bearing_matrix,
     localizability_check,
     localize_network,

@@ -279,10 +279,15 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
             j0 = nbrs[0]
             for k in nbrs[1:]:
                 target.append((u, j0, k))
-    eidx = g.edge_index()
+    # Edge (i, j), i < j, has code (i - 1) n + j; a triple's two edges are found by binary search over the sorted codes.
+    ends = np.array(g.edges, dtype=int).reshape(-1, 2)
+    codes = (ends[:, 0] - 1) * g.n + ends[:, 1]
+    order = np.argsort(codes)
 
     def index_set(kind, triples):
-        e = np.array([[eidx[(min(u, x), max(u, x))] for x in (v, w)] for (u, v, w) in triples], dtype=int).reshape(-1, 2)
+        t = np.array(triples, dtype=int).reshape(-1, 3)
+        apex, others = t[:, :1], t[:, 1:]
+        e = order[np.searchsorted(codes[order], (np.minimum(apex, others) - 1) * g.n + np.maximum(apex, others))]
         return TripleIndexSet(kind, tuple(triples), e[:, 0], e[:, 1])
 
     return index_set("sa", sa), index_set("rod", rod)

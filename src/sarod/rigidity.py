@@ -408,7 +408,8 @@ def _batched_lm(x: np.ndarray, fun, tiny: float):
     starts.  Each start keeps its own ``lam`` and moves only if its squared
     residual drops.  It stops at residual max-norm ``tiny``, a negligible
     step, blown-up ``lam``, or 100 iterations per unknown (scipy's lm
-    default).  Starts with a non-finite residual never move.
+    default).  Starts with a non-finite residual never move.  The shape
+    oracle and the localization null-space search (``sarod.snl``) share it.
     """
     r, jac = fun(x)
     cost = np.sum(r * r, axis=1)

@@ -21,15 +21,22 @@ propagates each side once (``SensorNetwork.bearing_param`` /
 ``distance_param``), and every solution carries the same evidence: both
 component counts, free dimensions and worst closure mismatches.
 
-Three solvers cover the connectivity regimes: a linear distance solve when
-all bearings resolve, a (possibly null-space-parameterized) bearing solve
-when all distances resolve, and a reduced nonlinear solve over the free
-references when neither side resolves.  ``localize_network`` picks the
-regime, and ``localizability_check`` reads its verdict off that same
-localization.  The bearing system's cycle rows and the nonlinear solve
-take distances in units of the largest anchor distance, so verdicts and
-ranks do not depend on scale.  Positions are recovered by telescoping
-edge displacements along the graph's cached spanning tree from an anchor.
+All three connectivity regimes solve one system: the cycle closure
+C (d * b) = 0 in the free references x = (w, y) of propagation, bearings
+``b0 + NB w`` and distances ``d0 + ND y`` in units of the largest anchor
+distance (so verdicts and ranks do not depend on scale).  Unless an edge
+is free on both sides it is linear, with 2(m - n + 1) rows and one column
+per free reference coordinate (``closure_system``); its null dimension
+gives the ranks of the full distance and bearing systems.  A trivial null
+space is an exact answer, in every regime.  A nontrivial one with free SA
+components keeps a multi-start over the null coordinates only, one batched
+Levenberg-Marquardt run on the unit norms of the free references; a
+trust-region multi-start over (w, y) remains only for edges free on both
+sides.  ``localize_network`` picks the regime, and
+``localizability_check`` reads its verdict off that same localization.
+``assemble_distance_system`` and ``assemble_bearing_system`` build the
+full systems for analysis.  Positions are recovered by telescoping edge
+displacements along the graph's cached spanning tree from an anchor.
 """
 
 from __future__ import annotations
@@ -40,14 +47,14 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg import lstsq  # noqa: F401
 from scipy.optimize import least_squares
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, tree_sums, triple_index_components
 # benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
-from .rigidity import _svd_factor, null_space, numerical_rank  # noqa: F401
+from .rigidity import _batched_lm, _svd_factor, null_space, numerical_rank  # noqa: F401
 
 __all__ = [
     "InfeasibleMeasurementsError",
@@ -61,6 +68,7 @@ __all__ = [
     "propagate_distances",
     "assemble_distance_system",
     "assemble_bearing_system",
+    "closure_system",
     "solve_sa_connected",
     "solve_rod_connected",
     "solve_disconnected",
@@ -127,9 +135,7 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
     Adds the anchor clique, synthesizes exact measurements over the
     augmented triple sets (or validates user-supplied ones for coverage),
     and precomputes anchor-pair bearings and distances.  Needs at least two
-    anchors; warns when all anchors share one sensing attribute (the
-    stricter anchor assumption is only needed for the localizability
-    equivalences, not for solving).
+    anchors.
     """
     anchor_list = tuple(sorted(set(int(a) for a in anchors)))
     if len(anchor_list) < 2:
@@ -137,9 +143,6 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
     check_distinct(fw.points)
     g_hat = augment_anchor_clique(fw.graph, anchor_list)
     fw_hat = Framework(g_hat, fw.bipartition, fw.points)
-    attrs = {fw.bipartition.attr(a) for a in anchor_list}
-    if len(attrs) < 2:
-        warnings.warn("anchors all share one sensing attribute; the exact localizability criteria assume both kinds", stacklevel=2)
     sa_t, rod_t = enumerate_triples(g_hat, fw.bipartition, "full")
     if measurements is None:
         ms = synthesize_measurements(fw.points, sa_t, rod_t)
@@ -319,16 +322,27 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
 
 
 @dataclass(frozen=True)
-class BearingSystem:
-    matrix: np.ndarray  # (t, 2m)
+class LinearSystem:
+    """A x = rhs with its rank, null basis and minimum-norm least-squares solution."""
+
+    matrix: np.ndarray
     rhs: np.ndarray
     rank: int
-    null_dim: int
-    null_basis: np.ndarray  # (2m, L)
-    min_norm_solution: np.ndarray  # (2m,)
+    null_basis: np.ndarray  # (columns, null_dim)
+    min_norm_solution: np.ndarray
+
+    @property
+    def null_dim(self) -> int:
+        return self.null_basis.shape[1]
 
 
-def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = 1e-8) -> BearingSystem:
+def _solved(A: np.ndarray, rhs: np.ndarray, rtol: float) -> LinearSystem:
+    """The system with rank, null basis and min-norm solution from one SVD, cut as gelsd's cond=rtol."""
+    rank, s, u, vt = _svd_factor(A, rtol)
+    return LinearSystem(A, rhs, rank, vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank]))
+
+
+def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = 1e-8) -> LinearSystem:
     """Stacked linear system on the 2m stacked edge bearings.
 
     Rows: distance-scaled cycle closure (kron of the weighted cycle basis
@@ -360,15 +374,30 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
         A[r : r + 2, 2 * e : 2 * e + 2] = np.eye(2)
         z[r : r + 2] = b_star
         r += 2
-    rank, basis, sol = _min_norm_solve(A, z, rtol)
-    return BearingSystem(A, z, rank, 2 * g.m - rank, basis, sol)
+    return _solved(A, z, rtol)
 
 
-def _min_norm_solve(A: np.ndarray, rhs: np.ndarray, rtol: float):
-    """(rank, null basis, min-norm least-squares solution) of A x = rhs from one SVD, cut as gelsd's cond=rtol."""
-    rank, s, u, vt = _svd_factor(A, rtol)
-    x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    return rank, vt[rank:].T, x
+def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
+    """Cycle closure C (d * b) = 0 as one linear system in the free references of propagation.
+
+    Columns: the kw bearing references w (bearings b0 + NB w), then the ky
+    distance references y (distances d0 + ND y, in units of the largest
+    anchor distance).  Rows: both coordinates of every fundamental cycle,
+    2(m - n + 1) in all.  The SA triples, RoD triples and anchor pairs hold
+    by construction.  ``d * b`` has the bilinear term (ND y) * (NB w) only
+    on edges free on both sides, so without them the closure is exactly
+    linear; with them this raises ``ValueError``.
+    """
+    bear, dist = net.bearing_param, net.distance_param
+    if np.any(~bear.resolved & ~dist.resolved):
+        raise ValueError("an edge is free on both sides, so the closure is bilinear")
+    g = net.graph
+    d0 = dist.offset / max(net.anchor_distances.values())
+    Cb = cycle_bearing_matrix(g, bear.offset)
+    C = fundamental_cycle_basis(g).matrix.astype(float)
+    Cw = ((C * d0) @ bear.basis.reshape(g.m, -1)).reshape(len(Cb), bear.dim)
+    A = np.hstack([Cw, Cb @ dist.basis])
+    return _solved(A, -(Cb @ d0), rtol)
 
 
 # --- solvers ----------------------------------------------------------------
@@ -406,222 +435,154 @@ def _evidence(net: SensorNetwork) -> dict:
     }
 
 
-def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Bearings by propagation, distances by one linear least-squares solve.
+def _edges_at(net: SensorNetwork, x: np.ndarray):
+    """Bearings and distances (in units of the largest anchor distance) at free references x = (w, y)."""
+    bear, dist = net.bearing_param, net.distance_param
+    m, kw = net.graph.m, bear.dim
+    return bear.offset + bear.basis.reshape(m, 2, kw) @ x[:kw], dist.offset / max(net.anchor_distances.values()) + dist.basis @ x[kw:]
 
-    Localizable exactly when the distance system has full column rank m.
+
+def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
+    """Cluster the starts that reached a zero with positive distances by recovered position.
+
+    The best zero answers; one cluster is ``heuristic-unique``.
     """
-    config = config or SolverConfig()
-    if not net.bearing_param.fully_resolved:
-        raise ValueError("bearings unresolved; use disconnected solver")
-    info = _evidence(net)
-    b = net.bearing_param.offset
-    A, y = assemble_distance_system(net, b)
-    rank, _, d = _min_norm_solve(A, y, config.rtol)
-    status = "localizable" if rank == net.graph.m else "unlocalizable"
-    info.update(
-        rank_distance_system=rank,
-        m=net.graph.m,
-        distance_residual=float(np.linalg.norm(A @ d - y)),
-        unit_norm_defect=_unit_norm_defect(b),
-    )
-    if status == "localizable" and np.any(d <= 0):
-        status = "infeasible"
-        info["note"] = "solved distances not strictly positive"
-    return EdgeSolution(b, d, "sa-connected", status, info)
-
-
-def _cluster_positions(net: SensorNetwork, candidates, tol_scale: float, method: str, info: dict) -> EdgeSolution:
-    """Cluster candidate (b, d) zeros by recovered positions; the best zero answers, unique if one cluster."""
-    scale = max(net.anchor_distances.values())
+    unit = max(net.anchor_distances.values())
     reps = []
-    for b, d, obj in candidates:
-        x = recover_positions(net, b, d, warn=False)
-        new = True
-        for rep in reps:
-            if np.max(np.linalg.norm(x - rep["positions"], axis=1)) < tol_scale * scale:
-                new = False
-                if obj < rep["objective"]:
-                    rep.update(bearings=b, distances=d, positions=x, objective=obj)
-                break
-        if new:
-            reps.append({"bearings": b, "distances": d, "positions": x, "objective": obj})
-    info["zero_clusters"] = len(reps)
+    positivity_failures = 0
+    for x, obj in zip(xs, objectives):
+        if not obj < config.zero_tol:
+            continue
+        b, d = _edges_at(net, x)
+        if np.any(d <= 0):
+            positivity_failures += 1
+            continue
+        zero = {"bearings": b, "distances": d * unit, "positions": recover_positions(net, b, d * unit, warn=False), "objective": float(obj)}
+        rep = next((r for r in reps if np.max(np.linalg.norm(zero["positions"] - r["positions"], axis=1)) < config.cluster_tol * unit), None)
+        if rep is None:
+            reps.append(zero)
+        elif obj < rep["objective"]:
+            rep.update(zero)
+    info.update(objective_best=float(np.min(objectives)), starts=len(objectives), heuristic=True, zero_clusters=len(reps))
+    if not reps:
+        b, d = _edges_at(net, xs[0])
+        return EdgeSolution(b, d * unit, method, "infeasible" if positivity_failures else "solver-failed", info)
     best = min(reps, key=lambda r: r["objective"])
     return EdgeSolution(best["bearings"], best["distances"], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
 
-def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Distances by propagation, bearings from the bearing system.
+def _closure_solve(net: SensorNetwork, config: SolverConfig | None, method: str, residual_key: str, ranks) -> EdgeSolution:
+    """Solve the linear closure system; multi-start only over its null coordinates.
 
-    With a trivial null space the minimum-norm solution is the answer;
-    otherwise the unit-norm defect is minimized over the null-space
-    coordinates by damped Gauss-Newton from multiple seeded starts, and
-    distinct converged zeros are clustered to assess uniqueness.
+    ``ranks`` maps the null dimension to the regime's rank report.  A
+    trivial null space gives the exact answer (``localizable``, or
+    ``infeasible`` if a distance is not positive).  With no free SA
+    component every null direction keeps the closure, so a nontrivial null
+    space is ``unlocalizable``.  Otherwise one batched Levenberg-Marquardt
+    run moves every start z (the zero vector, then a Latin hypercube over
+    +-``box_half_width``) to a zero of |w_c|^2 - 1, one residual per free SA
+    component c, at w = w0 + N z; distinct zeros are clustered by position.
     """
     config = config or SolverConfig()
+    system = closure_system(net, config.rtol)
+    kw, L = net.bearing_param.dim, system.null_dim
+    info = {**_evidence(net), **ranks(L)}
+    x0 = system.min_norm_solution
+    if L == 0 or kw == 0:
+        b, d = _edges_at(net, x0)
+        d = d * max(net.anchor_distances.values())
+        info[residual_key] = float(np.linalg.norm(system.matrix @ x0 - system.rhs))
+        info["unit_norm_defect"] = _unit_norm_defect(b)
+        status = "localizable" if L == 0 else "unlocalizable"
+        if status == "localizable" and np.any(d <= 0):
+            status = "infeasible"
+            info["note"] = "solved distances not strictly positive"
+        return EdgeSolution(b, d, method, status, info)
+
+    N = system.null_basis
+    Nw = N[:kw].reshape(-1, 2, L)
+    w0 = x0[:kw].reshape(-1, 2)
+
+    def norms(z):
+        w = w0 + np.einsum("cjl,sl->scj", Nw, z)
+        return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
+
+    starts = np.zeros((max(config.starts, 1), L))
+    if config.starts > 1:
+        pts = qmc.LatinHypercube(d=L, seed=np.random.default_rng(config.seed)).random(config.starts - 1)
+        starts[1:] = (2.0 * pts - 1.0) * config.box_half_width
+    z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)
+    return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, method, info)
+
+
+def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
+    """Bearings by propagation, distances from the closure over the free RoD references.
+
+    Localizable exactly when the closure has a trivial null space, i.e. the
+    full distance system (cycle, RoD and anchor rows over all m distances)
+    has rank m; ``rank_distance_system`` reports m - null_dim.
+    """
+    if not net.bearing_param.fully_resolved:
+        raise ValueError("bearings unresolved; use disconnected solver")
+    m = net.graph.m
+    return _closure_solve(net, config, "sa-connected", "distance_residual", lambda L: {"rank_distance_system": m - L, "m": m})
+
+
+def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
+    """Distances by propagation, bearings from the closure over the free SA references.
+
+    A trivial null space gives the exact answer.  Otherwise the unit norms
+    of the free references are met by a batched multi-start over the null
+    coordinates, and distinct zeros are clustered to assess uniqueness.
+    ``rank_bearing_system`` reports 2m - null_dim, the rank of the full
+    bearing system over all 2m bearing coordinates.
+    """
     if not net.distance_param.fully_resolved:
         raise ValueError("distances unresolved; use disconnected solver")
-    info = _evidence(net)
-    d = net.distance_param.offset
-    system = assemble_bearing_system(net, d, config.rtol)
-    info.update(rank_bearing_system=system.rank, null_dim=system.null_dim, m=net.graph.m)
-    if system.null_dim == 0:
-        b = system.min_norm_solution.reshape(-1, 2)
-        info["bearing_residual"] = float(np.linalg.norm(system.matrix @ system.min_norm_solution - system.rhs))
-        info["unit_norm_defect"] = _unit_norm_defect(b)
-        return EdgeSolution(b, d, "rod-connected", "localizable", info)
-
-    L = system.null_dim
-    b0 = system.min_norm_solution
-    N = system.null_basis
-
-    def bearing_stack(w):
-        return b0 + N @ w
-
-    def residuals(w):
-        b = bearing_stack(w).reshape(-1, 2)
-        return (b * b).sum(axis=1) - 1.0
-
-    def jac(w):
-        b = bearing_stack(w)
-        return 2.0 * (N * b[:, None]).reshape(-1, 2, L).sum(axis=1)
-
-    rng = np.random.default_rng(config.seed)
-    sampler = qmc.LatinHypercube(d=L, seed=rng)
-    starts = [np.zeros(L)]
-    if config.starts > 1:
-        pts = sampler.random(config.starts - 1)
-        starts += list((2.0 * pts - 1.0) * config.box_half_width)
-    zeros = []
-    best_obj = np.inf
-    for w0 in starts:
-        sol = least_squares(residuals, w0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        obj = float(np.sum(sol.fun**2))
-        best_obj = min(best_obj, obj)
-        if obj < config.zero_tol:
-            b = bearing_stack(sol.x).reshape(-1, 2)
-            zeros.append((b, d, obj))
-    info.update(objective_best=best_obj, starts=len(starts), heuristic=True, zero_clusters=0)
-    if not zeros:
-        return EdgeSolution(b0.reshape(-1, 2), d, "rod-connected", "solver-failed", info)
-    return _cluster_positions(net, zeros, config.cluster_tol, "rod-connected", info)
+    m = net.graph.m
+    return _closure_solve(net, config, "rod-connected", "bearing_residual", lambda L: {"rank_bearing_system": 2 * m - L, "null_dim": L, "m": m})
 
 
 def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Joint solve over the free bearing/distance references of all components.
+    """Joint solve over the free bearing and distance references of all components.
 
-    Minimizes the squared cycle-closure and unit-norm residuals over the
-    affine parameterizations from propagation, with a quadratic penalty
-    against nonpositive distances; feasibility is re-checked at accepted
-    zeros.  Distances are solved in units of the largest anchor distance,
-    so the positivity margin and the zero threshold are relative bounds.
+    Without an edge free on both sides this is the same linear closure
+    solve as the connected regimes, so a trivial null space gives an exact
+    ``localizable``.  Otherwise the closure is bilinear: a multi-start
+    trust-region solve minimizes the cycle-closure and unit-norm residuals
+    over (w, y), with distances in units of the largest anchor distance and
+    a quadratic penalty below ``positivity_eps``; its verdicts are
+    heuristic.
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
-    g = net.graph
-    m = g.m
-    C = fundamental_cycle_basis(g).matrix.astype(float)
-    kw = bear.dim
-    ky = dist.dim
-    NB = bear.basis  # (2m, kw)
-    ND = dist.basis  # (m, ky), dimensionless ratios
-    b0 = bear.offset.ravel()
-    unit = max(net.anchor_distances.values())
-    d0 = dist.offset / unit
+    m, kw, ky = net.graph.m, bear.dim, dist.dim
+    if not np.any(~bear.resolved & ~dist.resolved):
+        return _closure_solve(net, config, "disconnected", "closure_residual", lambda L: {"variables": kw + ky, "null_dim": L})
+    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
+    NB, ND = bear.basis.reshape(m, 2, kw), dist.basis
     eps = config.positivity_eps
-    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / unit
-
-    def split(x):
-        return x[:kw], x[kw:]
-
-    def bearings_of(w):
-        return (b0 + NB @ w).reshape(m, 2)
-
-    def distances_of(y):
-        return d0 + ND @ y
+    comp = np.arange(kw).reshape(-1, 2)  # the coordinates of each free SA reference
 
     def residuals(x):
-        w, y = split(x)
-        b = bearings_of(w)
-        d = distances_of(y)
-        v = d[:, None] * b
-        r_cyc = np.column_stack([C @ v[:, 0], C @ v[:, 1]]).ravel()
-        r_norm = (b * b).sum(axis=1) - 1.0
-        r_pos = np.maximum(0.0, eps - d)
-        return np.concatenate([r_cyc, r_norm, r_pos])
+        b, d = _edges_at(net, x)
+        return np.concatenate([(C @ (d[:, None] * b)).ravel(), (x[comp] ** 2).sum(axis=1) - 1.0, np.maximum(0.0, eps - d)])
 
     def jacobian(x):
-        w, y = split(x)
-        b = bearings_of(w)
-        d = distances_of(y)
-        ncyc = C.shape[0]
-        J = np.zeros((2 * ncyc + m + m, kw + ky))
-        NBx = NB[0::2]  # (m, kw): x-components of the bearing basis
-        NBy = NB[1::2]
-        # cycle rows, interleaved (cycle, x) then (cycle, y)
-        J[0 : 2 * ncyc : 2, :kw] = C @ (d[:, None] * NBx)
-        J[1 : 2 * ncyc : 2, :kw] = C @ (d[:, None] * NBy)
-        J[0 : 2 * ncyc : 2, kw:] = C @ (b[:, 0:1] * ND)
-        J[1 : 2 * ncyc : 2, kw:] = C @ (b[:, 1:2] * ND)
-        J[2 * ncyc : 2 * ncyc + m, :kw] = 2.0 * (b[:, 0:1] * NBx + b[:, 1:2] * NBy)
-        active = d < eps
-        J[2 * ncyc + m :, kw:] = -(ND * active[:, None])
+        b, d = _edges_at(net, x)
+        J = np.zeros((2 * len(C) + len(comp) + m, kw + ky))
+        J[: 2 * len(C), :kw] = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(-1, kw)
+        J[: 2 * len(C), kw:] = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(-1, ky)
+        J[2 * len(C) + np.arange(len(comp))[:, None], comp] = 2.0 * x[comp]
+        J[2 * len(C) + len(comp) :, kw:] = -ND * (d < eps)[:, None]
         return J
 
-    # The cycle rows are linear in w for fixed d and linear in y for fixed
-    # b (exactly linear jointly when no edge is free on both sides), so a
-    # few alternating least-squares sweeps give an excellent start.
-    def smart_start():
-        x0 = np.zeros(kw + ky)
-        x0[kw:] = scale_guess
-        for _ in range(3):
-            w, y = split(x0)
-            d = distances_of(y)
-            if kw:
-                Aw = np.vstack([C @ (d[:, None] * NB[0::2]), C @ (d[:, None] * NB[1::2])])
-                rw = -np.concatenate([C @ (d * b0[0::2]), C @ (d * b0[1::2])])
-                w = lstsq(Aw, rw, cond=config.rtol, lapack_driver="gelsd")[0]
-            b = (b0 + NB @ w).reshape(m, 2)
-            if ky:
-                Ay = np.vstack([C @ (b[:, 0:1] * ND), C @ (b[:, 1:2] * ND)])
-                ry = -np.concatenate([C @ (b[:, 0] * d0), C @ (b[:, 1] * d0)])
-                y = lstsq(Ay, ry, cond=config.rtol, lapack_driver="gelsd")[0]
-            x0 = np.concatenate([w, y])
-        return x0
-
-    dim = kw + ky
-    starts = [smart_start()]
-    if dim and config.starts > 1:
-        pts = qmc.LatinHypercube(d=dim, seed=np.random.default_rng(config.seed)).random(config.starts - 1)
-        for row in pts:
-            x0 = (2.0 * row - 1.0) * config.box_half_width
-            x0[kw:] = np.abs(x0[kw:]) * scale_guess + 0.1 * scale_guess
-            starts.append(x0)
-
-    zeros = []
-    best_obj = np.inf
-    positivity_failures = 0
-    for x0 in starts:
-        if dim == 0:
-            sol_x, obj = x0, float(np.sum(residuals(x0) ** 2))
-        else:
-            sol = least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            sol_x = sol.x
-            obj = float(np.sum(sol.fun**2))
-        best_obj = min(best_obj, obj)
-        if obj < config.zero_tol:
-            w, y = split(sol_x)
-            d = distances_of(y)
-            if np.all(d > 0):
-                zeros.append((bearings_of(w), d * unit, obj))
-            else:
-                positivity_failures += 1
-    info = {**_evidence(net), "variables": dim, "objective_best": best_obj, "starts": len(starts), "heuristic": True, "zero_clusters": 0}
-    if not zeros:
-        status = "infeasible" if positivity_failures else "solver-failed"
-        return EdgeSolution(bear.offset, dist.offset, "disconnected", status, info)
-    return _cluster_positions(net, zeros, config.cluster_tol, "disconnected", info)
+    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
+    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
+    starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
+    sols = [least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15) for x0 in starts]
+    info = {**_evidence(net), "variables": kw + ky}
+    return _cluster_zeros(net, [s.x for s in sols], [float(np.sum(s.fun**2)) for s in sols], config, "disconnected", info)
 
 
 # --- recovery and dispatch --------------------------------------------------
@@ -706,11 +667,16 @@ def localize_network(net: SensorNetwork, method: str = "auto", config: SolverCon
 def localizability_check(net: SensorNetwork, config: SolverConfig | None = None) -> tuple[str, dict]:
     """Localizability verdict of the "auto" localization, with its evidence.
 
-    The exact regimes (all bearings resolve: distance-system rank; all
-    distances resolve with a trivial bearing null space) keep the solve
-    status.  The multi-start regimes give ``heuristic-unique`` or
-    ``heuristic-ambiguous`` and say so with ``heuristic: True``.
+    A closure solve with a trivial null space, or a nontrivial one and no
+    free SA component, is exact and keeps the solve status (``localizable``,
+    ``unlocalizable``, ``infeasible``).  The multi-start cases (a nontrivial
+    null space with unit-norm constraints, or an edge free on both sides)
+    give ``heuristic-unique`` or ``heuristic-ambiguous`` and say so with
+    ``heuristic: True``.  Warns when all anchors share one sensing
+    attribute: the exact localizability criteria assume both kinds.
     """
+    if len({net.framework.bipartition.attr(a) for a in net.anchors}) < 2:
+        warnings.warn("anchors all share one sensing attribute; the exact localizability criteria assume both kinds", stacklevel=2)
     sol = localize_network(net, "auto", config).solution
     if not sol.info.get("heuristic"):
         return sol.status, sol.info

@@ -7,6 +7,7 @@ import pytest
 
 from sarod import (
     Bipartition,
+    Framework,
     Graph,
     augment_anchor_clique,
     edge_code,
@@ -20,7 +21,7 @@ from sarod.construction import generate
 from sarod.graph import GraphError, bfs_spanning_tree
 from sarod.snl import SolverConfig, build_network, localize_network, solution_residuals
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_framework
 
 
 def test_graph_validation():
@@ -208,6 +209,26 @@ def test_enumerate_triples_star():
     assert sa.triples == ((4, 2, 5), (4, 2, 7), (4, 5, 7))
     sa_red, _ = enumerate_triples(g, bip, "reduced")
     assert sa_red.triples == ((4, 2, 5), (4, 2, 7))
+
+
+def test_enumerate_triples_edge_pairs_match_dict_lookup(rng):
+    # The edge-code search gives the per-triple dict lookup's (e1, e2)
+    # arrays bit for bit, including graphs whose edges are not in sorted
+    # order (anchor cliques append edges, and a shuffled edge tuple).
+    frameworks = [generate(recipe, n, seed).framework
+                  for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal") for n in (12, 70) for seed in range(2)]
+    for n in (5, 9, 14):
+        fw = random_framework(n, rng)
+        shuffled = Graph(n, tuple(fw.graph.edges[k] for k in rng.permutation(fw.graph.m)))
+        frameworks.append(Framework(shuffled, fw.bipartition, fw.points))
+    for fw in frameworks:
+        for g in (fw.graph, augment_anchor_clique(fw.graph, (1, 2, fw.n))):
+            eidx = g.edge_index()
+            for mode in ("full", "reduced"):
+                for t in enumerate_triples(g, fw.bipartition, mode):
+                    ref = np.array([[eidx[(min(u, x), max(u, x))] for x in (v, w)] for (u, v, w) in t.triples], dtype=int).reshape(-1, 2)
+                    for got, want in ((t.e1, ref[:, 0]), (t.e2, ref[:, 1])):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_triple_counts_match_degree_formula(rng):

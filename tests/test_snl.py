@@ -6,9 +6,12 @@ them on resolved components, solvers must recover them, and recovery must
 reproduce the configuration under either spanning tree.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import lstsq, null_space
+from scipy.optimize import least_squares
 
 from sarod import (
     Bipartition,
@@ -37,7 +40,7 @@ from sarod import (
 from sarod.construction import generate
 from sarod.geometry import rotation
 from sarod.rigidity import numerical_rank
-from sarod.snl import assemble_bearing_system, assemble_distance_system, solution_residuals
+from sarod.snl import assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
 
 
 def truth_edges(net):
@@ -64,11 +67,19 @@ def test_build_network_idempotent_clique(rng):
         build_network(fw, [2])
 
 
-def test_build_network_warns_on_single_attribute_anchors(rng):
+def test_localizability_check_warns_on_single_attribute_anchors(rng):
+    # Only the localizability verdict assumes anchors of both kinds: building
+    # and localizing stay silent, and each verdict warns once.
     g = Graph(3, ((1, 2), (1, 3), (2, 3)))
     fw = Framework(g, Bipartition.from_a_set(3, [3]), rng.uniform(0, 1, (3, 2)))
-    with pytest.warns(UserWarning, match="sensing attribute"):
-        build_network(fw, [1, 2])
+    for anchors, expected in (([1, 2], 1), ([1, 3], 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            net = build_network(fw, anchors)
+            localize_network(net)
+            localizability_check(net)
+        assert sum("sensing attribute" in str(w.message) for w in caught) == expected, anchors
+        assert len(caught) == expected
 
 
 def test_measurement_ingestion_roundtrip(rng):
@@ -366,15 +377,23 @@ EVIDENCE_KEYS = (
 def test_localize_and_localizability_agree_per_regime():
     # One dispatch: the verdict is the localization's status (exact
     # regimes) or its heuristic reading, and the evidence is its info.
-    expected = {"quad2v": ("sa", "localizable"), "bilat-D1A1": ("rod", "localizable"), "type2D1": ("general", "heuristic-unique")}
-    for recipe, (method, verdict) in expected.items():
+    # type2D1 has no edge free on both sides and a trivial closure null
+    # space, so its verdict is exact; mix-D2A1 keeps a 4-dimensional null
+    # space and the multi-start.
+    expected = {
+        "quad2v": ("sa", "localizable", False),
+        "bilat-D1A1": ("rod", "localizable", False),
+        "type2D1": ("general", "localizable", False),
+        "mix-D2A1": ("rod", "heuristic-unique", True),
+    }
+    for recipe, (method, verdict, heuristic) in expected.items():
         for seed in range(3):
             fw = generate(recipe, 12, seed).framework
             result = localize_network(build_network(fw, [1, 2]))
             v, evidence = localizability_check(build_network(fw, [1, 2]))
             assert (result.method, v) == (method, verdict), (recipe, seed)
             assert evidence == result.solution.info
-            assert evidence.get("heuristic", False) == (method == "general")
+            assert evidence.get("heuristic", False) == heuristic
             for key in EVIDENCE_KEYS:
                 assert key in evidence
             assert max(evidence["sa_closure_mismatch"], evidence["rod_closure_mismatch"]) < 1e-12
@@ -593,3 +612,110 @@ def test_vectorized_assembly_matches_loop_reference():
         rep = solution_residuals(net, EdgeSolution(b, d, "reference", "localizable"))
         assert rep["rotation"] == pytest.approx(rot_res, rel=1e-12)
         assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
+
+
+def test_closure_solve_matches_full_systems():
+    # The closure over the free references has the null space of the full
+    # distance system (SA-connected) or bearing system (RoD-connected), and
+    # the answer of their minimum-norm solves; with a nontrivial null space
+    # or in the general regime the answer is the truth.  Neither full
+    # system depends on scale, so it is factored once, at scale 1, and
+    # every scale must reproduce it.
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for n in (12, 70, 140):
+            for seed in range(3):
+                fw = generate(recipe, n, seed).framework
+                net = build_network(fw, [1, 2])
+                reference, full_null_dim = net.truth, None
+                if net.bearing_param.fully_resolved:
+                    A, y = assemble_distance_system(net, net.bearing_param.offset)
+                    full_null_dim = net.graph.m - numerical_rank(A)[0]
+                    d = lstsq(A, y, cond=1e-8, lapack_driver="gelsd")[0]
+                    reference = recover_positions(net, net.bearing_param.offset, d, warn=False)
+                elif net.distance_param.fully_resolved:
+                    full = assemble_bearing_system(net, net.distance_param.offset)
+                    full_null_dim = full.null_dim
+                    if full.null_dim == 0:
+                        reference = recover_positions(net, full.min_norm_solution.reshape(-1, 2), net.distance_param.offset, warn=False)
+                radius = np.max(np.linalg.norm(fw.points - fw.points.mean(axis=0), axis=1))
+                for scale in (1e-6, 1.0, 1e6):
+                    case = (recipe, n, seed, scale)
+                    net = build_network(Framework(fw.graph, fw.bipartition, fw.points * scale), [1, 2])
+                    result = localize_network(net)
+                    info = result.solution.info
+                    null_dim = closure_system(net).null_dim
+                    if result.method == "sa":
+                        assert info["rank_distance_system"] == net.graph.m - null_dim == net.graph.m - full_null_dim, case
+                    elif result.method == "rod":
+                        assert info["null_dim"] == null_dim == full_null_dim, case
+                        assert info["rank_bearing_system"] == 2 * net.graph.m - null_dim, case
+                    else:
+                        assert info["null_dim"] == null_dim == 0, case
+                    assert result.solution.ok, case
+                    assert np.max(np.linalg.norm(result.positions - scale * reference, axis=1)) <= 1e-9 * scale * radius, case
+
+
+def _bilinear_k4(rng):
+    # Anchors 1, 2 both sense angles, so edge (3, 4), joining the two ratio
+    # sensors, is in no SA triple and in the one unpinned RoD component.
+    k4 = Graph(4, tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
+    return build_network(Framework(k4, Bipartition.from_a_set(4, [1, 2]), rng.uniform(0, 1, (4, 2))), [1, 2])
+
+
+def test_bilinear_edges_take_the_trust_region_fallback(rng, monkeypatch):
+    import sarod.snl
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(sarod.snl, "least_squares", counted)
+    for _ in range(3):
+        net = _bilinear_k4(rng)
+        both_free = ~net.bearing_param.resolved & ~net.distance_param.resolved
+        assert np.flatnonzero(both_free).tolist() == [net.graph.edge_index()[(3, 4)]]
+        with pytest.raises(ValueError, match="bilinear"):
+            closure_system(net)
+        calls.clear()
+        result = localize_network(net)
+        assert result.method == "general" and result.solution.ok
+        assert result.solution.info["heuristic"] is True
+        assert result.solution.info["variables"] == 3
+        assert len(calls) == result.solution.info["starts"] == SolverConfig().starts
+        assert result.mse < 1e-20
+        assert localizability_check(net)[0] == "heuristic-unique"
+
+
+def test_linear_closure_needs_no_scipy_solve(monkeypatch):
+    # Without bilinear edges every regime solves the linear closure, and
+    # the multi-start of a nontrivial null space runs the batched LM.
+    import sarod.snl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy solver called on a linear closure")
+
+    monkeypatch.setattr(sarod.snl, "least_squares", refuse)
+    monkeypatch.setattr(sarod.snl, "lstsq", refuse)
+    for recipe, method, status in (("type2D1", "general", "localizable"), ("mix-D2A1", "rod", "heuristic-unique"), ("bilat-D1A1", "rod", "localizable"), ("quad2v", "sa", "localizable")):
+        net = build_network(generate(recipe, 40, 0).framework, [1, 2])
+        result = localize_network(net)
+        assert (result.method, result.solution.status) == (method, status), recipe
+        assert result.mse < 1e-20
+
+
+def test_closure_system_shape():
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1"):
+        net = build_network(generate(recipe, 30, 1).framework, [1, 2])
+        system = closure_system(net)
+        g = net.graph
+        assert system.matrix.shape == (2 * (g.m - g.n + 1), net.bearing_param.dim + net.distance_param.dim)
+        b, d = truth_edges(net)
+        x = np.concatenate([net.bearing_param.basis.T @ (b.ravel() - net.bearing_param.offset.ravel()),
+                            net.distance_param.basis.T @ (d - net.distance_param.offset) / max(net.anchor_distances.values())])
+        # Each basis column lives on one component's edges, so the columns are
+        # orthogonal and projecting the truth recovers its free references.
+        x /= np.concatenate([np.diag(net.bearing_param.basis.T @ net.bearing_param.basis),
+                             np.diag(net.distance_param.basis.T @ net.distance_param.basis)])
+        assert np.max(np.abs(system.matrix @ x - system.rhs)) < 1e-10
