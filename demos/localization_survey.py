@@ -33,7 +33,7 @@ from sarod import (
 from sarod.rigidity import numerical_rank
 from sarod.snl import assemble_distance_system
 
-print("network                         m   solver    key system            MSE        time")
+print("network                         m   regime    key system            MSE        time")
 rows = [
     ("quadrilateralized", generate_quadrilateralized(70, seed=42)),
     ("bilateration", generate_bilateration(70, seed=7)),

@@ -65,9 +65,6 @@ from .snl import (
     propagate_bearings,
     propagate_distances,
     recover_positions,
-    solve_disconnected,
-    solve_rod_connected,
-    solve_sa_connected,
     solution_residuals,
 )
 

@@ -2,7 +2,7 @@
 
 Subcommands: ``generate`` (build a network from a seeded recipe),
 ``analyze`` (rigidity/duality/connectivity/localizability report),
-``localize`` (run the connectivity-matched solver, emit CSV + report),
+``localize`` (solve and emit CSV + report),
 ``check-quad`` (quadrilateral global-rigidity criterion), and ``report``
 (batch sweeps to an aggregate CSV).  Exit codes: 0 success/localizable,
 2 unlocalizable (or not rigid for check-quad), 1 usage or data errors.
@@ -93,7 +93,7 @@ def cmd_localize(args) -> int:
     try:
         net = build_network(fw, anchors, measurements)
         t0 = time.perf_counter()
-        result = localize_network(net, args.method, config)
+        result = localize_network(net, config)
         elapsed = time.perf_counter() - t0
     except ValueError as exc:
         return _fail(str(exc))
@@ -140,17 +140,17 @@ def cmd_report(args) -> int:
     for entry in runs:
         recipe = entry["recipe"]
         n = int(entry["n"])
-        method = entry.get("method", "auto")
         for seed in entry.get("seeds", [0]):
-            row = {"recipe": recipe, "n": n, "seed": seed, "method": method}
+            row = {"recipe": recipe, "n": n, "seed": seed}
             try:
                 con = generate(recipe, n, int(seed))
                 net = build_network(con.framework, (1, 2))
                 config = SolverConfig(seed=int(seed), starts=args.starts, rtol=args.rtol)
                 t0 = time.perf_counter()
-                result = localize_network(net, method, config)
+                result = localize_network(net, config)
                 row.update({k: result.solution.info.get(k, "") for k in evidence})
                 row.update(
+                    method=result.method,
                     status=result.solution.status,
                     m=net.graph.m,
                     mse=f"{result.mse:.6e}",
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="solve the localization problem")
     p.add_argument("--net", required=True, help="network JSON path")
-    p.add_argument("--method", default="auto", choices=["auto", "sa", "rod", "general"], help="solver (default: %(default)s)")
     p.add_argument("--measurements", default="", help="measurement JSON overriding synthesized values")
     p.add_argument("--out-csv", default="", help="per-vertex result CSV path")
     p.add_argument("--out-report", default="", help="report JSON path")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_quad)
 
     p = sub.add_parser("report", help="batch sweep to aggregate CSV")
-    p.add_argument("--spec", required=True, help="batch spec JSON: {runs: [{recipe, n, seeds, method}]}")
+    p.add_argument("--spec", required=True, help="batch spec JSON: {runs: [{recipe, n, seeds}]}")
     p.add_argument("--out", required=True, help="aggregate CSV path")
     p.add_argument("--starts", type=int, default=20, help="multi-start count (default: %(default)s)")
     p.add_argument("--rtol", type=float, default=1e-8, help="rank tolerance (default: %(default)s)")

@@ -152,17 +152,19 @@ class TripleIndexSet:
     # Canonical indices of edges (apex, v) and (apex, w), per triple.
     e1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
     e2: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
-    # The triples as a (T, 3) array of 0-based vertex indices (apex, v, w).
-    vertex_index: np.ndarray = field(init=False, compare=False, repr=False)
+    # The triples as a (T, 3) array of 0-based vertex indices (apex, v, w); built from
+    # ``triples`` unless given.
+    vertex_index: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not len(self.e1) == len(self.e2) == len(self.triples):
             raise GraphError("need one (e1, e2) edge-index pair per triple")
-        t = np.array(self.triples, dtype=int).reshape(-1, 3)
+        if self.vertex_index is None:
+            object.__setattr__(self, "vertex_index", np.array(self.triples, dtype=int).reshape(-1, 3) - 1)
+        t = self.vertex_index
         repeated = (t[:, 0] == t[:, 1]) | (t[:, 0] == t[:, 2]) | (t[:, 1] == t[:, 2])
         if repeated.any():
             raise GraphError(f"triple {self.triples[int(repeated.argmax())]} must have three distinct vertices")
-        object.__setattr__(self, "vertex_index", t - 1)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -263,34 +265,27 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
         raise GraphError(f"unknown triple mode {mode!r}")
     if bip.n != g.n:
         raise GraphError("bipartition size does not match graph")
-    adj = g.neighbors()
-    sa: list[tuple[int, int, int]] = []
-    rod: list[tuple[int, int, int]] = []
-    for u in range(1, g.n + 1):
-        nbrs = adj[u]
-        if len(nbrs) < 2:
-            continue
-        target = sa if bip.attr(u) == "A" else rod
-        if mode == "full":
-            for a in range(len(nbrs)):
-                for b in range(a + 1, len(nbrs)):
-                    target.append((u, nbrs[a], nbrs[b]))
-        else:
-            j0 = nbrs[0]
-            for k in nbrs[1:]:
-                target.append((u, j0, k))
-    # Edge (i, j), i < j, has code (i - 1) n + j; a triple's two edges are found by binary search over the sorted codes.
+    # Half-edges (apex, neighbour) sorted by apex, then neighbour, list each apex's ascending
+    # adjacency in turn; ``slot`` is a half-edge's position in its apex's list.
     ends = np.array(g.edges, dtype=int).reshape(-1, 2)
-    codes = (ends[:, 0] - 1) * g.n + ends[:, 1]
-    order = np.argsort(codes)
+    half = np.concatenate([ends, ends[:, ::-1]])
+    order = np.lexsort((half[:, 1], half[:, 0]))
+    apex, nbr, edge = half[order, 0], half[order, 1], order % max(g.m, 1)
+    deg = np.bincount(apex, minlength=g.n + 1)
+    slot = np.arange(len(apex)) - (np.cumsum(deg) - deg)[apex]
+    # Slot a pairs with every later slot b of its apex (full), or only slot 0 does (reduced).
+    later = deg[apex] - 1 - slot
+    count = later if mode == "full" else np.where(slot == 0, later, 0)
+    first = np.repeat(np.arange(len(apex)), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    t = np.column_stack([apex[first], nbr[first], nbr[second]])
+    is_sa = (np.array(bip.attrs) == "A")[t[:, 0] - 1]
 
-    def index_set(kind, triples):
-        t = np.array(triples, dtype=int).reshape(-1, 3)
-        apex, others = t[:, :1], t[:, 1:]
-        e = order[np.searchsorted(codes[order], (np.minimum(apex, others) - 1) * g.n + np.maximum(apex, others))]
-        return TripleIndexSet(kind, tuple(triples), e[:, 0], e[:, 1])
+    def index_set(kind, keep):
+        tk = t[keep]
+        return TripleIndexSet(kind, tuple(map(tuple, tk.tolist())), edge[first[keep]], edge[second[keep]], tk - 1)
 
-    return index_set("sa", sa), index_set("rod", rod)
+    return index_set("sa", is_sa), index_set("rod", ~is_sa)
 
 
 def signed_graph(a: np.ndarray, b: np.ndarray, size: int) -> csr_matrix:

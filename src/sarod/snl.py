@@ -21,22 +21,25 @@ propagates each side once (``SensorNetwork.bearing_param`` /
 ``distance_param``), and every solution carries the same evidence: both
 component counts, free dimensions and worst closure mismatches.
 
-All three connectivity regimes solve one system: the cycle closure
-C (d * b) = 0 in the free references x = (w, y) of propagation, bearings
-``b0 + NB w`` and distances ``d0 + ND y`` in units of the largest anchor
-distance (so verdicts and ranks do not depend on scale).  Unless an edge
-is free on both sides it is linear, with 2(m - n + 1) rows and one column
-per free reference coordinate (``closure_system``); its null dimension
-gives the ranks of the full distance and bearing systems.  A trivial null
-space is an exact answer, in every regime.  A nontrivial one with free SA
-components keeps a multi-start over the null coordinates only, one batched
-Levenberg-Marquardt run on the unit norms of the free references; a
-trust-region multi-start over (w, y) remains only for edges free on both
-sides.  ``localize_network`` picks the regime, and
-``localizability_check`` reads its verdict off that same localization.
-``assemble_distance_system`` and ``assemble_bearing_system`` build the
-full systems for analysis.  Positions are recovered by telescoping edge
-displacements along the graph's cached spanning tree from an anchor.
+Localization is one solve, ``localize_network``.  Its regime is read off
+the input, not chosen: ``"sa"`` when every bearing propagates, ``"rod"``
+when every distance does, ``"general"`` otherwise.  Every regime solves one
+system: the cycle closure C (d * b) = 0 in the free references x = (w, y)
+of propagation, bearings ``b0 + NB w`` and distances ``d0 + ND y`` in units
+of the largest anchor distance (so verdicts and ranks do not depend on
+scale).  Unless an edge is free on both sides it is linear, with
+2(m - n + 1) rows and one column per free reference coordinate
+(``closure_system``); its null dimension gives the ranks of the full
+distance and bearing systems.  A trivial null space is an exact answer, in
+every regime.  A nontrivial one with free SA components keeps a
+multi-start over the null coordinates only, one batched
+Levenberg-Marquardt run on the unit norms of the free references.  Edges
+free on both sides make the closure bilinear; the same batched solver then
+runs a multi-start over all of (w, y).  ``localizability_check`` reads its
+verdict off that same solve.  ``assemble_distance_system`` and
+``assemble_bearing_system`` build the full systems for analysis.
+Positions are recovered by telescoping edge displacements along the
+graph's cached spanning tree from an anchor.
 """
 
 from __future__ import annotations
@@ -47,14 +50,11 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import lstsq  # noqa: F401
-from scipy.optimize import least_squares
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, tree_sums, triple_index_components
-# benchmarks/tracing.py wraps numerical_rank, null_space and lstsq on this module.
-from .rigidity import _batched_lm, _svd_factor, null_space, numerical_rank  # noqa: F401
+from .rigidity import _batched_lm, _svd_factor
 
 __all__ = [
     "InfeasibleMeasurementsError",
@@ -69,9 +69,6 @@ __all__ = [
     "assemble_distance_system",
     "assemble_bearing_system",
     "closure_system",
-    "solve_sa_connected",
-    "solve_rod_connected",
-    "solve_disconnected",
     "recover_positions",
     "localizability_check",
     "localize_network",
@@ -151,8 +148,8 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
         missing += [t for t in rod_t.triples if t not in measurements.rod]
         if missing:
             raise ValueError(f"measurements missing for {len(missing)} triples, e.g. {missing[0]}")
-        extra = [t for t in measurements.sa if t not in set(sa_t.triples)]
-        extra += [t for t in measurements.rod if t not in set(rod_t.triples)]
+        known_sa, known_rod = set(sa_t.triples), set(rod_t.triples)
+        extra = [t for t in measurements.sa if t not in known_sa] + [t for t in measurements.rod if t not in known_rod]
         if extra:
             raise ValueError(f"measurements reference unknown triples, e.g. {extra[0]}")
         bad = [t for t, v in measurements.rod.items() if not v > 0]
@@ -436,10 +433,11 @@ def _evidence(net: SensorNetwork) -> dict:
 
 
 def _edges_at(net: SensorNetwork, x: np.ndarray):
-    """Bearings and distances (in units of the largest anchor distance) at free references x = (w, y)."""
+    """Bearings and distances (in units of the largest anchor distance) at free references x = (w, y), or a batch of them."""
     bear, dist = net.bearing_param, net.distance_param
     m, kw = net.graph.m, bear.dim
-    return bear.offset + bear.basis.reshape(m, 2, kw) @ x[:kw], dist.offset / max(net.anchor_distances.values()) + dist.basis @ x[kw:]
+    b = bear.offset + np.einsum("ejk,...k->...ej", bear.basis.reshape(m, 2, kw), x[..., :kw])
+    return b, dist.offset / max(net.anchor_distances.values()) + x[..., kw:] @ dist.basis.T
 
 
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
@@ -471,27 +469,40 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     return EdgeSolution(best["bearings"], best["distances"], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
 
-def _closure_solve(net: SensorNetwork, config: SolverConfig | None, method: str, residual_key: str, ranks) -> EdgeSolution:
-    """Solve the linear closure system; multi-start only over its null coordinates.
+def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
+    """The one localization solve: the regime read off propagation, then the cycle closure.
 
-    ``ranks`` maps the null dimension to the regime's rank report.  A
-    trivial null space gives the exact answer (``localizable``, or
-    ``infeasible`` if a distance is not positive).  With no free SA
-    component every null direction keeps the closure, so a nontrivial null
-    space is ``unlocalizable``.  Otherwise one batched Levenberg-Marquardt
-    run moves every start z (the zero vector, then a Latin hypercube over
-    +-``box_half_width``) to a zero of |w_c|^2 - 1, one residual per free SA
-    component c, at w = w0 + N z; distinct zeros are clustered by position.
+    The regime is ``"sa"`` when every bearing propagates, else ``"rod"``
+    when every distance does, else ``"general"``.  Without an edge free on
+    both sides the closure is linear.  A trivial null space gives the exact
+    answer (``localizable``, or ``infeasible`` if a distance is not
+    positive).  With no free SA component every null direction keeps the
+    closure, so a nontrivial null space is ``unlocalizable``.  Otherwise one
+    batched Levenberg-Marquardt run moves every start z (the zero vector,
+    then a Latin hypercube over +-``box_half_width``) to a zero of
+    |w_c|^2 - 1, one residual per free SA component c, at w = w0 + N z;
+    distinct zeros are clustered by position.  The ranks of the full
+    distance and bearing systems follow from the null dimension whenever
+    the other side is fully propagated.
     """
     config = config or SolverConfig()
+    bear, dist = net.bearing_param, net.distance_param
+    m, kw = net.graph.m, bear.dim
+    method = "sa" if bear.fully_resolved else "rod" if dist.fully_resolved else "general"
+    info = {**_evidence(net), "m": m, "variables": kw + dist.dim}
+    if np.any(~bear.resolved & ~dist.resolved):
+        return _bilinear_solve(net, config, method, info)
     system = closure_system(net, config.rtol)
-    kw, L = net.bearing_param.dim, system.null_dim
-    info = {**_evidence(net), **ranks(L)}
+    L = info["null_dim"] = system.null_dim
+    if bear.fully_resolved:
+        info["rank_distance_system"] = m - L
+    if dist.fully_resolved:
+        info["rank_bearing_system"] = 2 * m - L
     x0 = system.min_norm_solution
     if L == 0 or kw == 0:
         b, d = _edges_at(net, x0)
         d = d * max(net.anchor_distances.values())
-        info[residual_key] = float(np.linalg.norm(system.matrix @ x0 - system.rhs))
+        info["closure_residual"] = float(np.linalg.norm(system.matrix @ x0 - system.rhs))
         info["unit_norm_defect"] = _unit_norm_defect(b)
         status = "localizable" if L == 0 else "unlocalizable"
         if status == "localizable" and np.any(d <= 0):
@@ -515,77 +526,42 @@ def _closure_solve(net: SensorNetwork, config: SolverConfig | None, method: str,
     return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, method, info)
 
 
-def solve_sa_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Bearings by propagation, distances from the closure over the free RoD references.
+def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
+    """Multi-start over all free references x = (w, y) when an edge is free on both sides.
 
-    Localizable exactly when the closure has a trivial null space, i.e. the
-    full distance system (cycle, RoD and anchor rows over all m distances)
-    has rank m; ``rank_distance_system`` reports m - null_dim.
+    The closure is then bilinear.  One batched Levenberg-Marquardt run
+    minimizes the cycle closure, the unit norms of the free SA references
+    and a hinge below ``positivity_eps`` on the distances (in units of the
+    largest anchor distance) from a Latin hypercube of starts; distinct
+    zeros are clustered by position, so the verdict is heuristic.
     """
-    if not net.bearing_param.fully_resolved:
-        raise ValueError("bearings unresolved; use disconnected solver")
-    m = net.graph.m
-    return _closure_solve(net, config, "sa-connected", "distance_residual", lambda L: {"rank_distance_system": m - L, "m": m})
-
-
-def solve_rod_connected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Distances by propagation, bearings from the closure over the free SA references.
-
-    A trivial null space gives the exact answer.  Otherwise the unit norms
-    of the free references are met by a batched multi-start over the null
-    coordinates, and distinct zeros are clustered to assess uniqueness.
-    ``rank_bearing_system`` reports 2m - null_dim, the rank of the full
-    bearing system over all 2m bearing coordinates.
-    """
-    if not net.distance_param.fully_resolved:
-        raise ValueError("distances unresolved; use disconnected solver")
-    m = net.graph.m
-    return _closure_solve(net, config, "rod-connected", "bearing_residual", lambda L: {"rank_bearing_system": 2 * m - L, "null_dim": L, "m": m})
-
-
-def solve_disconnected(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
-    """Joint solve over the free bearing and distance references of all components.
-
-    Without an edge free on both sides this is the same linear closure
-    solve as the connected regimes, so a trivial null space gives an exact
-    ``localizable``.  Otherwise the closure is bilinear: a multi-start
-    trust-region solve minimizes the cycle-closure and unit-norm residuals
-    over (w, y), with distances in units of the largest anchor distance and
-    a quadratic penalty below ``positivity_eps``; its verdicts are
-    heuristic.
-    """
-    config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
     m, kw, ky = net.graph.m, bear.dim, dist.dim
-    if not np.any(~bear.resolved & ~dist.resolved):
-        return _closure_solve(net, config, "disconnected", "closure_residual", lambda L: {"variables": kw + ky, "null_dim": L})
     C = fundamental_cycle_basis(net.graph).matrix.astype(float)
     NB, ND = bear.basis.reshape(m, 2, kw), dist.basis
     eps = config.positivity_eps
     comp = np.arange(kw).reshape(-1, 2)  # the coordinates of each free SA reference
+    rows, kc = 2 * len(C), len(comp)
 
-    def residuals(x):
+    def stacked(x):
+        """Residuals (S, T) and Jacobians (S, T, kw + ky) of every start in the batch x."""
         b, d = _edges_at(net, x)
-        return np.concatenate([(C @ (d[:, None] * b)).ravel(), (x[comp] ** 2).sum(axis=1) - 1.0, np.maximum(0.0, eps - d)])
-
-    def jacobian(x):
-        b, d = _edges_at(net, x)
-        J = np.zeros((2 * len(C) + len(comp) + m, kw + ky))
-        J[: 2 * len(C), :kw] = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(-1, kw)
-        J[: 2 * len(C), kw:] = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(-1, ky)
-        J[2 * len(C) + np.arange(len(comp))[:, None], comp] = 2.0 * x[comp]
-        J[2 * len(C) + len(comp) :, kw:] = -ND * (d < eps)[:, None]
-        return J
+        r = np.concatenate([(C @ (d[:, :, None] * b)).reshape(len(x), rows), (x[:, comp] ** 2).sum(axis=2) - 1.0, np.maximum(0.0, eps - d)], axis=1)
+        J = np.zeros(r.shape + (kw + ky,))
+        J[:, :rows, :kw] = (C @ (d[:, :, None, None] * NB).reshape(len(x), m, -1)).reshape(len(x), rows, kw)
+        J[:, :rows, kw:] = (C @ (b[..., None] * ND[:, None, :]).reshape(len(x), m, -1)).reshape(len(x), rows, ky)
+        J[:, rows + np.arange(kc)[:, None], comp] = 2.0 * x[:, comp]
+        J[:, rows + kc :, kw:] = -ND * (d < eps)[..., None]
+        return r, J
 
     scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
     starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
-    sols = [least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15) for x0 in starts]
-    info = {**_evidence(net), "variables": kw + ky}
-    return _cluster_zeros(net, [s.x for s in sols], [float(np.sum(s.fun**2)) for s in sols], config, "disconnected", info)
+    x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
+    return _cluster_zeros(net, x, np.sum(r * r, axis=1), config, method, info)
 
 
-# --- recovery and dispatch --------------------------------------------------
+# --- recovery and entry points ----------------------------------------------
 
 
 def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True, reverse_tree: bool = False) -> np.ndarray:
@@ -649,25 +625,29 @@ class LocalizationResult:
     solution: EdgeSolution
     positions: np.ndarray
     mse: float
-    method: str
+
+    @property
+    def method(self) -> str:
+        """The regime the solve took: ``"sa"``, ``"rod"`` or ``"general"``."""
+        return self.solution.method
 
 
-def localize_network(net: SensorNetwork, method: str = "auto", config: SolverConfig | None = None) -> LocalizationResult:
-    """Run the solver matching the measurement connectivity (or the requested one)."""
-    if method == "auto":
-        method = "sa" if net.bearing_param.fully_resolved else "rod" if net.distance_param.fully_resolved else "general"
-    solvers = {"sa": solve_sa_connected, "rod": solve_rod_connected, "general": solve_disconnected}
-    if method not in solvers:
-        raise ValueError(f"unknown method {method!r}")
-    sol = solvers[method](net, config)
+def localize_network(net: SensorNetwork, config: SolverConfig | None = None) -> LocalizationResult:
+    """Localize the network and recover positions; the regime is read off the input.
+
+    Bearings that all propagate give the ``"sa"`` regime, distances that all
+    propagate the ``"rod"`` regime, and anything else ``"general"``.  Every
+    regime runs the same closure solve, reported in ``result.method``.
+    """
+    sol = _solve(net, config)
     x = recover_positions(net, sol.bearings, sol.distances, warn=False)
-    return LocalizationResult(sol, x, mean_squared_error(x, net.truth), method)
+    return LocalizationResult(sol, x, mean_squared_error(x, net.truth))
 
 
 def localizability_check(net: SensorNetwork, config: SolverConfig | None = None) -> tuple[str, dict]:
-    """Localizability verdict of the "auto" localization, with its evidence.
+    """Localizability verdict of the localization solve, with its evidence.
 
-    A closure solve with a trivial null space, or a nontrivial one and no
+    A linear closure with a trivial null space, or a nontrivial one and no
     free SA component, is exact and keeps the solve status (``localizable``,
     ``unlocalizable``, ``infeasible``).  The multi-start cases (a nontrivial
     null space with unit-norm constraints, or an edge free on both sides)
@@ -677,7 +657,18 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
     """
     if len({net.framework.bipartition.attr(a) for a in net.anchors}) < 2:
         warnings.warn("anchors all share one sensing attribute; the exact localizability criteria assume both kinds", stacklevel=2)
-    sol = localize_network(net, "auto", config).solution
+    sol = _solve(net, config)
     if not sol.info.get("heuristic"):
         return sol.status, sol.info
     return ("heuristic-unique" if sol.status == "heuristic-unique" else "heuristic-ambiguous"), sol.info
+
+
+# --- names benchmarks/tracing.py wraps by attribute -------------------------
+# Nothing in the package calls these: localization factors through
+# _svd_factor and solves in _solve, and no scipy solver remains.
+from scipy.linalg import lstsq  # noqa: E402, F401
+from scipy.optimize import least_squares  # noqa: E402, F401
+
+from .rigidity import null_space, numerical_rank  # noqa: E402, F401
+
+solve_sa_connected = solve_rod_connected = solve_disconnected = _solve

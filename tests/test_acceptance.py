@@ -141,7 +141,8 @@ def test_criterion_05_example1_quadrilateralized():
     A, _ = assemble_distance_system(net, bear.offset)
     rank, _ = numerical_rank(A, RTOL)
     assert rank == 103
-    result = localize_network(net, "sa")
+    result = localize_network(net)
+    assert result.method == "sa"
     assert result.solution.status == "localizable"
     assert result.mse < 1e-8
     elapsed = time.perf_counter() - t0
@@ -177,7 +178,8 @@ def test_criterion_06_example2_bilateration():
     system = assemble_bearing_system(net, dist.offset, RTOL)
     assert system.rank == 4 * 70 - 6 == 274
     assert system.null_dim == 0
-    result = localize_network(net, "rod")
+    result = localize_network(net)
+    assert result.method == "rod"
     assert result.solution.status == "localizable"
     assert result.mse < 1e-8
     elapsed = time.perf_counter() - t0
@@ -195,7 +197,8 @@ def test_criterion_07_example3_mixed():
     system = assemble_bearing_system(net, dist.offset, RTOL)
     assert system.rank == 334
     assert system.null_dim == 4
-    result = localize_network(net, "rod")
+    result = localize_network(net)
+    assert result.method == "rod"
     assert result.solution.ok
     assert result.mse < 1e-3
     elapsed = time.perf_counter() - t0
@@ -215,7 +218,8 @@ def test_criterion_08_example4_two_step():
     dist = propagate_distances(net)
     assert bear.dim == 44 == 2 * (c_a - 1)
     assert dist.dim == 46 == c_d - 1
-    result = localize_network(net, "general")
+    result = localize_network(net)
+    assert result.method == "general"
     assert result.solution.info["variables"] == 90
     assert result.solution.ok
     assert result.mse < 1e-3

@@ -88,15 +88,20 @@ def test_cli_localize_unlocalizable_exit_code(tmp_path):
     assert main(["localize", "--net", str(net)]) == 2
 
 
-def test_cli_localize_method_precondition(tmp_path, capsys):
+def test_cli_localize_has_no_method_flag(tmp_path, capsys):
+    # The regime is an output: the report names it, and no flag forces one.
     from sarod import generate_two_step
 
     con = generate_two_step(10, 0)
     net = tmp_path / "ts.json"
+    report = tmp_path / "run.json"
     save_network(net, con.framework, anchors=(1, 2))
-    assert main(["localize", "--net", str(net), "--method", "rod"]) == 1
-    assert "disconnected solver" in capsys.readouterr().err
-    assert main(["localize", "--net", str(net), "--method", "general"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["localize", "--net", str(net), "--method", "general"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+    assert main(["localize", "--net", str(net), "--out-report", str(report)]) == 0
+    assert json.loads(report.read_text())["method"] == "general"
 
 
 def test_cli_localize_external_measurements(tmp_path):
@@ -200,16 +205,22 @@ def test_cli_report_batch(tmp_path):
     spec = tmp_path / "batch.json"
     out = tmp_path / "batch.csv"
     spec.write_text(json.dumps({"runs": [
-        {"recipe": "quad2v", "n": 10, "seeds": [0, 1], "method": "auto"},
-        {"recipe": "quad2v", "n": 7, "seeds": [0], "method": "auto"},
+        {"recipe": "quad2v", "n": 10, "seeds": [0, 1]},
+        {"recipe": "quad2v", "n": 7, "seeds": [0]},
     ]}))
     assert main(["report", "--spec", str(spec), "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 3
     assert rows[0]["status"] == "localizable"
+    assert rows[0]["method"] == "sa"  # the regime the solve took
     assert rows[2]["status"].startswith("error")
-    # determinism: repeated seeds give identical rows
-    assert rows[0]["mse"] == rows[0]["mse"]
+    # determinism: the same spec again gives the same rows, up to timing
+    again = tmp_path / "again.csv"
+    assert main(["report", "--spec", str(spec), "--out", str(again)]) == 0
+    rows_again = list(csv.DictReader(open(again)))
+    for row in (*rows, *rows_again):
+        del row["runtime_s"]
+    assert rows_again == rows
     spec.write_text(json.dumps({"runs": []}))
     out2 = tmp_path / "empty.csv"
     assert main(["report", "--spec", str(spec), "--out", str(out2)]) == 0

@@ -211,10 +211,30 @@ def test_enumerate_triples_star():
     assert sa_red.triples == ((4, 2, 5), (4, 2, 7))
 
 
+def _triples_loop_reference(g, bip, mode):
+    """SA and RoD triples from a per-vertex loop over each ascending adjacency list."""
+    adj = g.neighbors()
+    sa, rod = [], []
+    for u in range(1, g.n + 1):
+        nbrs = adj[u]
+        if len(nbrs) < 2:
+            continue
+        target = sa if bip.attr(u) == "A" else rod
+        if mode == "full":
+            for a in range(len(nbrs)):
+                for b in range(a + 1, len(nbrs)):
+                    target.append((u, nbrs[a], nbrs[b]))
+        else:
+            for k in nbrs[1:]:
+                target.append((u, nbrs[0], k))
+    return sa, rod
+
+
 def test_enumerate_triples_edge_pairs_match_dict_lookup(rng):
-    # The edge-code search gives the per-triple dict lookup's (e1, e2)
-    # arrays bit for bit, including graphs whose edges are not in sorted
-    # order (anchor cliques append edges, and a shuffled edge tuple).
+    # The vectorized enumeration gives the loop's triples in the loop's
+    # order and the per-triple dict lookup's (e1, e2) arrays bit for bit,
+    # including graphs whose edges are not in sorted order (anchor cliques
+    # append edges, and a shuffled edge tuple).
     frameworks = [generate(recipe, n, seed).framework
                   for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal") for n in (12, 70) for seed in range(2)]
     for n in (5, 9, 14):
@@ -225,7 +245,11 @@ def test_enumerate_triples_edge_pairs_match_dict_lookup(rng):
         for g in (fw.graph, augment_anchor_clique(fw.graph, (1, 2, fw.n))):
             eidx = g.edge_index()
             for mode in ("full", "reduced"):
-                for t in enumerate_triples(g, fw.bipartition, mode):
+                sets = enumerate_triples(g, fw.bipartition, mode)
+                for t, ref_triples in zip(sets, _triples_loop_reference(g, fw.bipartition, mode)):
+                    assert t.triples == tuple(ref_triples)
+                    ref_index = np.array(ref_triples, dtype=int).reshape(-1, 3) - 1
+                    assert t.vertex_index.dtype == ref_index.dtype and np.array_equal(t.vertex_index, ref_index)
                     ref = np.array([[eidx[(min(u, x), max(u, x))] for x in (v, w)] for (u, v, w) in t.triples], dtype=int).reshape(-1, 2)
                     for got, want in ((t.e1, ref[:, 0]), (t.e2, ref[:, 1])):
                         assert got.dtype == want.dtype and np.array_equal(got, want)

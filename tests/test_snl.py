@@ -6,12 +6,14 @@ them on resolved components, solvers must recover them, and recovery must
 reproduce the configuration under either spanning tree.
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import lstsq, null_space
 from scipy.optimize import least_squares
+from scipy.stats import qmc
 
 from sarod import (
     Bipartition,
@@ -33,14 +35,14 @@ from sarod import (
     propagate_bearings,
     propagate_distances,
     recover_positions,
-    solve_disconnected,
-    solve_rod_connected,
-    solve_sa_connected,
 )
 from sarod.construction import generate
 from sarod.geometry import rotation
+from sarod.graph import fundamental_cycle_basis
 from sarod.rigidity import numerical_rank
-from sarod.snl import assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
+from sarod.snl import _cluster_zeros, _edges_at, assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
+
+from conftest import random_framework
 
 
 def truth_edges(net):
@@ -83,6 +85,8 @@ def test_localizability_check_warns_on_single_attribute_anchors(rng):
 
 
 def test_measurement_ingestion_roundtrip(rng):
+    # Supplied measurements must cover exactly the augmented triple sets,
+    # on both sides, with positive ratios.
     g = Graph(3, ((1, 2), (1, 3), (2, 3)))
     fw = Framework(g, Bipartition.from_a_set(3, [1]), rng.uniform(0, 1, (3, 2)))
     net = build_network(fw, [1, 2])
@@ -95,6 +99,21 @@ def test_measurement_ingestion_roundtrip(rng):
     extra = MeasurementSet({**ms.sa, (3, 1, 2): 0.5}, dict(ms.rod))
     with pytest.raises(ValueError, match="unknown"):
         build_network(fw, [1, 2], extra)
+
+    fw = generate("mix-D2A1", 30, 1).framework
+    net = build_network(fw, [1, 2])
+    rod_key = next(iter(net.rod))
+    apex, v, _ = rod_key
+    far = min(w for w in range(v + 1, fw.n + 1) if w not in net.graph.neighbors()[apex])
+    cases = (
+        ({t: r for t, r in net.rod.items() if t != rod_key}, f"missing for 1 triples, e.g. {rod_key}"),
+        ({**net.rod, (apex, v, far): 1.0}, f"unknown triples, e.g. {(apex, v, far)}"),
+        ({**net.rod, rod_key: 0.0}, "ratios must be positive, got 0.0"),
+        ({**net.rod, rod_key: -2.0}, "ratios must be positive, got -2.0"),
+    )
+    for rod, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_network(fw, [1, 2], MeasurementSet(dict(net.sa), rod))
 
 
 def test_cycle_bearing_matrix_shapes_and_compatibility(rng):
@@ -235,47 +254,25 @@ def test_bearing_system_ground_truth(rng):
 
 def test_solve_sa_connected_triangle_exact(rng):
     net = triangle_network(rng, a_set=(1, 2))
-    sol = solve_sa_connected(net)
-    assert sol.status == "localizable"
+    result = localize_network(net)
+    sol = result.solution
+    assert (result.method, sol.status) == ("sa", "localizable")
     x = recover_positions(net, sol.bearings, sol.distances)
     assert np.max(np.linalg.norm(x - net.truth, axis=1)) < 1e-10
-
-
-def test_solve_sa_connected_requires_resolved_bearings(rng):
-    net = build_network(generate_two_step(10, 1).framework, [1, 2])
-    with pytest.raises(ValueError, match="disconnected solver"):
-        solve_sa_connected(net)
-
-
-def test_solve_rod_connected_requires_resolved_distances(rng):
-    net = build_network(generate_two_step(10, 1).framework, [1, 2])
-    with pytest.raises(ValueError, match="disconnected solver"):
-        solve_rod_connected(net)
 
 
 def test_solve_rod_connected_null_case(rng):
     # Mixed recipe keeps a 4-dimensional bearing null space solved by the
     # unit-norm minimization.
     net = build_network(generate_mixed(16, 2).framework, [1, 2])
-    sol = solve_rod_connected(net)
+    result = localize_network(net)
+    sol = result.solution
+    assert result.method == "rod"
     assert sol.info["null_dim"] == 4
     assert sol.status == "heuristic-unique"
     assert abs(np.linalg.norm(sol.bearings, axis=1) - 1.0).max() < 1e-8
     x = recover_positions(net, sol.bearings, sol.distances)
     assert mean_squared_error(x, net.truth) < 1e-16
-
-
-def test_solve_disconnected_matches_sa_solver(rng):
-    # On an SA-connected network the general solver degenerates to zero
-    # bearing variables and must agree with the linear path.
-    net = build_network(generate_quadrilateralized(12, 7).framework, [1, 2])
-    sol_sa = solve_sa_connected(net)
-    sol_gen = solve_disconnected(net)
-    assert sol_gen.info["free_bearing_dim"] == 0
-    assert sol_gen.status in ("localizable", "heuristic-unique")
-    xa = recover_positions(net, sol_sa.bearings, sol_sa.distances)
-    xg = recover_positions(net, sol_gen.bearings, sol_gen.distances)
-    assert np.max(np.linalg.norm(xa - xg, axis=1)) < 1e-8
 
 
 def test_solve_disconnected_ground_truth_objective(rng):
@@ -339,14 +336,18 @@ def test_localizability_anchor_pair_matters():
 
 
 def test_localize_network_dispatch(rng):
-    net = build_network(generate_quadrilateralized(12, 0).framework, [1, 2])
-    assert localize_network(net).method == "sa"
-    net = build_network(generate_bilateration(11, 0).framework, [1, 2])
-    assert localize_network(net).method == "rod"
-    net = build_network(generate_two_step(10, 0).framework, [1, 2])
-    assert localize_network(net).method == "general"
-    with pytest.raises(ValueError, match="unknown method"):
-        localize_network(net, "nope")
+    # The regime is read off the input and is one label on both the
+    # solution and the result; there is no knob to force it.
+    import inspect
+
+    for net, method in (
+        (build_network(generate_quadrilateralized(12, 0).framework, [1, 2]), "sa"),
+        (build_network(generate_bilateration(11, 0).framework, [1, 2]), "rod"),
+        (build_network(generate_two_step(10, 0).framework, [1, 2]), "general"),
+    ):
+        result = localize_network(net)
+        assert result.method == result.solution.method == method
+    assert list(inspect.signature(localize_network).parameters) == ["net", "config"]
 
 
 def test_localize_and_localizability_propagate_once(monkeypatch):
@@ -561,7 +562,9 @@ def test_bearing_system_single_svd_matches_reference():
 def test_distance_solve_single_svd_matches_reference():
     for seed in range(3):
         net = build_network(generate("quad2v", 70, seed).framework, [1, 2])
-        sol = solve_sa_connected(net)
+        result = localize_network(net)
+        sol = result.solution
+        assert result.method == "sa"
         A, y = assemble_distance_system(net, sol.bearings)
         rank, _, d = _reference_factorization(A, y)
         assert sol.info["rank_distance_system"] == rank == net.graph.m
@@ -662,39 +665,78 @@ def _bilinear_k4(rng):
     return build_network(Framework(k4, Bipartition.from_a_set(4, [1, 2]), rng.uniform(0, 1, (4, 2))), [1, 2])
 
 
-def test_bilinear_edges_take_the_trust_region_fallback(rng, monkeypatch):
-    import sarod.snl
+def reference_bilinear_solve(net, config=None):
+    """The bilinear multi-start as one scipy ``least_squares(method="trf")`` call per start.
 
-    calls = []
+    Same residual stack (cycle closure, unit norms of the free SA
+    references, hinge below ``positivity_eps``, distances in anchor units),
+    starts and clustering as the package's batched solve.
+    """
+    config = config or SolverConfig()
+    bear, dist = net.bearing_param, net.distance_param
+    m, kw, ky = net.graph.m, bear.dim, dist.dim
+    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
+    NB, ND = bear.basis.reshape(m, 2, kw), dist.basis
+    eps = config.positivity_eps
+    comp = np.arange(kw).reshape(-1, 2)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return least_squares(*args, **kwargs)
+    def residuals(x):
+        b, d = _edges_at(net, x)
+        return np.concatenate([(C @ (d[:, None] * b)).ravel(), (x[comp] ** 2).sum(axis=1) - 1.0, np.maximum(0.0, eps - d)])
 
-    monkeypatch.setattr(sarod.snl, "least_squares", counted)
-    for _ in range(3):
-        net = _bilinear_k4(rng)
-        both_free = ~net.bearing_param.resolved & ~net.distance_param.resolved
-        assert np.flatnonzero(both_free).tolist() == [net.graph.edge_index()[(3, 4)]]
-        with pytest.raises(ValueError, match="bilinear"):
-            closure_system(net)
-        calls.clear()
+    def jacobian(x):
+        b, d = _edges_at(net, x)
+        J = np.zeros((2 * len(C) + len(comp) + m, kw + ky))
+        J[: 2 * len(C), :kw] = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(-1, kw)
+        J[: 2 * len(C), kw:] = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(-1, ky)
+        J[2 * len(C) + np.arange(len(comp))[:, None], comp] = 2.0 * x[comp]
+        J[2 * len(C) + len(comp) :, kw:] = -ND * (d < eps)[:, None]
+        return J
+
+    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
+    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
+    starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
+    sols = [least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15) for x0 in starts]
+    info = {"variables": kw + ky}
+    return _cluster_zeros(net, [s.x for s in sols], [float(np.sum(s.fun**2)) for s in sols], config, "general", info)
+
+
+def _has_bilinear_edge(net):
+    return bool(np.any(~net.bearing_param.resolved & ~net.distance_param.resolved))
+
+
+def test_bilinear_solve_matches_trust_region_reference(rng):
+    # The batched solve reaches the verdict of the per-start trust-region
+    # reference on K4s and on random frameworks with an edge free on both
+    # sides; a unique answer is the same configuration.
+    nets = [_bilinear_k4(rng) for _ in range(5)]
+    gen = np.random.default_rng(7)
+    while len(nets) < 11:
+        net = build_network(random_framework(int(gen.integers(5, 10)), gen), [1, 2])
+        if _has_bilinear_edge(net):
+            nets.append(net)
+    statuses = set()
+    for k, net in enumerate(nets):
         result = localize_network(net)
-        assert result.method == "general" and result.solution.ok
-        assert result.solution.info["heuristic"] is True
-        assert result.solution.info["variables"] == 3
-        assert len(calls) == result.solution.info["starts"] == SolverConfig().starts
-        assert result.mse < 1e-20
-        assert localizability_check(net)[0] == "heuristic-unique"
+        ref = reference_bilinear_solve(net)
+        assert result.method == "general" and result.solution.info["heuristic"] is True, k
+        assert result.solution.status == ref.status, (k, ref.status, result.solution.status)
+        statuses.add(ref.status)
+        if ref.status == "heuristic-unique":
+            x_ref = recover_positions(net, ref.bearings, ref.distances, warn=False)
+            radius = np.max(np.linalg.norm(net.truth - net.truth.mean(axis=0), axis=1))
+            assert np.max(np.linalg.norm(result.positions - x_ref, axis=1)) <= 1e-6 * radius, k
+    assert "heuristic-unique" in statuses
 
 
-def test_linear_closure_needs_no_scipy_solve(monkeypatch):
-    # Without bilinear edges every regime solves the linear closure, and
-    # the multi-start of a nontrivial null space runs the batched LM.
+def test_linear_closure_needs_no_scipy_solve(rng, monkeypatch):
+    # No regime calls a scipy solver: the linear closure takes one SVD and,
+    # for a nontrivial null space, the batched LM; edges free on both sides
+    # (the K4 with two angle anchors) run the same batched LM over (w, y).
     import sarod.snl
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy solver called on a linear closure")
+        raise AssertionError("scipy solver called")
 
     monkeypatch.setattr(sarod.snl, "least_squares", refuse)
     monkeypatch.setattr(sarod.snl, "lstsq", refuse)
@@ -703,6 +745,19 @@ def test_linear_closure_needs_no_scipy_solve(monkeypatch):
         result = localize_network(net)
         assert (result.method, result.solution.status) == (method, status), recipe
         assert result.mse < 1e-20
+    for _ in range(3):
+        net = _bilinear_k4(rng)
+        both_free = ~net.bearing_param.resolved & ~net.distance_param.resolved
+        assert np.flatnonzero(both_free).tolist() == [net.graph.edge_index()[(3, 4)]]
+        with pytest.raises(ValueError, match="bilinear"):
+            closure_system(net)
+        result = localize_network(net)
+        info = result.solution.info
+        assert (result.method, result.solution.status) == ("general", "heuristic-unique")
+        assert info["heuristic"] is True and info["zero_clusters"] == 1
+        assert info["variables"] == 3 and info["starts"] == SolverConfig().starts
+        assert result.mse < 1e-20
+        assert localizability_check(net)[0] == "heuristic-unique"
 
 
 def test_closure_system_shape():
