@@ -729,10 +729,7 @@ def test_bilinear_solve_matches_trust_region_reference(rng):
     assert "heuristic-unique" in statuses
 
 
-def test_linear_closure_needs_no_scipy_solve(rng, monkeypatch):
-    # No regime calls a scipy solver: the linear closure takes one SVD and,
-    # for a nontrivial null space, the batched LM; edges free on both sides
-    # (the K4 with two angle anchors) run the same batched LM over (w, y).
+def _refuse_scipy_solvers(monkeypatch):
     import sarod.snl
 
     def refuse(*args, **kwargs):
@@ -740,11 +737,24 @@ def test_linear_closure_needs_no_scipy_solve(rng, monkeypatch):
 
     monkeypatch.setattr(sarod.snl, "least_squares", refuse)
     monkeypatch.setattr(sarod.snl, "lstsq", refuse)
+
+
+def test_linear_closure_needs_no_scipy_solve(monkeypatch):
+    # Without bilinear edges every regime solves the linear closure with one
+    # SVD and, for a nontrivial null space, the batched LM.
+    _refuse_scipy_solvers(monkeypatch)
     for recipe, method, status in (("type2D1", "general", "localizable"), ("mix-D2A1", "rod", "heuristic-unique"), ("bilat-D1A1", "rod", "localizable"), ("quad2v", "sa", "localizable")):
         net = build_network(generate(recipe, 40, 0).framework, [1, 2])
         result = localize_network(net)
         assert (result.method, result.solution.status) == (method, status), recipe
         assert result.mse < 1e-20
+
+
+def test_bilinear_edges_take_the_trust_region_fallback(rng, monkeypatch):
+    # Edges free on both sides (the K4 with two angle anchors) leave the
+    # linear closure and fall back to the trust-region multi-start: the same
+    # batched Levenberg-Marquardt over (w, y), with no scipy solver call.
+    _refuse_scipy_solvers(monkeypatch)
     for _ in range(3):
         net = _bilinear_k4(rng)
         both_free = ~net.bearing_param.resolved & ~net.distance_param.resolved
