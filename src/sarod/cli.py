@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .construction import RECIPES, generate
 from .graph import enumerate_triples, triple_index_components
@@ -67,8 +68,10 @@ def cmd_analyze(args) -> int:
         fw, anchors = load_network(args.net)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"{args.net}: {exc}")
-    config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
-    report = _analysis_report(fw, anchors, config)
+    try:
+        report = _analysis_report(fw, anchors, SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol))
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.out:
         write_report(args.out, report)
     else:
@@ -89,8 +92,8 @@ def cmd_localize(args) -> int:
             measurements = load_measurements(args.measurements)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             return _fail(f"{args.measurements}: {exc}")
-    config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
     try:
+        config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
         net = build_network(fw, anchors, measurements)
         t0 = time.perf_counter()
         result = localize_network(net, config)
@@ -130,6 +133,10 @@ def cmd_report(args) -> int:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"{args.spec}: {exc}")
+    try:
+        base_config = SolverConfig(starts=args.starts, rtol=args.rtol)
+    except ValueError as exc:
+        return _fail(str(exc))
     runs = spec["runs"] if isinstance(spec, dict) else spec
     evidence = [
         "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim", "sa_closure_mismatch",
@@ -145,9 +152,8 @@ def cmd_report(args) -> int:
             try:
                 con = generate(recipe, n, int(seed))
                 net = build_network(con.framework, (1, 2))
-                config = SolverConfig(seed=int(seed), starts=args.starts, rtol=args.rtol)
                 t0 = time.perf_counter()
-                result = localize_network(net, config)
+                result = localize_network(net, replace(base_config, seed=int(seed)))
                 row.update({k: result.solution.info.get(k, "") for k in evidence})
                 row.update(
                     method=result.method,

@@ -1,11 +1,13 @@
-"""Planar configurations, signed angles, distance ratios, and similarity fitting.
+"""Planar configurations, the measurement map, and similarity fitting.
 
 A configuration is an (n, 2) float array of pairwise-distinct positions,
 indexed by vertex id - 1.  The signed angle at apex i from neighbor j to
 neighbor k is the counter-clockwise rotation in [0, 2*pi) carrying the unit
 bearing toward j onto the unit bearing toward k; the distance ratio at apex
 i is ||p_k - p_i|| / ||p_j - p_i||.  Both are invariant under uniform
-rotations, translations, and positive scalings.
+rotations, translations, and positive scalings.  ``measurement_map``
+evaluates both, and their gradients (the rows of the rigidity matrix), for
+all triples and any number of configurations at once.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ __all__ = [
     "Framework",
     "MeasurementSet",
     "SimilarityTransform",
-    "rot90",
     "rotation",
     "wrap_angle",
     "signed_angle",
     "ratio_of_distance",
+    "measurement_map",
     "rigidity_function",
     "synthesize_measurements",
     "fit_similarity",
@@ -33,16 +35,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# R(pi/2), counter-clockwise.
-_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 class CollocationError(ValueError):
     """Raised when distinct vertices share a position (violates Assumption 1)."""
-
-
-def rot90() -> np.ndarray:
-    return _ROT90.copy()
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -84,6 +79,8 @@ class Framework:
         p = as_points(self.points)
         if p.shape[0] != self.graph.n:
             raise ValueError("configuration size does not match graph")
+        if not np.isfinite(p).all():
+            raise ValueError(f"vertex {int(np.argmin(np.isfinite(p).all(axis=1))) + 1}: position is not finite")
         if self.bipartition.n != self.graph.n:
             raise ValueError("bipartition size does not match graph")
         p = p.copy()
@@ -150,28 +147,50 @@ def ratio_of_distance(points, triple: tuple[int, int, int]) -> float:
     return dik / dij
 
 
+def measurement_map(q, t: np.ndarray, n_sa: int, gradients: bool = False):
+    """Signed angles and distance ratios of the triples ``t``, for configurations q (..., n, 2).
+
+    ``t`` holds (apex, v, w) vertex indices, (T, 3): its first ``n_sa``
+    rows are SA triples, the rest RoD triples.  With arms a = q_v - q_apex
+    and b = q_w - q_apex the angle is atan2(a x b, a . b) wrapped to
+    [0, 2*pi) and the ratio is rho = |b|/|a|.  Returns the values (..., T)
+    and, with ``gradients``, also their gradients (..., T, 3, 2) at the
+    apex, v and w: the angle has -R a/|a|^2 at v and R b/|b|^2 at w (R the
+    rotation by pi/2), the ratio -rho a/|a|^2 and rho b/|b|^2, and the apex
+    takes minus their sum.  Collocated arms raise ``CollocationError`` when
+    only values are asked for; with ``gradients`` (the batched iterates of
+    the shape oracle may collocate) they give non-finite entries instead.
+    """
+    pts = np.take(q, t, axis=-2)  # (..., T, 3, 2); take is faster than fancy indexing here
+    arms = pts[..., 1:, :] - pts[..., :1, :]  # (..., T, 2, 2): apex -> v, apex -> w
+    x, y = arms[..., 0], arms[..., 1]
+    sq = x * x + y * y
+    if not gradients and not sq.all():
+        *_, k, arm = np.unravel_index(np.argmin(sq), sq.shape)
+        raise CollocationError(f"collocated nodes (Assumption 1): vertices {t[k, 0] + 1} and {t[k, arm + 1] + 1}")
+    vals = np.sqrt(sq[..., 1] / sq[..., 0])
+    xs, ys = x[..., :n_sa, :], y[..., :n_sa, :]
+    vals[..., :n_sa] = wrap_angle(np.arctan2(xs[..., 0] * ys[..., 1] - ys[..., 0] * xs[..., 1], xs[..., 0] * xs[..., 1] + ys[..., 0] * ys[..., 1]))
+    if not gradients:
+        return vals
+    grad = arms / sq[..., None]
+    grad[..., :n_sa, :, :] = grad[..., :n_sa, :, ::-1] * [-1.0, 1.0]  # R(pi/2) g
+    grad[..., n_sa:, :, :] *= vals[..., n_sa:, None, None]
+    grad[..., 0, :] *= -1.0
+    return vals, np.concatenate([-grad.sum(axis=-2, keepdims=True), grad], axis=-2)
+
+
 def rigidity_function(points, sa_triples: TripleIndexSet, rod_triples: TripleIndexSet) -> np.ndarray:
     """Stacked measurement vector: all signed angles first, then all ratios.
 
     The entry order (SA in ``sa_triples`` order, then RoD in ``rod_triples``
     order) is the row order of the rigidity matrix.  Entries equal
     ``signed_angle`` and ``ratio_of_distance`` of each triple up to
-    rounding, evaluated for all triples at once: the angle is
-    atan2(cross, dot) of the two arm vectors, the ratio the square root of
-    their squared-length ratio.
+    rounding, evaluated for all triples at once by ``measurement_map``.
     """
     p = as_points(points)
     t = np.concatenate([sa_triples.vertex_index, rod_triples.vertex_index])
-    arms = p[t[:, 1:]] - p[t[:, :1]]  # (T, 2, 2): apex -> v, apex -> w
-    x, y = arms[..., 0], arms[..., 1]
-    sq = x * x + y * y
-    if not sq.all():
-        k, arm = np.unravel_index(np.argmin(sq), sq.shape)
-        raise CollocationError(f"collocated nodes (Assumption 1): vertices {t[k, 0] + 1} and {t[k, arm + 1] + 1}")
-    vals = np.sqrt(sq[:, 1] / sq[:, 0])
-    s = slice(0, len(sa_triples))
-    vals[s] = wrap_angle(np.arctan2(x[s, 0] * y[s, 1] - y[s, 0] * x[s, 1], x[s, 0] * x[s, 1] + y[s, 0] * y[s, 1]))
-    return vals
+    return measurement_map(p, t, len(sa_triples))
 
 
 def synthesize_measurements(points, sa_triples: TripleIndexSet, rod_triples: TripleIndexSet) -> MeasurementSet:

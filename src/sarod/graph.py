@@ -15,6 +15,7 @@ builds its vertex tree at most once per orientation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,6 +49,18 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or graph operations."""
 
 
+def _check_edge(i, j, n: int):
+    """Raise the ``GraphError`` naming what is wrong with edge (i, j); return if it is valid."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (i, j)):
+        raise GraphError(f"edge ({i!r},{j!r}): vertex ids must be integers")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise GraphError(f"edge ({i},{j}) references a vertex outside 1..{n}")
+    if i == j:
+        raise GraphError(f"self-loop at vertex {i}")
+    if i > j:
+        raise GraphError(f"edge ({i},{j}) must be stored with smaller id first")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with a canonical edge order and orientation."""
@@ -58,17 +71,13 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        seen = set()
+        # One chained test per edge, as recipes build a Graph per construction step; _check_edge names the fault.
         for (i, j) in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise GraphError(f"edge ({i},{j}) references a vertex outside 1..{self.n}")
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i}")
-            if i > j:
-                raise GraphError(f"edge ({i},{j}) must be stored with smaller id first")
-            if (i, j) in seen:
-                raise GraphError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
+            if not (type(i) is int and type(j) is int and 1 <= i < j <= self.n):
+                _check_edge(i, j, self.n)
+        if len(set(self.edges)) != len(self.edges):
+            i, j = next(e for e, count in Counter(self.edges).items() if count > 1)
+            raise GraphError(f"duplicate edge ({i},{j})")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":

@@ -60,7 +60,9 @@ def network_from_dict(data: dict):
     by_id = {}
     for rec in vertices:
         try:
-            by_id[int(rec["id"])] = rec
+            if type(rec["id"]) is not int:  # JSON 1.5 and true are not vertex ids
+                raise ValueError(f"id must be an integer, got {rec['id']!r}")
+            by_id[rec["id"]] = rec
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad vertex record {rec!r}: {exc}") from exc
     n = len(by_id)
@@ -81,8 +83,11 @@ def network_from_dict(data: dict):
         points[v - 1] = [float(pos[0]), float(pos[1])]
         if rec.get("anchor", False):
             anchors.append(v)
-    fw = Framework(Graph.from_edges(n, edges), Bipartition(tuple(attrs)), points)
-    return fw, tuple(anchors)
+    try:
+        graph = Graph.from_edges(n, edges)
+    except TypeError as exc:  # an edge that is not a pair, or a vertex id that does not compare with ints
+        raise ValueError(f"edges must be [i, j] pairs of integer vertex ids: {exc}") from exc
+    return Framework(graph, Bipartition(tuple(attrs)), points), tuple(anchors)
 
 
 def save_network(path, fw: Framework, anchors=(), construction=None):

@@ -1,11 +1,11 @@
 """Rigidity matrix assembly, rank tests, duality, and quadrilateral criteria.
 
-The rigidity matrix stacks one row per measurement triple (signed angles
-first, then distance ratios) and factors through the incidence structure:
-rows are assembled in edge coordinates (one 2-block per canonical edge) and
-mapped to vertex coordinates by kron(H, I_2).  A framework on n >= 3
-vertices is infinitesimally rigid exactly when the matrix has rank 2n - 4;
-the four-dimensional null space always contains the two translations, the
+The rigidity matrix is the Jacobian of the rigidity function: one row per
+measurement triple (signed angles first, then distance ratios), holding the
+triple's gradients from ``geometry.measurement_map`` at its apex and its
+two neighbors and zeros elsewhere.  A framework on n >= 3 vertices is
+infinitesimally rigid exactly when the matrix has rank 2n - 4; the
+four-dimensional null space always contains the two translations, the
 rotation field, and the scaling field.
 
 The rank test and the duality check factor the ``reduced`` rows (2m - n
@@ -18,7 +18,7 @@ spectrum for both.
 
 The equivalent-shape oracle moves all of its starts in one batched
 Levenberg-Marquardt iteration.  Its Jacobian is the rigidity matrix itself,
-evaluated in closed form from the triples' arm vectors for the whole batch.
+from the same measurement map and scatter, for the whole batch.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from .geometry import (
     as_points,
     check_distinct,
     fit_similarity,
+    measurement_map,
     rigidity_function,
-    rot90,
-    wrap_angle,
 )
-from .graph import TripleIndexSet, enumerate_triples, incidence_matrix
+from .graph import TripleIndexSet, enumerate_triples
 
 __all__ = [
     "RigidityMatrix",
@@ -59,13 +58,11 @@ DEFAULT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """Assembled rigidity matrix with its edge-space factorization."""
+    """Assembled rigidity matrix with the triples of its rows."""
 
-    matrix: np.ndarray  # (|T|, 2n)
+    matrix: np.ndarray  # (|T|, 2n): SA rows then RoD rows
     sa_triples: TripleIndexSet
     rod_triples: TripleIndexSet
-    edge_factor: np.ndarray  # (|T|, 2m): SA rows then RoD rows
-    incidence_kron: np.ndarray  # (2m, 2n)
 
 
 @dataclass(frozen=True)
@@ -93,39 +90,20 @@ class RankReport:
         }
 
 
-def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatrix:
-    """Rigidity matrix of the framework, with SA rows before RoD rows.
+def _scatter(grads: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """Per-triple gradients (..., T, 3, 2) of ``measurement_map`` as rigidity-matrix rows (..., T, 2n)."""
+    rows = np.zeros((*grads.shape[:-2], n, 2))
+    rows[..., np.arange(len(t))[:, None], t, :] = grads
+    return rows.reshape(*grads.shape[:-2], 2 * n)
 
-    In edge coordinates the SA row of triple (r, s, t) carries
-    +b_e1^T R(pi/2)/len_e1 on the (r,s)-edge block and the negated analogue
-    on the (r,t)-edge block; the RoD row of (i, j, k) carries
-    -kappa b_e1^T/len_e1 and +kappa b_e2^T/len_e2.  Orientation signs of the
-    canonical edges cancel, so the blocks are the same whichever way the
-    apex sits on each edge.  ``matrix`` (= edge_factor @ incidence_kron) is
-    scattered from the same blocks: minus at each edge's tail, plus at its head.
-    """
+
+def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatrix:
+    """Rigidity matrix of the framework (the Jacobian of ``rigidity_function``), SA rows before RoD rows."""
     check_distinct(fw.points)
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, mode)
-    ends = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1  # (m, 2): tail, head
-    vecs = fw.points[ends[:, 1]] - fw.points[ends[:, 0]]
-    lens = np.linalg.norm(vecs, axis=1)
-    grad = vecs / (lens**2)[:, None]  # bearing / length, per edge
-    kappa = (lens[rod.e2] / lens[rod.e1])[:, None]
-    e1, e2 = np.concatenate([sa.e1, rod.e1]), np.concatenate([sa.e2, rod.e2])
-    block1 = np.vstack([grad[sa.e1] @ rot90(), -kappa * grad[rod.e1]])
-    block2 = np.vstack([-grad[sa.e2] @ rot90(), kappa * grad[rod.e2]])
-
-    n_rows, m, n = len(e1), fw.m, fw.n
-    rows = np.arange(n_rows)
-    edge = np.zeros((n_rows, m, 2))
-    edge[rows, e1] = block1
-    edge[rows, e2] = block2
-    vert = np.zeros((n_rows, n, 2))
-    for e, block in ((e1, block1), (e2, block2)):
-        np.add.at(vert, (rows, ends[e, 0]), -block)
-        np.add.at(vert, (rows, ends[e, 1]), block)
-    hbar = np.kron(incidence_matrix(fw.graph), np.eye(2))
-    return RigidityMatrix(vert.reshape(n_rows, 2 * n), sa, rod, edge.reshape(n_rows, 2 * m), hbar)
+    t = np.concatenate([sa.vertex_index, rod.vertex_index])
+    _, grads = measurement_map(fw.points, t, len(sa), gradients=True)
+    return RigidityMatrix(_scatter(grads, t, fw.n), sa, rod)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
@@ -279,10 +257,8 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
         return float(np.linalg.norm(q[j - 1] - q[i - 1]))
 
     if len(a_set) == 3:
-        pa = p[[v - 1 for v in sorted(a_set)]]
-        u = pa[1] - pa[0]
-        v = pa[2] - pa[0]
-        coll = abs(u[0] * v[1] - u[1] * v[0]) / (np.linalg.norm(u) * np.linalg.norm(v))
+        a0, a1, a2 = sorted(a_set)
+        coll = _collinearity(p, a1, a0, a2)
         return QuadVerdict(coll > tol, 1, coll, coll <= tol, {"a_collinearity": coll})
 
     if len(a_set) == 1:
@@ -372,34 +348,6 @@ def _shape_starts(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.nd
     return np.array(starts).reshape(trials, 2 * (n - 2))
 
 
-def _measurements_and_jacobian(q: np.ndarray, t: np.ndarray, n_sa: int):
-    """``rigidity_function`` (S, T) and its Jacobian (S, T, 2n) for configurations q (S, n, 2).
-
-    ``t`` holds the SA then the RoD triples as (T, 3) vertex indices.  With
-    arms a = q_v - q_apex and b = q_w - q_apex, the angle arg b - arg a has
-    gradients -R a/|a|^2 and R b/|b|^2 (R the rotation by pi/2), the ratio
-    rho = |b|/|a| has -rho a/|a|^2 and rho b/|b|^2, and the apex takes minus
-    their sum: the ``"full"`` rigidity matrix.  Collocated arms give
-    non-finite entries instead of an error.
-    """
-    arms = q[:, t[:, 1:]] - q[:, t[:, :1]]  # (S, T, 2, 2): apex -> v, apex -> w
-    x, y = arms[..., 0], arms[..., 1]
-    sq = x * x + y * y
-    vals = np.sqrt(sq[..., 1] / sq[..., 0])
-    xs, ys = x[:, :n_sa], y[:, :n_sa]
-    vals[:, :n_sa] = wrap_angle(np.arctan2(xs[..., 0] * ys[..., 1] - ys[..., 0] * xs[..., 1], xs[..., 0] * xs[..., 1] + ys[..., 0] * ys[..., 1]))
-    grad = arms / sq[..., None]
-    grad[:, :n_sa] = grad[:, :n_sa] @ rot90().T
-    grad[:, n_sa:] *= vals[:, n_sa:, None, None]
-    grad[..., 0, :] *= -1.0
-    rows = np.arange(len(t))
-    jac = np.zeros((*vals.shape, q.shape[1], 2))
-    jac[:, rows, t[:, 1]] = grad[:, :, 0]
-    jac[:, rows, t[:, 2]] = grad[:, :, 1]
-    jac[:, rows, t[:, 0]] = -grad.sum(axis=2)
-    return vals, jac.reshape(*vals.shape, -1)
-
-
 def _batched_lm(x: np.ndarray, fun, tiny: float):
     """Levenberg-Marquardt from every row of ``x`` at once; returns the final rows and residuals.
 
@@ -468,10 +416,10 @@ def equivalent_shape_search(
         return np.concatenate([np.broadcast_to(p[:2], (len(x), 2, 2)), x.reshape(len(x), -1, 2)], axis=1)
 
     def residual(x):
-        vals, jac = _measurements_and_jacobian(unpack(x), t, n_sa)
+        vals, grads = measurement_map(unpack(x), t, n_sa, gradients=True)
         r = vals - target
         r[:, :n_sa] = np.mod(r[:, :n_sa] + np.pi, 2.0 * np.pi) - np.pi
-        return r, jac[..., 4:]
+        return r, _scatter(grads, t, fw.n)[..., 4:]
 
     x0 = _shape_starts(p, trials, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # collocated iterates: masked as non-finite

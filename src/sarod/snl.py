@@ -44,6 +44,7 @@ graph's cached spanning tree from an anchor.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,9 +81,9 @@ class InfeasibleMeasurementsError(ValueError):
     """Raised when measurements are mutually inconsistent around an index cycle."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Settable solver options, plus the fixed tolerances every solve uses."""
+    """Settable solver options, checked once at construction (hence frozen), plus the fixed tolerances every solve uses."""
 
     seed: int = 0
     starts: int = 20
@@ -92,6 +93,12 @@ class SolverConfig:
     positivity_eps: ClassVar[float] = 1e-6
     consistency_tol: ClassVar[float] = 1e-8  # closure and anchor-agreement bound in propagation
     box_half_width: ClassVar[float] = 2.0
+
+    def __post_init__(self):
+        if not self.starts >= 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if not 0.0 < self.rtol < 1.0:
+            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,10 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
         extra = [t for t in measurements.sa if t not in known_sa] + [t for t in measurements.rod if t not in known_rod]
         if extra:
             raise ValueError(f"measurements reference unknown triples, e.g. {extra[0]}")
+        for kind, values in (("SA", measurements.sa), ("RoD", measurements.rod)):
+            bad = [t for t, v in values.items() if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{kind} measurement at {bad[0]} is not finite: {values[bad[0]]}")
         bad = [t for t, v in measurements.rod.items() if not v > 0]
         if bad:
             raise ValueError(f"distance ratios must be positive, got {measurements.rod[bad[0]]} at {bad[0]}")
@@ -238,7 +249,7 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     pot = tree_sums(index_graph(triples, g.m), roots, steps)[2]
     tol = SolverConfig.consistency_tol
     mismatch = float(np.max(np.abs(_centered(pot[triples.e2] - pot[triples.e1] - steps, period)), initial=0.0))
-    if mismatch > tol:
+    if not mismatch <= tol:  # NaN fails too
         raise InfeasibleMeasurementsError(f"infeasible {side} data: worst closure mismatch {mismatch:.3e} around an index cycle (tolerance {tol:g})")
     eidx = g.edge_index()
     edges = np.array([eidx[e] for e in anchor_values], dtype=int)
@@ -518,7 +529,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
         w = w0 + np.einsum("cjl,sl->scj", Nw, z)
         return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
 
-    starts = np.zeros((max(config.starts, 1), L))
+    starts = np.zeros((config.starts, L))
     if config.starts > 1:
         pts = qmc.LatinHypercube(d=L, seed=np.random.default_rng(config.seed)).random(config.starts - 1)
         starts[1:] = (2.0 * pts - 1.0) * config.box_half_width
@@ -555,7 +566,7 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
         return r, J
 
     scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
-    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
+    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(config.starts) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
     return _cluster_zeros(net, x, np.sum(r * r, axis=1), config, method, info)

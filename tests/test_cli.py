@@ -41,6 +41,18 @@ def test_network_schema_validation():
     bad_attr = {"vertices": [{"id": 1, "attr": "X", "pos": [0, 0]}], "edges": []}
     with pytest.raises(ValueError, match="attr"):
         network_from_dict(bad_attr)
+    for vid in (1.5, True):
+        with pytest.raises(ValueError, match="id must be an integer"):
+            network_from_dict({"vertices": [{"id": vid, "attr": "A", "pos": [0, 0]}], "edges": []})
+    tri = [{"id": v, "attr": "A", "pos": [float(v), float(v * v)]} for v in (1, 2, 3)]
+    for edge in ([1.5, 2], [True, 2], [2, 3.0], [1, "2"], 5):
+        with pytest.raises(ValueError, match="integer vertex ids|vertex ids must be integers"):
+            network_from_dict({"vertices": tri, "edges": [edge, [2, 3]]})
+    for value in (float("nan"), float("inf")):
+        bad_pos = [dict(rec) for rec in tri]
+        bad_pos[1]["pos"] = [0.0, value]
+        with pytest.raises(ValueError, match="vertex 2: position is not finite"):
+            network_from_dict({"vertices": bad_pos, "edges": [[1, 2], [2, 3]]})
 
 
 def test_measurement_schema_roundtrip(tmp_path, rng):
@@ -168,6 +180,33 @@ def test_cli_analyze_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["analyze", "--net", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+    # Collocated vertices, a non-finite position and a non-integer edge end
+    # are data errors, not tracebacks.
+    g = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+    save_network(bad, Framework(g, Bipartition.from_a_set(4, [1]), np.array([[0.0, 0], [1, 0], [0, 0], [0, 1]])), anchors=(1, 2))
+    assert main(["analyze", "--net", str(bad)]) == 1
+    assert "error: collocated nodes" in capsys.readouterr().err
+    data = json.loads(bad.read_text())
+    data["vertices"][2]["pos"] = [float("nan"), 1.0]
+    bad.write_text(json.dumps(data))
+    assert main(["analyze", "--net", str(bad)]) == 1
+    assert "position is not finite" in capsys.readouterr().err
+    data["vertices"][2]["pos"] = [1.0, 1.0]
+    data["edges"][0] = [1.5, 2]
+    bad.write_text(json.dumps(data))
+    assert main(["analyze", "--net", str(bad)]) == 1
+    assert "vertex ids must be integers" in capsys.readouterr().err
+
+
+def test_cli_rejects_invalid_solver_flags(tmp_path, capsys):
+    net = tmp_path / "n.json"
+    assert main(["generate", "--recipe", "quad2v", "--n", "12", "--seed", "0", "--out", str(net)]) == 0
+    spec = tmp_path / "batch.json"
+    spec.write_text(json.dumps({"runs": [{"recipe": "quad2v", "n": 12, "seeds": [0]}]}))
+    for flags in (["--rtol", "nan"], ["--rtol", "0"], ["--rtol", "1"], ["--starts", "0"], ["--starts", "-3"]):
+        for argv in (["analyze", "--net", str(net)], ["localize", "--net", str(net)], ["report", "--spec", str(spec), "--out", str(tmp_path / "o.csv")]):
+            assert main(argv + flags) == 1, argv + flags
+            assert "error:" in capsys.readouterr().err
 
 
 def test_cli_analyze_quadrilateral_section(tmp_path, capsys):

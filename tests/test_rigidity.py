@@ -30,10 +30,13 @@ from sarod import (
     null_space,
     numerical_rank,
     quad_global_rigidity,
+    ratio_of_distance,
     rigidity_function,
+    signed_angle,
 )
 from sarod.construction import generate
-from sarod.rigidity import _measurements_and_jacobian, _shape_starts, assemble_rigidity_matrix, trivial_motions
+from sarod.geometry import measurement_map
+from sarod.rigidity import _scatter, _shape_starts, assemble_rigidity_matrix, trivial_motions
 
 from conftest import random_framework
 
@@ -64,14 +67,6 @@ def test_jacobian_matches_finite_differences(rng):
         J = finite_difference_jacobian(fw, rm.sa_triples, rm.rod_triples)
         rel = np.linalg.norm(J - rm.matrix) / np.linalg.norm(rm.matrix)
         assert rel < 1e-6
-
-
-def test_factorization_residual(rng):
-    for _ in range(10):
-        fw = random_framework(6, rng)
-        rm = assemble_rigidity_matrix(fw)
-        lhs = rm.edge_factor @ rm.incidence_kron
-        assert np.linalg.norm(rm.matrix - lhs) <= 1e-12 * max(np.linalg.norm(rm.matrix), 1.0)
 
 
 def test_numerical_rank_basics():
@@ -419,16 +414,22 @@ def test_shape_starts_match_reference(rng):
 
 
 def test_batched_jacobian_is_the_rigidity_matrix(rng):
+    # The oracle's batched values and Jacobian against the per-triple
+    # measurements and finite differences, for every configuration of a batch.
     for _ in range(8):
         fw = random_framework(int(rng.integers(4, 9)), rng)
         sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
         t = np.concatenate([sa.vertex_index, rod.vertex_index])
         q = rng.uniform(-1.0, 1.0, (5, fw.n, 2))
-        vals, jac = _measurements_and_jacobian(q, t, len(sa))
+        vals, grads = measurement_map(q, t, len(sa), gradients=True)
+        jac = _scatter(grads, t, fw.n)
         for s in range(len(q)):
-            assert np.allclose(vals[s], rigidity_function(q[s], sa, rod), rtol=1e-15, atol=1e-14)
-            M = assemble_rigidity_matrix(Framework(fw.graph, fw.bipartition, q[s]), "full").matrix
-            assert np.linalg.norm(jac[s] - M) <= 1e-12 * np.linalg.norm(M)
+            angles = [signed_angle(q[s], tri) for tri in sa.triples]
+            ratios = [ratio_of_distance(q[s], tri) for tri in rod.triples]
+            assert np.max(np.abs(np.mod(vals[s, : len(sa)] - angles + np.pi, 2 * np.pi) - np.pi), initial=0.0) <= 1e-14
+            assert np.allclose(vals[s, len(sa) :], ratios, rtol=1e-14, atol=0.0)
+            J = finite_difference_jacobian(Framework(fw.graph, fw.bipartition, q[s]), sa, rod)
+            assert np.linalg.norm(jac[s] - J) <= 1e-6 * np.linalg.norm(J)
 
 
 def test_shape_count_matches_reference(monkeypatch):

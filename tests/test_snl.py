@@ -6,6 +6,7 @@ them on resolved components, solvers must recover them, and recovery must
 reproduce the configuration under either spanning tree.
 """
 
+import dataclasses
 import re
 import warnings
 
@@ -114,6 +115,17 @@ def test_measurement_ingestion_roundtrip(rng):
     for rod, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_network(fw, [1, 2], MeasurementSet(dict(net.sa), rod))
+    sa_key = next(iter(net.sa))
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"SA measurement at {sa_key} is not finite: {value}")):
+            build_network(fw, [1, 2], MeasurementSet({**net.sa, sa_key: value}, dict(net.rod)))
+        with pytest.raises(ValueError, match=re.escape(f"RoD measurement at {rod_key} is not finite: {value}")):
+            build_network(fw, [1, 2], MeasurementSet(dict(net.sa), {**net.rod, rod_key: value}))
+    # A NaN that reaches propagation fails its closure bound instead of
+    # passing as a NaN mismatch.
+    for key in net.sa:
+        with pytest.raises(InfeasibleMeasurementsError, match="closure mismatch nan"):
+            propagate_bearings(dataclasses.replace(net, sa={**net.sa, key: float("nan")}))
 
 
 def test_cycle_bearing_matrix_shapes_and_compatibility(rng):
@@ -455,6 +467,15 @@ def test_solver_config_settable_fields():
     assert SolverConfig().zero_tol == 1e-16
     with pytest.raises(TypeError):
         SolverConfig(zero_tol=1e-10)
+    for starts in (0, -3):
+        with pytest.raises(ValueError, match="starts must be at least 1"):
+            SolverConfig(starts=starts)
+    for rtol in (0.0, 1.0, -1e-8, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rtol must lie in"):
+            SolverConfig(rtol=rtol)
+    config = SolverConfig(starts=1, rtol=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.starts = 0
 
 
 def test_localize_reports_positive_distances_and_unit_bearings(rng):
