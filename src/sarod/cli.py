@@ -127,6 +127,21 @@ def cmd_check_quad(args) -> int:
     return 0 if verdict.rigid else 2
 
 
+def _spec_runs(spec) -> list:
+    """The runs of a batch spec; raises ValueError naming the first malformed part."""
+    runs = spec.get("runs") if isinstance(spec, dict) else spec
+    if not isinstance(runs, list):
+        raise ValueError('"runs" must be a list of {"recipe", "n", "seeds"} objects')
+    for k, entry in enumerate(runs):
+        if not isinstance(entry, dict) or "recipe" not in entry:
+            raise ValueError(f'run {k} needs a "recipe"')
+        if type(entry.get("n")) is not int:
+            raise ValueError(f'run {k} needs an integer "n"')
+        if not isinstance(entry.get("seeds", []), list):
+            raise ValueError(f'run {k}: "seeds" must be a list')
+    return runs
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.spec) as fh:
@@ -134,10 +149,13 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"{args.spec}: {exc}")
     try:
+        runs = _spec_runs(spec)
+    except ValueError as exc:
+        return _fail(f"{args.spec}: {exc}")
+    try:
         base_config = SolverConfig(starts=args.starts, rtol=args.rtol)
     except ValueError as exc:
         return _fail(str(exc))
-    runs = spec["runs"] if isinstance(spec, dict) else spec
     evidence = [
         "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim", "sa_closure_mismatch",
         "rod_closure_mismatch", "rank_distance_system", "rank_bearing_system", "null_dim", "variables",
@@ -145,8 +163,7 @@ def cmd_report(args) -> int:
     fields = ["recipe", "n", "seed", "method", "status", "m", *evidence, "mse", "runtime_s"]
     rows = []
     for entry in runs:
-        recipe = entry["recipe"]
-        n = int(entry["n"])
+        recipe, n = entry["recipe"], entry["n"]
         for seed in entry.get("seeds", [0]):
             row = {"recipe": recipe, "n": n, "seed": seed}
             try:

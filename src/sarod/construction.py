@@ -19,6 +19,9 @@ signatures drive the localization solvers:
 - ``minimal``: 2-vertex additions (+ one D1 when n is odd) hitting the edge
   lower bound exactly.
 
+A recipe grows one construction state in place (points, attributes, edges
+and the step log) and builds and validates its ``Framework`` once, at the
+end.  Every addition goes through one placement-and-append primitive.
 All randomness flows from the explicit seed; positions are drawn from the
 unit box and resampled until collinearity/collocation guards pass.
 """
@@ -81,25 +84,133 @@ def _separated(p: np.ndarray, q: np.ndarray, tol: float = 1e-6) -> bool:
     return bool(np.min(np.linalg.norm(p - q, axis=1)) > tol)
 
 
-def _draw_point(rng, box, existing, require_noncollinear_with=None):
+def _draw_point(rng, box, existing):
     (x0, y0), (x1, y1) = box
     for _ in range(PLACEMENT_RETRIES):
         q = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        if not _separated(existing, q):
-            continue
-        if require_noncollinear_with is not None:
-            a, b = require_noncollinear_with
-            if not _noncollinear(a, b, q):
-                continue
-        return q
-    raise ConstructionError("placement failed after retries (collinearity guard)")
+        if _separated(existing, q):
+            return q
+    raise ConstructionError("placement failed after retries (collocation guard)")
 
 
-def _grown(fw: Framework, new_points, new_attrs, new_edges) -> Framework:
-    points = np.vstack([fw.points, np.atleast_2d(new_points)])
-    attrs = fw.bipartition.attrs + tuple(new_attrs)
-    edges = fw.graph.edges + tuple((min(a, b), max(a, b)) for a, b in new_edges)
-    return Framework(Graph(fw.n + len(new_attrs), edges), Bipartition(attrs), points)
+def _pick(rng, seq):
+    """One uniformly drawn element of ``seq``."""
+    return seq[rng.integers(len(seq))]
+
+
+def _check_vertices(fw: Framework, label: str, *ids):
+    for v in ids:
+        if not 1 <= v <= fw.n:
+            raise ConstructionError(f"vertex {v} is not in 1..{fw.n} of the {label} framework")
+
+
+class _Growth:
+    """A network under construction: points, attributes, edges and step log.
+
+    Additions append to it in place; ``framework`` builds and validates the
+    ``Framework`` once, when the network is complete.
+    """
+
+    def __init__(self, rng, box, attrs, edges, points=None, noncollinear=()):
+        """Vertices 1..len(attrs) joined by ``edges``, at ``points`` or placed under ``noncollinear``."""
+        self.rng, self.box, self.steps = rng, box, []
+        self.attrs, self.edges, self.points = list(attrs), list(edges), np.empty((0, 2))
+        self.points = self._place(len(attrs), noncollinear) if points is None else points
+
+    @property
+    def n(self) -> int:
+        return len(self.attrs)
+
+    def _attachments(self, attach) -> tuple[int, int]:
+        i, j = attach
+        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ConstructionError(f"bad attachments {attach}")
+        return i, j
+
+    def vertices(self, attr: str) -> list[int]:
+        return [v for v, a in enumerate(self.attrs, 1) if a == attr]
+
+    def _place(self, count: int, noncollinear=()) -> np.ndarray:
+        """The points plus ``count`` new ones, each drawn apart from all before it.
+
+        All new points are redrawn together until every vertex-id triple in
+        ``noncollinear`` has non-collinear positions.
+        """
+        for _ in range(PLACEMENT_RETRIES):
+            points = self.points
+            for _ in range(count):
+                points = np.vstack([points, _draw_point(self.rng, self.box, points)])
+            if all(_noncollinear(*points[[v - 1 for v in trio]]) for trio in noncollinear):
+                return points
+        raise ConstructionError("placement failed after retries (collinearity guard)")
+
+    def add(self, kind: str, attach, new_attrs, third: int | None = None, noncollinear=()):
+        """Place vertices n+1.. with ``new_attrs`` at attachments (i, j), join them, log the step.
+
+        One new vertex is joined to i, j and ``third`` if given; two new
+        vertices close the quadrilateral (j, n+1), (n+1, n+2), (n+2, i).
+        No attribute rule is checked here.
+        """
+        i, j = self._attachments(attach)
+        new = list(range(self.n + 1, self.n + 1 + len(new_attrs)))
+        self.points = self._place(len(new), noncollinear)
+        if len(new) == 1:
+            self.edges += [(i, new[0]), (j, new[0])] + ([] if third is None else [(third, new[0])])
+        else:
+            self.edges += [(j, new[0]), (new[0], new[1]), (i, new[1])]
+        self.attrs += new_attrs
+        step = {"kind": kind, "attach": [int(i), int(j)]}
+        if third is not None:
+            step["third"] = int(third)
+        step["new"] = new
+        if len(new) == 2:
+            step["attrs"] = list(new_attrs)
+        step["pos"] = self.points[-len(new):].tolist()
+        self.steps.append(step)
+
+    def vertex_addition(self, kind: str, attach, third: int | None = None):
+        """One-vertex addition of the given kind, after checking its attribute rule."""
+        i, j = self._attachments(attach)
+        a_i, a_j = self.attrs[i - 1], self.attrs[j - 1]
+        noncollinear = ()
+        if kind == "A1":
+            if a_i != "D" and a_j != "D":
+                raise ConstructionError("Type A1 needs i in V_D or j in V_D")
+        elif kind == "D1":
+            if a_i != "A" and a_j != "A":
+                raise ConstructionError("Type D1 needs i in V_A or j in V_A")
+        elif kind == "A2":
+            if a_i != "A" or a_j != "A":
+                raise ConstructionError("Type A2 needs both attachments in V_A")
+            noncollinear = ((i, j, self.n + 1),)
+        elif kind == "D2":
+            if a_i != "D" or a_j != "D":
+                raise ConstructionError("Type D2 needs both attachments in V_D")
+            if third is None or not (1 <= third <= self.n) or third in (i, j):
+                raise ConstructionError("Type D2 needs a distinct third vertex")
+            if self.attrs[third - 1] != "D":
+                raise ConstructionError("Type D2 third vertex must be in V_D")
+            if not _noncollinear(*self.points[[i - 1, j - 1, third - 1]]):
+                raise ConstructionError("Type D2 attachment positions are collinear")
+        else:
+            raise ConstructionError(f"unknown addition kind {kind!r}")
+        if third is not None and kind != "D2":
+            raise ConstructionError(f"Type {kind} takes no third vertex")
+        # The kind's letter is the new vertex's attribute.
+        self.add(kind, attach, [kind[0]], third, noncollinear)
+
+    def two_vertex_addition(self, attach, new_attrs):
+        """Two-vertex addition, after checking the exactly-three-A rule."""
+        i, j = self._attachments(attach)
+        a1, a2 = new_attrs
+        quad_attrs = (self.attrs[i - 1], self.attrs[j - 1], a1, a2)
+        a_quad = tuple(v for v, a in zip((i, j, self.n + 1, self.n + 2), quad_attrs) if a == "A")
+        if len(a_quad) != 3:
+            raise ConstructionError("2-vertex addition needs exactly three A-vertices among i, j, n+1, n+2")
+        self.add("two_vertex", attach, [a1, a2], noncollinear=(a_quad,))
+
+    def framework(self) -> Framework:
+        return Framework(Graph(self.n, tuple(self.edges)), Bipartition(tuple(self.attrs)), self.points)
 
 
 def apply_vertex_addition(fw: Framework, kind: str, attach, rng, box=UNIT_BOX, third: int | None = None):
@@ -109,49 +220,12 @@ def apply_vertex_addition(fw: Framework, kind: str, attach, rng, box=UNIT_BOX, t
     A2 adds an A-vertex on two A-attachments and resamples until the three
     A-positions are non-collinear.  D2 adds a D-vertex on two D-attachments
     plus a third edge to an existing D-vertex ``third`` with the three
-    attachment positions non-collinear.  Returns (framework, step record).
+    attachment positions non-collinear; no other kind takes ``third``.
+    Returns (framework, step record).
     """
-    i, j = attach
-    if i == j or not (1 <= i <= fw.n and 1 <= j <= fw.n):
-        raise ConstructionError(f"bad attachments {attach}")
-    attr = fw.bipartition.attr
-    new_id = fw.n + 1
-    guard = None
-    if kind == "A1":
-        if attr(i) != "D" and attr(j) != "D":
-            raise ConstructionError("Type A1 needs i in V_D or j in V_D")
-        new_attr = "A"
-    elif kind == "D1":
-        if attr(i) != "A" and attr(j) != "A":
-            raise ConstructionError("Type D1 needs i in V_A or j in V_A")
-        new_attr = "D"
-    elif kind == "A2":
-        if attr(i) != "A" or attr(j) != "A":
-            raise ConstructionError("Type A2 needs both attachments in V_A")
-        new_attr = "A"
-        guard = (fw.point(i), fw.point(j))
-    elif kind == "D2":
-        if attr(i) != "D" or attr(j) != "D":
-            raise ConstructionError("Type D2 needs both attachments in V_D")
-        if third is None or not (1 <= third <= fw.n) or third in (i, j):
-            raise ConstructionError("Type D2 needs a distinct third vertex")
-        if attr(third) != "D":
-            raise ConstructionError("Type D2 third vertex must be in V_D")
-        if not _noncollinear(fw.point(i), fw.point(j), fw.point(third)):
-            raise ConstructionError("Type D2 attachment positions are collinear")
-        new_attr = "D"
-    else:
-        raise ConstructionError(f"unknown addition kind {kind!r}")
-
-    q = _draw_point(rng, box, fw.points, require_noncollinear_with=guard)
-    edges = [(new_id, i), (new_id, j)]
-    if kind == "D2":
-        edges.append((new_id, third))
-    fw2 = _grown(fw, q, [new_attr], edges)
-    step = {"kind": kind, "attach": [int(i), int(j)], "new": [new_id], "pos": [q.tolist()]}
-    if third is not None:
-        step["third"] = int(third)
-    return fw2, step
+    growth = _Growth(rng, box, fw.bipartition.attrs, fw.graph.edges, fw.points)
+    growth.vertex_addition(kind, attach, third)
+    return growth.framework(), growth.steps[0]
 
 
 def apply_two_vertex_addition(fw: Framework, attach, new_attrs, rng, box=UNIT_BOX):
@@ -160,36 +234,36 @@ def apply_two_vertex_addition(fw: Framework, attach, new_attrs, rng, box=UNIT_BO
     Exactly three of {i, j, n+1, n+2} must be A-vertices, and the three
     A-positions are resampled until non-collinear.
     """
-    i, j = attach
-    if i == j or not (1 <= i <= fw.n and 1 <= j <= fw.n):
-        raise ConstructionError(f"bad attachments {attach}")
-    a1, a2 = new_attrs
-    quad_attrs = [fw.bipartition.attr(i), fw.bipartition.attr(j), a1, a2]
-    if sum(1 for a in quad_attrs if a == "A") != 3:
-        raise ConstructionError("2-vertex addition needs exactly three A-vertices among i, j, n+1, n+2")
-    v1, v2 = fw.n + 1, fw.n + 2
-    for _ in range(PLACEMENT_RETRIES):
-        q1 = _draw_point(rng, box, fw.points)
-        q2 = _draw_point(rng, box, np.vstack([fw.points, q1]))
-        pos = {i: fw.point(i), j: fw.point(j), v1: q1, v2: q2}
-        a_pts = [pos[v] for v, a in zip((i, j, v1, v2), quad_attrs) if a == "A"]
-        if _noncollinear(*a_pts):
-            fw2 = _grown(fw, np.vstack([q1, q2]), [a1, a2], [(j, v1), (v1, v2), (v2, i)])
-            step = {
-                "kind": "two_vertex",
-                "attach": [int(i), int(j)],
-                "new": [v1, v2],
-                "attrs": [a1, a2],
-                "pos": [q1.tolist(), q2.tolist()],
-            }
-            return fw2, step
-    raise ConstructionError("placement failed after retries (collinearity guard)")
+    growth = _Growth(rng, box, fw.bipartition.attrs, fw.graph.edges, fw.points)
+    growth.two_vertex_addition(attach, new_attrs)
+    return growth.framework(), growth.steps[0]
 
 
-def _seed_framework(rng, box=UNIT_BOX, attrs=("D", "A")) -> Framework:
-    p1 = _draw_point(rng, box, np.empty((0, 2)))
-    p2 = _draw_point(rng, box, p1[None, :])
-    return Framework(Graph(2, ((1, 2),)), Bipartition(tuple(attrs)), np.vstack([p1, p2]))
+def _quadrilateralized(n: int, seed: int, defect_quads: int, box) -> _Growth:
+    if n < 4 or n % 2:
+        raise ConstructionError("quadrilateralized recipe needs even n >= 4")
+    rng = np.random.default_rng(seed)
+    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
+    total = (n - 2) // 2
+    for step_no in range(total):
+        defective = step_no >= total - defect_quads
+        candidates = growth.edges
+        if defective:
+            candidates = [(u, v) for (u, v) in candidates if growth.attrs[u - 1] == growth.attrs[v - 1] == "A"]
+            if not candidates:
+                raise ConstructionError("no A-A edge available for a defective quadrilateral")
+        u, v = _pick(rng, candidates)
+        i, j = (u, v) if rng.integers(2) else (v, u)
+        if defective:
+            # Bypass the exactly-three-A validation on purpose.
+            growth.add("two_vertex_defect", (i, j), ["A", "A"])
+            continue
+        if growth.attrs[i - 1] != growth.attrs[j - 1]:  # one A-attachment
+            new_attrs = ("A", "A")
+        else:
+            new_attrs = ("A", "D") if rng.integers(2) else ("D", "A")
+        growth.two_vertex_addition((i, j), new_attrs)
+    return growth
 
 
 def generate_quadrilateralized(n: int, seed: int = 0, defect_quads: int = 0, box=UNIT_BOX) -> Construction:
@@ -201,43 +275,8 @@ def generate_quadrilateralized(n: int, seed: int = 0, defect_quads: int = 0, box
     ordering (it stays SA-connected but loses rigidity: each defect drops
     the distance-system rank by one).
     """
-    if n < 4 or n % 2:
-        raise ConstructionError("quadrilateralized recipe needs even n >= 4")
-    rng = np.random.default_rng(seed)
-    fw = _seed_framework(rng, box)
-    steps = []
-    total = (n - 2) // 2
-    for step_no in range(total):
-        defective = step_no >= total - defect_quads
-        candidates = list(fw.graph.edges)
-        if defective:
-            candidates = [
-                (u, v) for (u, v) in candidates
-                if fw.bipartition.attr(u) == "A" and fw.bipartition.attr(v) == "A"
-            ]
-            if not candidates:
-                raise ConstructionError("no A-A edge available for a defective quadrilateral")
-        u, v = candidates[rng.integers(len(candidates))]
-        i, j = (u, v) if rng.integers(2) else (v, u)
-        n_a = sum(1 for w in (i, j) if fw.bipartition.attr(w) == "A")
-        if defective:
-            new_attrs = ("A", "A")
-        elif n_a == 1:
-            new_attrs = ("A", "A")
-        else:
-            new_attrs = ("A", "D") if rng.integers(2) else ("D", "A")
-        if defective:
-            # Bypass the exactly-three-A validation on purpose.
-            v1, v2 = fw.n + 1, fw.n + 2
-            q1 = _draw_point(rng, box, fw.points)
-            q2 = _draw_point(rng, box, np.vstack([fw.points, q1]))
-            fw = _grown(fw, np.vstack([q1, q2]), new_attrs, [(j, v1), (v1, v2), (v2, i)])
-            steps.append({"kind": "two_vertex_defect", "attach": [i, j], "new": [v1, v2],
-                          "attrs": list(new_attrs), "pos": [q1.tolist(), q2.tolist()]})
-        else:
-            fw, step = apply_two_vertex_addition(fw, (i, j), new_attrs, rng, box)
-            steps.append(step)
-    return Construction(fw, steps, "quad2v", seed)
+    growth = _quadrilateralized(n, seed, defect_quads, box)
+    return Construction(growth.framework(), growth.steps, "quad2v", seed)
 
 
 def generate_bilateration(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
@@ -250,34 +289,16 @@ def generate_bilateration(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     if n < 3:
         raise ConstructionError("bilateration recipe needs n >= 3")
     rng = np.random.default_rng(seed)
-    fw = _seed_framework(rng, box)
-    steps = []
+    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
     for k in range(3, n + 1):
-        a_set = list(fw.bipartition.a_vertices())
-        d_set = list(fw.bipartition.d_vertices())
+        a_set = growth.vertices("A")
+        d_set = growth.vertices("D")
         if k % 2:  # new D-vertex
-            i = a_set[rng.integers(len(a_set))]
-            j = d_set[rng.integers(len(d_set))]
-            fw, step = apply_vertex_addition(fw, "D1", (i, j), rng, box)
+            growth.vertex_addition("D1", (_pick(rng, a_set), _pick(rng, d_set)))
         else:  # new A-vertex
             picks = rng.choice(len(d_set), size=2, replace=False)
-            fw, step = apply_vertex_addition(fw, "A1", (d_set[picks[0]], d_set[picks[1]]), rng, box)
-        steps.append(step)
-    return Construction(fw, steps, "bilat-D1A1", seed)
-
-
-def _pure_d_quadrilateral(rng, box=UNIT_BOX) -> Framework:
-    """Generic 4-cycle with all vertices in V_D (flexible on its own)."""
-    pts = np.empty((0, 2))
-    for _ in range(4):
-        pts = np.vstack([pts, _draw_point(rng, box, pts)])
-    if not (_noncollinear(pts[0], pts[1], pts[2]) and _noncollinear(pts[1], pts[2], pts[3])):
-        return _pure_d_quadrilateral(rng, box)
-    return Framework(
-        Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))),
-        Bipartition(("D", "D", "D", "D")),
-        pts,
-    )
+            growth.vertex_addition("A1", (d_set[picks[0]], d_set[picks[1]]))
+    return Construction(growth.framework(), growth.steps, "bilat-D1A1", seed)
 
 
 def generate_mixed(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
@@ -297,33 +318,24 @@ def generate_mixed(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     if n < 6:
         raise ConstructionError("mixed recipe needs n >= 6")
     rng = np.random.default_rng(seed)
-    fw = _pure_d_quadrilateral(rng, box)
-    steps = [{"kind": "pure_d_quadrilateral", "new": [1, 2, 3, 4], "pos": fw.points.tolist()}]
-    next_a1 = True
-    first_d = True
-    while fw.n < n:
-        if next_a1:
-            pool = [v for v in fw.bipartition.d_vertices() if v not in (3, 4)]
+    # A generic 4-cycle with all vertices in V_D (flexible on its own).
+    growth = _Growth(rng, box, ("D",) * 4, [(1, 2), (2, 3), (3, 4), (1, 4)], noncollinear=((1, 2, 3), (2, 3, 4)))
+    growth.steps.append({"kind": "pure_d_quadrilateral", "new": [1, 2, 3, 4], "pos": growth.points.tolist()})
+    while growth.n < n:
+        # A1 from an even vertex count, three-edge D from an odd one; the first D (at n = 5) on corners 3, 4.
+        if growth.n % 2 == 0:
+            pool = [v for v in growth.vertices("D") if v not in (3, 4)]
             picks = rng.choice(len(pool), size=2, replace=False)
-            fw, step = apply_vertex_addition(fw, "A1", (pool[picks[0]], pool[picks[1]]), rng, box)
+            growth.vertex_addition("A1", (pool[picks[0]], pool[picks[1]]))
+            continue
+        d_set = growth.vertices("D")
+        if growth.n == 5:
+            i, j = 3, 4
         else:
-            d_set = list(fw.bipartition.d_vertices())
-            a_set = list(fw.bipartition.a_vertices())
-            if first_d:
-                i, j = 3, 4
-                first_d = False
-            else:
-                picks = rng.choice(len(d_set), size=2, replace=False)
-                i, j = d_set[picks[0]], d_set[picks[1]]
-            k = a_set[rng.integers(len(a_set))]
-            new_id = fw.n + 1
-            q = _draw_point(rng, box, fw.points)
-            fw = _grown(fw, q, ["D"], [(new_id, i), (new_id, j), (new_id, k)])
-            step = {"kind": "D_three_edge", "attach": [int(i), int(j)], "third": int(k),
-                    "new": [new_id], "pos": [q.tolist()]}
-        steps.append(step)
-        next_a1 = not next_a1
-    return Construction(fw, steps, "mix-D2A1", seed)
+            picks = rng.choice(len(d_set), size=2, replace=False)
+            i, j = d_set[picks[0]], d_set[picks[1]]
+        growth.add("D_three_edge", (i, j), ["D"], third=_pick(rng, growth.vertices("A")))
+    return Construction(growth.framework(), growth.steps, "mix-D2A1", seed)
 
 
 def generate_two_step(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
@@ -338,23 +350,17 @@ def generate_two_step(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     if n < 4:
         raise ConstructionError("two-step recipe needs n >= 4")
     rng = np.random.default_rng(seed)
-    fw = _seed_framework(rng, box)
-    steps = []
+    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
     next_two = True
-    while fw.n < n:
-        a_set = list(fw.bipartition.a_vertices())
-        d_set = list(fw.bipartition.d_vertices())
-        if next_two and fw.n + 2 <= n:
-            i = d_set[rng.integers(len(d_set))]
-            j = a_set[rng.integers(len(a_set))]
-            fw, step = apply_two_vertex_addition(fw, (i, j), ("A", "A"), rng, box)
+    while growth.n < n:
+        a_set = growth.vertices("A")
+        d_set = growth.vertices("D")
+        if next_two and growth.n + 2 <= n:
+            growth.two_vertex_addition((_pick(rng, d_set), _pick(rng, a_set)), ("A", "A"))
         else:
-            i = a_set[rng.integers(len(a_set))]
-            j = d_set[rng.integers(len(d_set))]
-            fw, step = apply_vertex_addition(fw, "D1", (i, j), rng, box)
-        steps.append(step)
+            growth.vertex_addition("D1", (_pick(rng, a_set), _pick(rng, d_set)))
         next_two = not next_two
-    return Construction(fw, steps, "type2D1", seed)
+    return Construction(growth.framework(), growth.steps, "type2D1", seed)
 
 
 def generate_minimal_rigid(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
@@ -366,22 +372,11 @@ def generate_minimal_rigid(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     """
     if n < 4:
         raise ConstructionError("minimal recipe needs n >= 4")
-    if n % 2 == 0:
-        con = generate_quadrilateralized(n, seed, box=box)
-        con.recipe = "minimal"
-        return con
-    con = generate_quadrilateralized(n - 1, seed, box=box)
-    rng = np.random.default_rng([seed, n])
-    fw = con.framework
-    a_set = fw.bipartition.a_vertices()
-    d_set = fw.bipartition.d_vertices()
-    i = a_set[rng.integers(len(a_set))]
-    j = d_set[rng.integers(len(d_set))]
-    fw, step = apply_vertex_addition(fw, "D1", (i, j), rng, box)
-    con.framework = fw
-    con.steps.append(step)
-    con.recipe = "minimal"
-    return con
+    growth = _quadrilateralized(n - n % 2, seed, 0, box)
+    if n % 2:
+        growth.rng = rng = np.random.default_rng([seed, n])
+        growth.vertex_addition("D1", (_pick(rng, growth.vertices("A")), _pick(rng, growth.vertices("D"))))
+    return Construction(growth.framework(), growth.steps, "minimal", seed)
 
 
 RECIPES = {
@@ -419,6 +414,8 @@ def merge_add_edges(fw1: Framework, fw2: Framework, pair1, pair2, three_edges: b
     """
     i, m = pair1
     j, k = pair2
+    _check_vertices(fw1, "first", i, m)
+    _check_vertices(fw2, "second", j, k)
     if check:
         _require_rigid(fw1, "first")
         _require_rigid(fw2, "second")
@@ -457,6 +454,8 @@ def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b, tol: float = 
     """
     i, j = pair_a
     m, k = pair_b
+    _check_vertices(fw1, "first", i, m)
+    _check_vertices(fw2, "second", j, k)
     if check:
         _require_rigid(fw1, "first")
         _require_rigid(fw2, "second")

@@ -71,7 +71,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        # One chained test per edge, as recipes build a Graph per construction step; _check_edge names the fault.
+        # One chained test per edge; _check_edge names the fault.
         for (i, j) in self.edges:
             if not (type(i) is int and type(j) is int and 1 <= i < j <= self.n):
                 _check_edge(i, j, self.n)

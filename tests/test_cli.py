@@ -266,6 +266,28 @@ def test_cli_report_batch(tmp_path):
     assert list(csv.DictReader(open(out2))) == []
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"foo": 1},
+        {"runs": {"recipe": "quad2v", "n": 10, "seeds": [0]}},
+        {"runs": [{"n": 10, "seeds": [0]}]},
+        {"runs": [{"recipe": "quad2v", "seeds": [0]}]},
+        {"runs": [{"recipe": "quad2v", "n": "10", "seeds": [0]}]},
+        {"runs": [{"recipe": "quad2v", "n": 10, "seeds": 3}]},
+        [3],
+    ],
+)
+def test_cli_report_rejects_malformed_spec(tmp_path, capsys, spec):
+    # The spec's structure is checked before any run starts; errors inside a run stay CSV rows.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "o.csv"
+    assert main(["report", "--spec", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_cli_report_deterministic(tmp_path):
     spec = tmp_path / "batch.json"
     spec.write_text(json.dumps({"runs": [{"recipe": "type2D1", "n": 10, "seeds": [3, 3]}]}))

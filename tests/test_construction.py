@@ -1,6 +1,10 @@
 """Construction checks: addition preconditions, recipe edge-count closed
 forms, connectivity signatures, generic rigidity of generated frameworks,
-minimality, and the two merge operations."""
+minimality, the two merge operations, and the generated networks
+themselves (pinned by digest)."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +52,9 @@ def test_d1_requires_a_attachment(rng):
         apply_vertex_addition(fw, "D1", (1, 3), rng)
     fw2, _ = apply_vertex_addition(fw, "D1", (1, 2), rng)
     assert fw2.bipartition.attr(4) == "D"
+    # Only D2 adds a third edge, so no other kind may log a third vertex.
+    with pytest.raises(ConstructionError, match="no third vertex"):
+        apply_vertex_addition(fw, "D1", (1, 2), rng, third=3)
 
 
 def test_d2_requires_three_d_vertices(rng):
@@ -111,6 +118,62 @@ def test_recipe_edge_counts(recipe, n, m_expect):
     con = generate(recipe, n, seed=5)
     assert con.framework.n == n
     assert con.framework.m == m_expect
+
+
+# sha256 over edges, attributes, point bytes and the steps JSON of each generated network.
+STABLE_DIGESTS = {
+    ("quad2v", 12, 1): "493d213023083b51b9d9c5bade692e424b3e002a7a12c6b64d3b15f02ef3cdaf",
+    ("quad2v", 72, 2): "05e5002d63822a0aef03c23d58a1806ab1566897d41773ec245dfb25593ecb51",
+    ("bilat-D1A1", 12, 1): "871c3636b2879dd68090a34c5e357c94a86da3da835a280766e7bb24047e21a8",
+    ("bilat-D1A1", 71, 2): "ffacca09dc0aad256e4494bb8c29802d6587df05b98c164bfa34e9257d96422b",
+    ("mix-D2A1", 12, 1): "b174da3b16c3686fba97bfb2ffd0373ea28834cb8ca8109ed37d57ced0d18bdd",
+    ("mix-D2A1", 71, 2): "a5300325eee8776885cfbc59c7adc93fade20eeac3108231dbd50f11cb24de40",
+    ("type2D1", 12, 1): "f053e45f984dccc4d9155dad51cf95bf67db03871b88316e2a03137e995df50c",
+    ("type2D1", 71, 2): "d19714466ffce5f62beb24ad7745855d3fd73cf57cff6bc25b5752857df99a2f",
+    ("minimal", 13, 1): "941a8b26676dabae06f544004d55d6c9df2577ca9c268d9fabaf939968e72b90",
+    ("minimal", 70, 2): "8ada7dc908fa2c4d54a8734947bbcc840db9d9eacd383bbf16fa7156cce0d846",
+    ("quad2v-defect", 30, 3): "8a1a55b04522e447fbbea83072414d91fe2cdd21b50abc174fb1d5dde040506b",
+}
+
+
+def _network_digest(con):
+    fw = con.framework
+    h = hashlib.sha256()
+    h.update(json.dumps(fw.graph.edges).encode())
+    h.update("".join(fw.bipartition.attrs).encode())
+    h.update(fw.points.tobytes())
+    h.update(json.dumps(con.steps).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("recipe,n,seed", list(STABLE_DIGESTS))
+def test_generated_networks_are_stable(recipe, n, seed):
+    # The benchmark and every test draw their networks from these recipes; a
+    # changed draw order, placement guard or step record changes the digest.
+    if recipe == "quad2v-defect":
+        con = generate_quadrilateralized(n, seed, defect_quads=2)
+    else:
+        con = generate(recipe, n, seed)
+    assert _network_digest(con) == STABLE_DIGESTS[(recipe, n, seed)]
+
+
+@pytest.mark.parametrize("recipe,n", [("quad2v", 30), ("bilat-D1A1", 31), ("mix-D2A1", 31), ("type2D1", 31), ("minimal", 31)])
+def test_generate_builds_one_graph_and_one_framework(monkeypatch, recipe, n):
+    import sarod.construction as construction
+
+    built = []
+
+    def counting(cls):
+        def build(*args):
+            built.append(cls.__name__)
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(construction, "Graph", counting(Graph))
+    monkeypatch.setattr(construction, "Framework", counting(Framework))
+    con = generate(recipe, n, seed=4)
+    assert sorted(built) == ["Framework", "Graph"]
+    assert con.framework.n == n
 
 
 def test_quad2v_requires_even_n():
@@ -264,3 +327,14 @@ def test_merge_contract_rejects_mismatches(rng):
     fw1, fw2 = _merge_inputs(5)
     with pytest.raises(ConstructionError, match="coincident"):
         merge_contract(fw1, fw2, (1, 1), (2, 2))
+
+
+@pytest.mark.parametrize("pair1,pair2,bad", [((1, 2), (1, 0), 0), ((1, 7), (1, 2), 7), ((0, 2), (1, 2), 0), ((1, 2), (5, 1), 5)])
+def test_merges_reject_vertex_ids_out_of_range(pair1, pair2, bad):
+    # An id of 0 would otherwise index the last vertex; fw1 has 6 vertices, fw2 has 4.
+    fw1, fw2 = _merge_inputs(5)
+    with pytest.raises(ConstructionError, match=f"vertex {bad} is not in"):
+        merge_add_edges(fw1, fw2, pair1, pair2, check=False)
+    (i, m), (j, k) = pair1, pair2
+    with pytest.raises(ConstructionError, match=f"vertex {bad} is not in"):
+        merge_contract(fw1, fw2, (i, j), (m, k), check=False)
