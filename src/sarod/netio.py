@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,22 @@ __all__ = [
     "write_result_csv",
     "write_report",
 ]
+
+
+def _vertex_id(x, field: str) -> int:
+    if type(x) is not int:  # JSON 1.5 and true are not vertex ids
+        raise ValueError(f"{field} must be an integer, got {x!r}")
+    return x
+
+
+def _number(x, field: str) -> float:
+    """``x`` as a float; JSON true/false, null, strings and integers beyond float range are rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{field} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(f"{field} is out of range: {exc}") from exc
 
 
 def network_to_dict(fw: Framework, anchors=(), construction=None) -> dict:
@@ -57,12 +74,12 @@ def network_from_dict(data: dict):
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"network JSON missing field: {exc}") from exc
+    if not isinstance(vertices, list):
+        raise ValueError(f"vertices must be a list of vertex records, got {vertices!r}")
     by_id = {}
     for rec in vertices:
         try:
-            if type(rec["id"]) is not int:  # JSON 1.5 and true are not vertex ids
-                raise ValueError(f"id must be an integer, got {rec['id']!r}")
-            by_id[rec["id"]] = rec
+            by_id[_vertex_id(rec["id"], "id")] = rec
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad vertex record {rec!r}: {exc}") from exc
     n = len(by_id)
@@ -78,9 +95,9 @@ def network_from_dict(data: dict):
             raise ValueError(f"vertex {v}: attr must be 'A' or 'D', got {attr!r}")
         pos = rec.get("pos")
         if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-            raise ValueError(f"vertex {v}: pos must be [x, y]")
+            raise ValueError(f"vertex {v}: pos must be [x, y], got {pos!r}")
         attrs.append(attr)
-        points[v - 1] = [float(pos[0]), float(pos[1])]
+        points[v - 1] = [_number(pos[0], f"vertex {v}: pos x"), _number(pos[1], f"vertex {v}: pos y")]
         if rec.get("anchor", False):
             anchors.append(v)
     try:
@@ -110,17 +127,23 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 
 
 def measurements_from_dict(data: dict) -> MeasurementSet:
-    def unpack(records, kind):
+    if not isinstance(data, dict):
+        raise ValueError(f"measurement JSON must be an object with \"sa\" and \"rod\" lists, got {type(data).__name__}")
+
+    def unpack(kind):
+        records = data.get(kind, [])
+        if not isinstance(records, list):
+            raise ValueError(f"{kind} must be a list of measurement records, got {records!r}")
         out = {}
         for rec in records:
             try:
-                t = (int(rec["apex"]), int(rec["j"]), int(rec["k"]))
-                out[t] = float(rec["value"])
+                t = tuple(_vertex_id(rec[key], key) for key in ("apex", "j", "k"))
+                out[t] = _number(rec["value"], "value")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad {kind} measurement record {rec!r}: {exc}") from exc
         return out
 
-    return MeasurementSet(unpack(data.get("sa", []), "sa"), unpack(data.get("rod", []), "rod"))
+    return MeasurementSet(unpack("sa"), unpack("rod"))
 
 
 def save_measurements(path, ms: MeasurementSet):

@@ -8,13 +8,15 @@ infinitesimally rigid exactly when the matrix has rank 2n - 4; the
 four-dimensional null space always contains the two translations, the
 rotation field, and the scaling field.
 
-The rank test and the duality check factor the ``reduced`` rows (2m - n
-of them, spanning the same row space as the full set) scaled to unit norm,
-one SVD per matrix.  A diagonal row scaling leaves the exact rank
-unchanged.  With unit rows an SA row is the RoD row of the same triple
-times blockdiag(R(pi/2)), up to sign, so swapping the bipartition gives an
-orthogonal transform of the matrix and the relative rank cut sees one
-spectrum for both.
+The rank test and the duality check use the ``reduced`` rows (2m - n of
+them, spanning the same row space as the full set) scaled to unit norm.
+A diagonal row scaling leaves the exact rank unchanged.  With unit rows an
+SA row is the RoD row of the same triple times blockdiag(R(pi/2)), up to
+sign, so swapping the bipartition gives an orthogonal transform of the
+matrix and the relative rank cut sees one spectrum for both.  Both tests
+need singular values only: each framework's spectrum is computed once,
+without singular vectors, cached on the framework and shared by the rank
+test and the duality check; each caller applies its own rank cut.
 
 The equivalent-shape oracle moves all of its starts in one batched
 Levenberg-Marquardt iteration.  Its Jacobian is the rigidity matrix itself,
@@ -71,7 +73,6 @@ class RankReport:
     required: int
     verdict: str  # "rigid" | "flexible"
     sigma: np.ndarray
-    null_basis: np.ndarray  # (2n, dim) orthonormal
     rtol: float
     trivial_motion_residual: float
 
@@ -155,23 +156,42 @@ def _rank_test_matrix(fw: Framework) -> np.ndarray:
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
+def _rank_test_spectrum(fw: Framework, M: np.ndarray | None = None) -> np.ndarray:
+    """Singular values of ``_rank_test_matrix(fw)``, factored at most once per framework.
+
+    ``M`` is that matrix when the caller has already assembled it.  The
+    read-only spectrum is cached in the instance dict, as
+    ``Graph.spanning_tree`` caches its trees; the framework is frozen and
+    its points are a read-only copy, so the cache cannot go stale.  It holds
+    no rank: each caller applies its own ``rtol`` cut.
+    """
+    cache = fw.__dict__
+    if "_rank_test_sigma" not in cache:
+        _, sigma = numerical_rank(_rank_test_matrix(fw) if M is None else M)
+        sigma.flags.writeable = False
+        cache["_rank_test_sigma"] = sigma
+    return cache["_rank_test_sigma"]
+
+
 def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL) -> RankReport:
     """Rank test: rigid iff rank equals 2n - 4; also checks the trivial null space.
 
-    One SVD of the ``reduced`` matrix with unit-norm rows (see the module
-    docstring); ``sigma``, ``null_basis`` and ``trivial_motion_residual``
-    refer to that matrix.
+    Singular values only, of the ``reduced`` matrix with unit-norm rows (see
+    the module docstring), computed once per framework and shared with
+    ``duality_check``.  ``sigma`` and ``trivial_motion_residual`` refer to
+    that matrix; ``null_space`` gives a null-space basis when one is needed.
     """
     if fw.n < 3:
         raise ValueError("rigidity analysis needs n >= 3")
     M = _rank_test_matrix(fw)
-    rank, sigma, _, vt = _svd_factor(M, rtol)
+    sigma = _rank_test_spectrum(fw, M)
+    rank = _rank(sigma, rtol)
     required = 2 * fw.n - 4
     T = trivial_motions(fw.points)
     smax = sigma[0] if sigma.size else 0.0
     resid = float(np.max(np.linalg.norm(M @ T, axis=0) / (smax * np.linalg.norm(T, axis=0)))) if smax > 0 else 0.0
     verdict = "rigid" if rank == required else "flexible"
-    return RankReport(rank, required, verdict, sigma, vt[rank:].T, rtol, resid)
+    return RankReport(rank, required, verdict, sigma, rtol, resid)
 
 
 @dataclass(frozen=True)
@@ -187,10 +207,13 @@ class DualityResult:
 def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
     """Rank comparison after swapping the A/D parts of the bipartition.
 
-    Both ranks come from the reduced unit-row matrices of the rank test.
+    Both ranks come from the singular values of the reduced unit-row
+    matrices of the rank test.  The framework's own spectrum is the one
+    ``infinitesimal_rigidity_test`` computed, if it ran first; the swapped
+    framework's is always assembled and factored anew.
     """
-    r1, _ = numerical_rank(_rank_test_matrix(fw), rtol)
-    r2, _ = numerical_rank(_rank_test_matrix(fw.swapped()), rtol)
+    r1 = _rank(_rank_test_spectrum(fw), rtol)
+    r2 = _rank(_rank_test_spectrum(fw.swapped()), rtol)
     return DualityResult(r1, r2)
 
 

@@ -48,6 +48,14 @@ def test_network_schema_validation():
     for edge in ([1.5, 2], [True, 2], [2, 3.0], [1, "2"], 5):
         with pytest.raises(ValueError, match="integer vertex ids|vertex ids must be integers"):
             network_from_dict({"vertices": tri, "edges": [edge, [2, 3]]})
+    for vertices in (5, "abc", {"1": tri[0]}):
+        with pytest.raises(ValueError, match="vertices must be a list"):
+            network_from_dict({"vertices": vertices, "edges": []})
+    for pos in ([None, 1.0], [1.0, True], ["0", 1.0], [[0.0], 1.0], [10**400, 1.0], [1.0]):
+        bad_pos = [dict(rec) for rec in tri]
+        bad_pos[1]["pos"] = pos
+        with pytest.raises(ValueError, match="vertex 2: pos (must be|x must be|y must be|x is out of range)"):
+            network_from_dict({"vertices": bad_pos, "edges": [[1, 2], [2, 3]]})
     for value in (float("nan"), float("inf")):
         bad_pos = [dict(rec) for rec in tri]
         bad_pos[1]["pos"] = [0.0, value]
@@ -68,6 +76,18 @@ def test_measurement_schema_roundtrip(tmp_path, rng):
     assert ms2.rod == pytest.approx(ms.rod)
     with pytest.raises(ValueError, match="sa measurement"):
         measurements_from_dict({"sa": [{"apex": 1}], "rod": []})
+    # JSON 1.9 and true are not vertex ids: int() would read both as vertex 1.
+    for apex in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="apex must be an integer"):
+            measurements_from_dict({"sa": [], "rod": [{"apex": apex, "j": 2, "k": 3, "value": 1.0}]})
+    for value in (None, "1.0", 10**400):
+        with pytest.raises(ValueError, match="value (must be a number|is out of range)"):
+            measurements_from_dict({"sa": [{"apex": 1, "j": 2, "k": 3, "value": value}]})
+    for top in ([], "sa", None):
+        with pytest.raises(ValueError, match="must be an object"):
+            measurements_from_dict(top)
+    with pytest.raises(ValueError, match="rod must be a list"):
+        measurements_from_dict({"rod": 5})
 
 
 def test_cli_generate_and_localize(tmp_path):
@@ -196,6 +216,28 @@ def test_cli_analyze_malformed_json(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["analyze", "--net", str(bad)]) == 1
     assert "vertex ids must be integers" in capsys.readouterr().err
+    data["edges"][0] = [1, 2]
+    data["vertices"][2]["pos"] = [None, 1.0]
+    bad.write_text(json.dumps(data))
+    assert main(["analyze", "--net", str(bad)]) == 1
+    assert "error:" in (err := capsys.readouterr().err) and "vertex 3: pos x must be a number" in err
+    data["vertices"] = {"id": 1}
+    bad.write_text(json.dumps(data))
+    assert main(["localize", "--net", str(bad)]) == 1
+    assert "vertices must be a list" in capsys.readouterr().err
+
+
+def test_cli_localize_rejects_non_integer_measurement_ids(tmp_path, capsys):
+    con = generate_quadrilateralized(10, 6)
+    net, meas = tmp_path / "n.json", tmp_path / "m.json"
+    save_network(net, con.framework, anchors=(1, 2))
+    for apex in (1.9, True):
+        meas.write_text(json.dumps({"sa": [{"apex": apex, "j": 2, "k": 3, "value": 1.0}], "rod": []}))
+        assert main(["localize", "--net", str(net), "--measurements", str(meas)]) == 1
+        assert "apex must be an integer" in capsys.readouterr().err
+    meas.write_text("[]")
+    assert main(["localize", "--net", str(net), "--measurements", str(meas)]) == 1
+    assert "must be an object" in capsys.readouterr().err
 
 
 def test_cli_rejects_invalid_solver_flags(tmp_path, capsys):

@@ -3,6 +3,9 @@
 The finite-difference Jacobian is the independent oracle for the assembled
 matrix; seeded random sweeps cover the rank bound, the trivial null space,
 duality under bipartition swap, and reduced-mode rank equality.  The
+rank test and the duality check share one cached singular spectrum per
+framework; its ranks are checked against the full factorization, against
+fresh instances and for call order, and its SVD calls are counted.  The
 quadrilateral criterion is pinned on the published coordinate examples and
 cross-checked against the brute-force shape search, whose batched
 Levenberg-Marquardt run is checked against the per-start scipy loop kept
@@ -10,6 +13,7 @@ here as its reference.  Ranks and quad verdicts must not depend on vertex
 labels.
 """
 
+import inspect
 import itertools
 
 import numpy as np
@@ -133,6 +137,14 @@ def test_reduced_mode_has_same_rank(rng):
         assert full == red
 
 
+def _check_cached_rank(fw, rtol):
+    M = sarod.rigidity._rank_test_matrix(fw)
+    rank = infinitesimal_rigidity_test(fw, rtol).rank
+    assert rank == sarod.rigidity._svd_factor(M, rtol)[0]
+    assert 2 * fw.n - rank == null_space(M, rtol).shape[1]
+    return rank
+
+
 @pytest.mark.parametrize(
     "recipe, n, seed",
     [
@@ -142,15 +154,22 @@ def test_reduced_mode_has_same_rank(rng):
         ("type2D1", 250, 1151303600),
         ("quad2v", 260, 834329843),
         ("quad2v", 260, 922900161),
+        ("bilat-D1A1", 180, 0),
+        ("mix-D2A1", 130, 0),
+        ("bilat-D1A1", 71, 2),
+        ("mix-D2A1", 71, 2),
+        ("type2D1", 71, 2),
+        ("minimal", 70, 2),
     ],
 )
 def test_rank_and_duality_on_recipe_instances(recipe, n, seed):
     # Rigid by construction.  Unscaled rows put SA entries at 1/len and RoD
     # entries at kappa/len, and the relative rank cut then dropped a
-    # direction or split the duality ranks on each of these instances (on
-    # the last one only with the reduced rows left unscaled).
+    # direction or split the duality ranks on each of the first six
+    # instances (on the sixth only with the reduced rows left unscaled).
+    # The rank read off the cached spectrum is the full factorization's.
     fw = generate(recipe, n, seed).framework
-    assert infinitesimal_rigidity_test(fw).rank == 2 * n - 4
+    assert _check_cached_rank(fw, 1e-8) == 2 * n - 4
     dual = duality_check(fw)
     assert dual.equal and dual.rank == 2 * n - 4
 
@@ -163,6 +182,68 @@ def test_swapped_bipartition_has_the_same_spectrum(rng):
         s = infinitesimal_rigidity_test(fw).sigma
         s_swapped = infinitesimal_rigidity_test(fw.swapped()).sigma
         assert np.max(np.abs(s - s_swapped)) <= 1e-10 * s[0]
+
+
+def _fresh(fw):
+    """The same framework as a new instance, with nothing cached on it."""
+    return Framework(fw.graph, fw.bipartition, fw.points)
+
+
+def test_rank_test_and_duality_factor_two_sigma_only_spectra(monkeypatch):
+    # The rank test factors the framework's matrix and the duality check
+    # only the swapped one; neither computes singular vectors, and another
+    # rank cut on the same instance reuses the cached spectrum.
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(inspect.signature(svd).bind(*args, **kwargs).arguments.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    fw = generate("quad2v", 40, 3).framework
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert infinitesimal_rigidity_test(fw).rigid
+    assert duality_check(fw).equal
+    assert calls == [False, False]
+    infinitesimal_rigidity_test(fw, 1e-3)
+    duality_check(fw, 1e-3)
+    assert calls == [False, False, False]  # only the new swapped framework is factored
+
+
+def test_cached_spectrum_rank_matches_full_factorization(rng):
+    flexible = 0
+    for _ in range(20):
+        fw = random_framework(int(rng.integers(4, 11)), rng)
+        for rtol in (1e-8, 1e-3):
+            rank = _check_cached_rank(fw, rtol)
+        flexible += rank < 2 * fw.n - 4
+    assert flexible > 0
+
+
+def test_duality_ranks_do_not_depend_on_call_order(rng):
+    for _ in range(15):
+        fw = random_framework(int(rng.integers(4, 11)), rng)
+        first = duality_check(fw)
+        rep = infinitesimal_rigidity_test(fw)
+        other = _fresh(fw)
+        rep_fresh = infinitesimal_rigidity_test(other)
+        after = duality_check(other)
+        assert (first.rank, first.rank_swapped) == (after.rank, after.rank_swapped)
+        assert rep.rank == rep_fresh.rank == first.rank
+        assert np.array_equal(rep.sigma, rep_fresh.sigma)
+
+
+def test_rank_cuts_on_one_instance_match_fresh_instances():
+    fw = generate("mix-D2A1", 31, 4).framework
+    s = infinitesimal_rigidity_test(_fresh(fw)).sigma
+    k = len(s) // 2
+    loose = float(np.sqrt(s[k] * s[k + 1]) / s[0])  # cuts the spectrum after index k
+    for rtol in (1e-8, loose, 1e-8):
+        shared, fresh = infinitesimal_rigidity_test(fw, rtol), infinitesimal_rigidity_test(_fresh(fw), rtol)
+        assert shared.to_dict() == fresh.to_dict()
+        assert duality_check(fw, rtol) == duality_check(_fresh(fw), rtol)
+    assert infinitesimal_rigidity_test(fw, loose).rank == k + 1
+    with pytest.raises(ValueError):  # the cached spectrum is read-only
+        infinitesimal_rigidity_test(fw).sigma[0] = 0.0
 
 
 def _relabelled(fw, perm):
