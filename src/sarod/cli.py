@@ -137,8 +137,9 @@ def _spec_runs(spec) -> list:
             raise ValueError(f'run {k} needs a "recipe"')
         if type(entry.get("n")) is not int:
             raise ValueError(f'run {k} needs an integer "n"')
-        if not isinstance(entry.get("seeds", []), list):
-            raise ValueError(f'run {k}: "seeds" must be a list')
+        seeds = entry.get("seeds", [])
+        if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
+            raise ValueError(f'run {k}: "seeds" must be a list of non-negative integers, got {seeds!r}')
     return runs
 
 
@@ -167,10 +168,10 @@ def cmd_report(args) -> int:
         for seed in entry.get("seeds", [0]):
             row = {"recipe": recipe, "n": n, "seed": seed}
             try:
-                con = generate(recipe, n, int(seed))
+                con = generate(recipe, n, seed)
                 net = build_network(con.framework, (1, 2))
                 t0 = time.perf_counter()
-                result = localize_network(net, replace(base_config, seed=int(seed)))
+                result = localize_network(net, replace(base_config, seed=seed))
                 row.update({k: result.solution.info.get(k, "") for k in evidence})
                 row.update(
                     method=result.method,

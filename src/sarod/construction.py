@@ -70,22 +70,23 @@ class Construction:
     seed: int = 0
 
 
-def _noncollinear(a, b, c, tol: float = COLLINEARITY_TOL) -> bool:
+def _noncollinear(a, b, c) -> bool:
     u = b - a
     v = c - a
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return False
-    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv) > tol
+    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv) > COLLINEARITY_TOL
 
-def _separated(p: np.ndarray, q: np.ndarray, tol: float = 1e-6) -> bool:
+
+def _separated(p: np.ndarray, q: np.ndarray) -> bool:
     if p.shape[0] == 0:
         return True
-    return bool(np.min(np.linalg.norm(p - q, axis=1)) > tol)
+    return bool(np.min(np.linalg.norm(p - q, axis=1)) > 1e-6)
 
 
-def _draw_point(rng, box, existing):
-    (x0, y0), (x1, y1) = box
+def _draw_point(rng, existing):
+    (x0, y0), (x1, y1) = UNIT_BOX
     for _ in range(PLACEMENT_RETRIES):
         q = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
         if _separated(existing, q):
@@ -111,9 +112,9 @@ class _Growth:
     ``Framework`` once, when the network is complete.
     """
 
-    def __init__(self, rng, box, attrs, edges, points=None, noncollinear=()):
+    def __init__(self, rng, attrs, edges, points=None, noncollinear=()):
         """Vertices 1..len(attrs) joined by ``edges``, at ``points`` or placed under ``noncollinear``."""
-        self.rng, self.box, self.steps = rng, box, []
+        self.rng, self.steps = rng, []
         self.attrs, self.edges, self.points = list(attrs), list(edges), np.empty((0, 2))
         self.points = self._place(len(attrs), noncollinear) if points is None else points
 
@@ -139,7 +140,7 @@ class _Growth:
         for _ in range(PLACEMENT_RETRIES):
             points = self.points
             for _ in range(count):
-                points = np.vstack([points, _draw_point(self.rng, self.box, points)])
+                points = np.vstack([points, _draw_point(self.rng, points)])
             if all(_noncollinear(*points[[v - 1 for v in trio]]) for trio in noncollinear):
                 return points
         raise ConstructionError("placement failed after retries (collinearity guard)")
@@ -213,7 +214,7 @@ class _Growth:
         return Framework(Graph(self.n, tuple(self.edges)), Bipartition(tuple(self.attrs)), self.points)
 
 
-def apply_vertex_addition(fw: Framework, kind: str, attach, rng, box=UNIT_BOX, third: int | None = None):
+def apply_vertex_addition(fw: Framework, kind: str, attach, rng, third: int | None = None):
     """One-vertex addition of the given kind at attachments (i, j).
 
     Kind A1 adds an A-vertex and needs a D-attachment; D1 is the mirror.
@@ -223,27 +224,27 @@ def apply_vertex_addition(fw: Framework, kind: str, attach, rng, box=UNIT_BOX, t
     attachment positions non-collinear; no other kind takes ``third``.
     Returns (framework, step record).
     """
-    growth = _Growth(rng, box, fw.bipartition.attrs, fw.graph.edges, fw.points)
+    growth = _Growth(rng, fw.bipartition.attrs, fw.graph.edges, fw.points)
     growth.vertex_addition(kind, attach, third)
     return growth.framework(), growth.steps[0]
 
 
-def apply_two_vertex_addition(fw: Framework, attach, new_attrs, rng, box=UNIT_BOX):
+def apply_two_vertex_addition(fw: Framework, attach, new_attrs, rng):
     """Two-vertex addition: vertices n+1, n+2 and edges (j,n+1), (n+1,n+2), (n+2,i).
 
     Exactly three of {i, j, n+1, n+2} must be A-vertices, and the three
     A-positions are resampled until non-collinear.
     """
-    growth = _Growth(rng, box, fw.bipartition.attrs, fw.graph.edges, fw.points)
+    growth = _Growth(rng, fw.bipartition.attrs, fw.graph.edges, fw.points)
     growth.two_vertex_addition(attach, new_attrs)
     return growth.framework(), growth.steps[0]
 
 
-def _quadrilateralized(n: int, seed: int, defect_quads: int, box) -> _Growth:
+def _quadrilateralized(n: int, seed: int, defect_quads: int) -> _Growth:
     if n < 4 or n % 2:
         raise ConstructionError("quadrilateralized recipe needs even n >= 4")
     rng = np.random.default_rng(seed)
-    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
+    growth = _Growth(rng, ("D", "A"), [(1, 2)])
     total = (n - 2) // 2
     for step_no in range(total):
         defective = step_no >= total - defect_quads
@@ -266,7 +267,7 @@ def _quadrilateralized(n: int, seed: int, defect_quads: int, box) -> _Growth:
     return growth
 
 
-def generate_quadrilateralized(n: int, seed: int = 0, defect_quads: int = 0, box=UNIT_BOX) -> Construction:
+def generate_quadrilateralized(n: int, seed: int = 0, defect_quads: int = 0) -> Construction:
     """Quadrilateralized framework by 2-vertex additions on existing edges.
 
     With ``defect_quads`` > 0, that many trailing additions place both new
@@ -275,11 +276,11 @@ def generate_quadrilateralized(n: int, seed: int = 0, defect_quads: int = 0, box
     ordering (it stays SA-connected but loses rigidity: each defect drops
     the distance-system rank by one).
     """
-    growth = _quadrilateralized(n, seed, defect_quads, box)
+    growth = _quadrilateralized(n, seed, defect_quads)
     return Construction(growth.framework(), growth.steps, "quad2v", seed)
 
 
-def generate_bilateration(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
+def generate_bilateration(n: int, seed: int = 0) -> Construction:
     """Type (D1, A1) bilateration: odd vertices are D, even are A; m = 2n-3.
 
     Each new D-vertex attaches to one A- and one D-vertex; each new
@@ -289,7 +290,7 @@ def generate_bilateration(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     if n < 3:
         raise ConstructionError("bilateration recipe needs n >= 3")
     rng = np.random.default_rng(seed)
-    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
+    growth = _Growth(rng, ("D", "A"), [(1, 2)])
     for k in range(3, n + 1):
         a_set = growth.vertices("A")
         d_set = growth.vertices("D")
@@ -301,7 +302,7 @@ def generate_bilateration(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     return Construction(growth.framework(), growth.steps, "bilat-D1A1", seed)
 
 
-def generate_mixed(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
+def generate_mixed(n: int, seed: int = 0) -> Construction:
     """Alternating A1 and three-edge D additions from a pure-D quadrilateral.
 
     Each A1 vertex attaches to two D-vertices other than the quadrilateral
@@ -319,7 +320,7 @@ def generate_mixed(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
         raise ConstructionError("mixed recipe needs n >= 6")
     rng = np.random.default_rng(seed)
     # A generic 4-cycle with all vertices in V_D (flexible on its own).
-    growth = _Growth(rng, box, ("D",) * 4, [(1, 2), (2, 3), (3, 4), (1, 4)], noncollinear=((1, 2, 3), (2, 3, 4)))
+    growth = _Growth(rng, ("D",) * 4, [(1, 2), (2, 3), (3, 4), (1, 4)], noncollinear=((1, 2, 3), (2, 3, 4)))
     growth.steps.append({"kind": "pure_d_quadrilateral", "new": [1, 2, 3, 4], "pos": growth.points.tolist()})
     while growth.n < n:
         # A1 from an even vertex count, three-edge D from an odd one; the first D (at n = 5) on corners 3, 4.
@@ -338,7 +339,7 @@ def generate_mixed(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     return Construction(growth.framework(), growth.steps, "mix-D2A1", seed)
 
 
-def generate_two_step(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
+def generate_two_step(n: int, seed: int = 0) -> Construction:
     """Alternating two-vertex and D1 additions; neither SA- nor RoD-connected.
 
     Two-vertex additions place both new vertices in V_A and attach to one
@@ -350,7 +351,7 @@ def generate_two_step(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     if n < 4:
         raise ConstructionError("two-step recipe needs n >= 4")
     rng = np.random.default_rng(seed)
-    growth = _Growth(rng, box, ("D", "A"), [(1, 2)])
+    growth = _Growth(rng, ("D", "A"), [(1, 2)])
     next_two = True
     while growth.n < n:
         a_set = growth.vertices("A")
@@ -363,7 +364,7 @@ def generate_two_step(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     return Construction(growth.framework(), growth.steps, "type2D1", seed)
 
 
-def generate_minimal_rigid(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
+def generate_minimal_rigid(n: int, seed: int = 0) -> Construction:
     """Framework hitting the rigidity edge lower bound.
 
     Even n: (n-2)/2 two-vertex additions, m = (3n-4)/2.  Odd n: two-vertex
@@ -372,7 +373,7 @@ def generate_minimal_rigid(n: int, seed: int = 0, box=UNIT_BOX) -> Construction:
     """
     if n < 4:
         raise ConstructionError("minimal recipe needs n >= 4")
-    growth = _quadrilateralized(n - n % 2, seed, 0, box)
+    growth = _quadrilateralized(n - n % 2, seed, 0)
     if n % 2:
         growth.rng = rng = np.random.default_rng([seed, n])
         growth.vertex_addition("D1", (_pick(rng, growth.vertices("A")), _pick(rng, growth.vertices("D"))))
@@ -444,11 +445,11 @@ def merge_add_edges(fw1: Framework, fw2: Framework, pair1, pair2, three_edges: b
     return Framework(Graph.from_edges(n1 + fw2.n, edges), Bipartition(attrs), points)
 
 
-def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b, tol: float = 1e-9, check: bool = True):
+def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b, check: bool = True):
     """Merge two rigid frameworks by contracting two coincident vertex pairs.
 
     Pairs (i, j) and (m, k) with i, m in the first framework and j, k in the
-    second must have equal positions (within ``tol``) and equal attributes.
+    second must have equal positions (within 1e-9) and equal attributes.
     Returns (framework, vertex_map) where vertex_map sends each vertex of
     the second framework to its id in the merged one.
     """
@@ -462,7 +463,7 @@ def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b, tol: float = 
     if j == k or i == m:
         raise ConstructionError("contraction pairs must use distinct vertices")
     for (u, v) in ((i, j), (m, k)):
-        if np.linalg.norm(fw1.point(u) - fw2.point(v)) > tol:
+        if np.linalg.norm(fw1.point(u) - fw2.point(v)) > 1e-9:
             raise ConstructionError(f"contracted vertices {u} and {v} are not coincident")
         if fw1.bipartition.attr(u) != fw2.bipartition.attr(v):
             raise ConstructionError(f"contracted vertices {u} and {v} have different attributes")

@@ -57,12 +57,12 @@ def as_points(points) -> np.ndarray:
     return p
 
 
-def check_distinct(points: np.ndarray, tol: float = 0.0):
+def check_distinct(points: np.ndarray):
     p = as_points(points)
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    if dist.min() <= tol:
+    if dist.min() <= 0.0:
         i, j = np.unravel_index(int(dist.argmin()), dist.shape)
         raise CollocationError(f"collocated nodes (Assumption 1): vertices {i + 1} and {j + 1}")
 

@@ -10,13 +10,14 @@ All matrices produced here (incidence, cycle basis, path matrices) are
 integer-valued, so identities like C @ H == 0 hold exactly.  Every
 spanning-tree sum is one breadth-first forest walk, ``tree_sums``, over a
 ``signed_graph`` (the vertex graph or a triple index graph); each ``Graph``
-builds its vertex tree at most once per orientation.
+builds its one vertex spanning tree at most once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "edge_code",
     "incidence_matrix",
     "SpanningTree",
-    "bfs_spanning_tree",
     "fundamental_cycle_basis",
     "path_matrix",
     "enumerate_triples",
@@ -107,13 +107,10 @@ class Graph:
     def is_connected(self) -> bool:
         return connected_components(vertex_graph(self), directed=False)[0] == 1
 
-    def spanning_tree(self, reverse_neighbors: bool = False) -> "SpanningTree":
-        """BFS spanning tree from vertex 1, built at most once per graph and orientation (see ``_spanning_tree``)."""
-        # Cached in the instance dict, as functools.cached_property does on frozen classes.
-        trees = self.__dict__.setdefault("_spanning_trees", {})
-        if reverse_neighbors not in trees:
-            trees[reverse_neighbors] = _spanning_tree(self, reverse_neighbors)
-        return trees[reverse_neighbors]
+    @cached_property
+    def spanning_tree(self) -> "SpanningTree":
+        """The graph's one spanning tree, built at most once: cycle closure and recovery need no other."""
+        return _spanning_tree(self)
 
 
 @dataclass(frozen=True)
@@ -220,18 +217,12 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return H
 
 
-def bfs_spanning_tree(g: Graph, reverse_neighbors: bool = False):
-    """(parent, parent_edge) of the graph's BFS spanning tree from vertex 1."""
-    tree = g.spanning_tree(reverse_neighbors)
-    return tree.parent, tree.parent_edge
-
-
-def fundamental_cycle_basis(g: Graph, reverse_neighbors: bool = False) -> CycleBasis:
+def fundamental_cycle_basis(g: Graph) -> CycleBasis:
     """Cycle basis from the graph's BFS spanning tree; exactly m-n+1 rows.
 
     Non-tree edge (u, v) gives the cycle u -> v, then the tree path v -> u.
     """
-    tree = g.spanning_tree(reverse_neighbors)
+    tree = g.spanning_tree
     chords = np.setdiff1d(np.arange(g.m), tree.parent_edge)
     ends = np.array(g.edges, dtype=int).reshape(-1, 2)[chords] - 1
     C = tree.root_rows[ends[:, 0]] - tree.root_rows[ends[:, 1]]
@@ -239,24 +230,20 @@ def fundamental_cycle_basis(g: Graph, reverse_neighbors: bool = False) -> CycleB
     return CycleBasis(C, tree.parent)
 
 
-def path_matrix(g: Graph, base: int, reverse_neighbors: bool = False) -> PathMatrix:
+def path_matrix(g: Graph, base: int) -> PathMatrix:
     """Path matrix with the given base vertex, from the graph's BFS spanning tree."""
     if not (1 <= base <= g.n):
         raise GraphError(f"base vertex {base} not in 1..{g.n}")
-    tree = g.spanning_tree(reverse_neighbors)
+    tree = g.spanning_tree
     return PathMatrix(tree.root_rows - tree.root_rows[base - 1], base, tree.parent)
 
 
-def _spanning_tree(g: Graph, reverse: bool) -> SpanningTree:
-    """BFS tree over ascending neighbours, or descending ones with ``reverse`` (a second tree for
-    tree-independence checks; renaming v to n + 1 - v turns descending order into ascending)."""
-    root = g.n - 1 if reverse else 0
+def _spanning_tree(g: Graph) -> SpanningTree:
+    """BFS tree from vertex 1 over ascending neighbours."""
     # A tree path uses an edge at most once, so int8 sums are exact and keep pointer doubling cache-sized.
-    parent, entry, rows = tree_sums(vertex_graph(g, relabel=reverse), [root], np.eye(g.m, dtype=np.int8))
+    parent, entry, rows = tree_sums(vertex_graph(g), [0], np.eye(g.m, dtype=np.int8))
     if np.count_nonzero(parent < 0) > 1:
         raise GraphError("graph not connected")
-    if reverse:  # back from the relabelled ids
-        parent, entry, rows = np.where(parent < 0, -1, g.n - 1 - parent)[::-1], entry[::-1], rows[::-1]
     rows = rows.astype(int)
     rows.flags.writeable = False
     return SpanningTree((0, *(parent + 1).tolist()), (-1, *(np.abs(entry) - 1).tolist()), rows)
@@ -312,10 +299,10 @@ def index_graph(t: TripleIndexSet, m: int) -> csr_matrix:
     return signed_graph(t.e1, t.e2, m)
 
 
-def vertex_graph(g: Graph, relabel: bool = False) -> csr_matrix:
-    """Vertex graph over 0-based ids, edge e joining tail -> head with +(e + 1); ``relabel`` renames v to n + 1 - v."""
+def vertex_graph(g: Graph) -> csr_matrix:
+    """Vertex graph over 0-based ids, edge e joining tail -> head with +(e + 1)."""
     ends = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
-    return signed_graph(*(g.n - 1 - ends if relabel else ends).T, g.n)
+    return signed_graph(*ends.T, g.n)
 
 
 def tree_sums(graph: csr_matrix, roots, steps: np.ndarray):

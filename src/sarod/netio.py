@@ -98,7 +98,10 @@ def network_from_dict(data: dict):
             raise ValueError(f"vertex {v}: pos must be [x, y], got {pos!r}")
         attrs.append(attr)
         points[v - 1] = [_number(pos[0], f"vertex {v}: pos x"), _number(pos[1], f"vertex {v}: pos y")]
-        if rec.get("anchor", False):
+        anchor = rec.get("anchor", False)
+        if type(anchor) is not bool:  # JSON "false" and 0 are not flags
+            raise ValueError(f"vertex {v}: anchor must be true or false, got {anchor!r}")
+        if anchor:
             anchors.append(v)
     try:
         graph = Graph.from_edges(n, edges)
@@ -138,9 +141,12 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
         for rec in records:
             try:
                 t = tuple(_vertex_id(rec[key], key) for key in ("apex", "j", "k"))
-                out[t] = _number(rec["value"], "value")
+                value = _number(rec["value"], "value")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad {kind} measurement record {rec!r}: {exc}") from exc
+            if t in out:
+                raise ValueError(f"duplicate {kind} measurement for triple {t}")
+            out[t] = value
         return out
 
     return MeasurementSet(unpack("sa"), unpack("rod"))

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_RTOL = 1e-8
+QUAD_TOL = 1e-9  # absolute tolerance of the 4-cycle criterion on scale-normalized residuals
+SHAPE_CLUSTER_TOL = 1e-6  # the oracle's shape-clustering radius, in units of |p2 - p1|
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,10 @@ def _rank_test_spectrum(fw: Framework, M: np.ndarray | None = None) -> np.ndarra
     """Singular values of ``_rank_test_matrix(fw)``, factored at most once per framework.
 
     ``M`` is that matrix when the caller has already assembled it.  The
-    read-only spectrum is cached in the instance dict, as
-    ``Graph.spanning_tree`` caches its trees; the framework is frozen and
-    its points are a read-only copy, so the cache cannot go stale.  It holds
-    no rank: each caller applies its own ``rtol`` cut.
+    read-only spectrum is cached in the framework's instance dict; the
+    framework is frozen and its points are a read-only copy, so the cache
+    cannot go stale.  It holds no rank: each caller applies its own
+    ``rtol`` cut.
     """
     cache = fw.__dict__
     if "_rank_test_sigma" not in cache:
@@ -254,14 +256,14 @@ def _relabel_rotation(points, shift: int) -> np.ndarray:
     return points[idx]
 
 
-def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
+def quad_global_rigidity(fw: Framework) -> QuadVerdict:
     """Global-rigidity criterion for a 4-cycle framework.
 
     The framework is canonically relabeled (cyclic rotation) so that the
     criterion's reference labels apply.  Equality-type conditions are tested
-    with absolute tolerance ``tol`` on scale-normalized residuals; verdicts
-    whose deciding quantity lies within ``tol`` of the decision threshold
-    are flagged ``boundary``.
+    with absolute tolerance ``QUAD_TOL`` on scale-normalized residuals;
+    verdicts whose deciding quantity lies within ``QUAD_TOL`` of the
+    decision threshold are flagged ``boundary``.
     """
     if fw.n != 4 or set(fw.graph.edges) != _QUAD_EDGES:
         raise ValueError("expects 4-cycle on vertices 1..4")
@@ -282,7 +284,7 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
     if len(a_set) == 3:
         a0, a1, a2 = sorted(a_set)
         coll = _collinearity(p, a1, a0, a2)
-        return QuadVerdict(coll > tol, 1, coll, coll <= tol, {"a_collinearity": coll})
+        return QuadVerdict(coll > QUAD_TOL, 1, coll, coll <= QUAD_TOL, {"a_collinearity": coll})
 
     if len(a_set) == 1:
         apex = next(iter(a_set))
@@ -290,7 +292,7 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
         d_coll = _collinearity(q, 2, 3, 4)
         kite = max(abs(dist(q, 1, 4) - dist(q, 3, 4)), abs(dist(q, 1, 2) - dist(q, 3, 2))) / side
         resid = min(d_coll, kite)
-        return QuadVerdict(resid <= tol, 2, resid, resid <= tol, {"d_collinearity": d_coll, "kite_residual": kite})
+        return QuadVerdict(resid <= QUAD_TOL, 2, resid, resid <= QUAD_TOL, {"d_collinearity": d_coll, "kite_residual": kite})
 
     adjacent = any({a, b} == a_set for a, b in _QUAD_EDGES)
     if adjacent:
@@ -302,7 +304,7 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
         margin_raw = dist(q, 1, 2) + 2.0 * dist(q, 3, 4) * np.cos(theta(q, 3, 4) - theta(q, 1, 2))
         margin = margin_raw / side
         return QuadVerdict(
-            margin_raw <= 0.0, 3, abs(margin), abs(margin) <= tol,
+            margin_raw <= 0.0, 3, abs(margin), abs(margin) <= QUAD_TOL,
             {"adjacent_margin": margin, "adjacent_margin_raw": margin_raw},
         )
 
@@ -322,12 +324,12 @@ def quad_global_rigidity(fw: Framework, tol: float = 1e-9) -> QuadVerdict:
     disc_n = abs(disc) / side**4
     prod = (d23 - d12) * (d34 - d14)
     prod_n = prod / side**2
-    rigid = disc_n <= tol or prod <= 0.0
+    rigid = disc_n <= QUAD_TOL or prod <= 0.0
     if prod <= 0.0:
         margin = abs(prod_n)
     else:
         margin = min(prod_n, disc_n)
-    boundary = margin <= tol
+    boundary = margin <= QUAD_TOL
     return QuadVerdict(
         rigid, 4, margin, boundary,
         {"discriminant": disc_n, "sign_product": prod_n, "discriminant_raw": disc, "sign_product_raw": prod},
@@ -408,21 +410,16 @@ def _batched_lm(x: np.ndarray, fun, tiny: float):
     return x, r
 
 
-def equivalent_shape_search(
-    fw: Framework,
-    trials: int = 50,
-    seed: int = 0,
-    residual_tol: float = 1e-10,
-    cluster_tol: float = 1e-6,
-):
+def equivalent_shape_search(fw: Framework, trials: int = 50, seed: int = 0, residual_tol: float = 1e-10):
     """Desk-scale search for all shapes satisfying the framework's constraints.
 
     Multi-start nonlinear least squares on the measurement residual with the
     similarity gauge removed by pinning vertices 1 and 2: one batched
     Levenberg-Marquardt run (``_batched_lm``) moves all ``trials`` starts at
     once, with the rigidity matrix as analytic Jacobian.  Solutions below
-    ``residual_tol`` (max-norm) are clustered modulo similarity in start
-    order and returned as configurations.  The true configuration is always
+    ``residual_tol`` (max-norm) are clustered modulo similarity (radius
+    ``SHAPE_CLUSTER_TOL`` times |p2 - p1|) in start order and returned as
+    configurations.  The true configuration is always
     among the starts, so at least one shape is found.
     """
     if fw.n > 8:
@@ -448,7 +445,7 @@ def equivalent_shape_search(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # collocated iterates: masked as non-finite
         x, r = _batched_lm(x0, residual, 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(target), initial=0.0)))
     shapes: list[np.ndarray] = []
-    tol = cluster_tol * scale
+    tol = SHAPE_CLUSTER_TOL * scale
     for q, ok in zip(unpack(x), np.all(np.abs(r) <= residual_tol, axis=1)):  # False where non-finite
         if not ok or np.min([np.linalg.norm(q[i] - q[j]) for i, j in itertools.combinations(range(fw.n), 2)]) < 1e-9 * scale:
             continue

@@ -95,6 +95,8 @@ class SolverConfig:
     box_half_width: ClassVar[float] = 2.0
 
     def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.starts >= 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if not 0.0 < self.rtol < 1.0:
@@ -111,8 +113,8 @@ class SensorNetwork:
     rod_triples: TripleIndexSet
     sa: dict
     rod: dict
-    anchor_bearings: dict  # canonical edge -> unit 2-vector
-    anchor_distances: dict  # canonical edge -> float
+    anchor_bearings: dict  # canonical edge -> unit 2-vector, anchor pairs (i, j) in ascending order
+    anchor_distances: dict  # canonical edge -> float, in the same order
 
     @property
     def graph(self) -> Graph:
@@ -121,6 +123,17 @@ class SensorNetwork:
     @property
     def truth(self) -> np.ndarray:
         return self.framework.points
+
+    @cached_property
+    def anchor_edges(self) -> np.ndarray:
+        """Canonical indices of the anchor-pair edges, in ``anchor_distances`` order."""
+        eidx = self.graph.edge_index()
+        return np.array([eidx[e] for e in self.anchor_distances], dtype=int)
+
+    @cached_property
+    def unit(self) -> float:
+        """The length unit of localization: the largest anchor distance."""
+        return max(self.anchor_distances.values())
 
     @cached_property
     def bearing_param(self) -> "EdgeParameterization":
@@ -230,7 +243,7 @@ def _centered(x: np.ndarray, period: float | None) -> np.ndarray:
     return x if period is None else np.mod(x + period / 2, period) - period / 2
 
 
-def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, anchor_values: dict, period: float | None, side: str):
+def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, anchor_values: np.ndarray, period: float | None, side: str):
     """Additive potentials over one triple index graph, pinned by the anchor edges.
 
     Triple k carries the potential of its edge e1 to its edge e2 by adding
@@ -238,10 +251,10 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     0; every other edge sums the steps along a breadth-first tree from it
     (``graph.tree_sums``, the walk the vertex spanning tree uses too).  A
     component holding an anchor edge is shifted to reproduce the anchor
-    value there.  Returns (labels, count, potentials, pinned potentials (NaN
-    on free components), free component ids, worst closure mismatch);
-    mismatches above the consistency tolerance raise
-    ``InfeasibleMeasurementsError``.
+    value there (``anchor_values``, one per ``net.anchor_edges``).  Returns
+    (labels, count, potentials, pinned potentials (NaN on free components),
+    free component ids, worst closure mismatch); mismatches above the
+    consistency tolerance raise ``InfeasibleMeasurementsError``.
     """
     g = net.graph
     labels, n_comp = triple_index_components(triples, g)
@@ -251,12 +264,11 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     mismatch = float(np.max(np.abs(_centered(pot[triples.e2] - pot[triples.e1] - steps, period)), initial=0.0))
     if not mismatch <= tol:  # NaN fails too
         raise InfeasibleMeasurementsError(f"infeasible {side} data: worst closure mismatch {mismatch:.3e} around an index cycle (tolerance {tol:g})")
-    eidx = g.edge_index()
-    edges = np.array([eidx[e] for e in anchor_values], dtype=int)
-    shift = np.array(list(anchor_values.values()), dtype=float) - pot[edges]
+    comp = labels[net.anchor_edges]
+    shift = anchor_values - pot[net.anchor_edges]
     ref = np.full(n_comp, np.nan)
-    ref[labels[edges]] = shift
-    if np.any(np.abs(_centered(shift - ref[labels[edges]], period)) > tol):
+    ref[comp] = shift
+    if np.any(np.abs(_centered(shift - ref[comp], period)) > tol):
         raise InfeasibleMeasurementsError(f"infeasible {side} data: anchor values disagree within a component")
     return labels, n_comp, pot, pot + ref[labels], np.flatnonzero(np.isnan(ref)), mismatch
 
@@ -271,8 +283,8 @@ def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     """
     s1, s2, theta = _sa_relations(net)
     steps = np.where(s1 * s2 < 0, theta + np.pi, theta)
-    anchors = {e: float(np.arctan2(b[1], b[0])) for e, b in net.anchor_bearings.items()}
-    labels, n_comp, phi, angle, free, mismatch = _propagate(net, net.sa_triples, steps, anchors, 2.0 * np.pi, "SA")
+    b = np.array(list(net.anchor_bearings.values()))
+    labels, n_comp, phi, angle, free, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[:, 1], b[:, 0]), 2.0 * np.pi, "SA")
     e = np.flatnonzero(np.isnan(angle))
     t = np.searchsorted(free, labels[e])
     c, s = np.cos(phi[e]), np.sin(phi[e])
@@ -285,7 +297,7 @@ def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
 
 def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge distances per RoD-index component (ratios transported as log-sums)."""
-    anchors = {e: float(np.log(d)) for e, d in net.anchor_distances.items()}
+    anchors = np.log(list(net.anchor_distances.values()))
     labels, n_comp, log_rho, log_d, free, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
     e = np.flatnonzero(np.isnan(log_d))
     basis = np.zeros((net.graph.m, len(free)))
@@ -312,7 +324,6 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     vector.
     """
     g = net.graph
-    eidx = g.edge_index()
     Cb = cycle_bearing_matrix(g, bearings)
     n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_distances)
     A = np.zeros((n_rows, g.m))
@@ -321,11 +332,9 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     rows = Cb.shape[0] + np.arange(len(net.rod_triples))
     A[rows, net.rod_triples.e1] = -_rod_ratios(net)
     A[rows, net.rod_triples.e2] = 1.0
-    r = Cb.shape[0] + len(net.rod_triples)
-    for (i, j), d_star in sorted(net.anchor_distances.items()):
-        A[r, eidx[(i, j)]] = 1.0
-        y[r] = d_star
-        r += 1
+    rows = Cb.shape[0] + len(net.rod_triples) + np.arange(len(net.anchor_edges))
+    A[rows, net.anchor_edges] = 1.0
+    y[rows] = list(net.anchor_distances.values())
     return A, y
 
 
@@ -362,10 +371,9 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     shared tolerance, all from one SVD.
     """
     g = net.graph
-    eidx = g.edge_index()
     sa = net.sa_triples
     C = fundamental_cycle_basis(g).matrix.astype(float)
-    C1 = np.kron(C * (distances / max(net.anchor_distances.values())), np.eye(2))
+    C1 = np.kron(C * (distances / net.unit), np.eye(2))
     n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_bearings)
     A = np.zeros((n_rows, 2 * g.m))
     z = np.zeros(n_rows)
@@ -376,12 +384,10 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     k = np.arange(len(sa))
     blocks[k, :, sa.e2, :] = s2[:, None, None] * np.eye(2)
     blocks[k, :, sa.e1, :] = -s1[:, None, None] * rotation(theta).transpose(2, 0, 1)
-    r = C1.shape[0] + 2 * len(sa)
-    for (i, j), b_star in sorted(net.anchor_bearings.items()):
-        e = eidx[(i, j)]
-        A[r : r + 2, 2 * e : 2 * e + 2] = np.eye(2)
-        z[r : r + 2] = b_star
-        r += 2
+    # One 2x2 identity block row per anchor pair, on its edge.
+    rows = C1.shape[0] + 2 * len(sa) + 2 * np.arange(len(net.anchor_edges))[:, None] + [0, 1]
+    A[rows, 2 * net.anchor_edges[:, None] + [0, 1]] = 1.0
+    z[rows] = list(net.anchor_bearings.values())
     return _solved(A, z, rtol)
 
 
@@ -400,7 +406,7 @@ def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
     if np.any(~bear.resolved & ~dist.resolved):
         raise ValueError("an edge is free on both sides, so the closure is bilinear")
     g = net.graph
-    d0 = dist.offset / max(net.anchor_distances.values())
+    d0 = dist.offset / net.unit
     Cb = cycle_bearing_matrix(g, bear.offset)
     C = fundamental_cycle_basis(g).matrix.astype(float)
     Cw = ((C * d0) @ bear.basis.reshape(g.m, -1)).reshape(len(Cb), bear.dim)
@@ -448,7 +454,7 @@ def _edges_at(net: SensorNetwork, x: np.ndarray):
     bear, dist = net.bearing_param, net.distance_param
     m, kw = net.graph.m, bear.dim
     b = bear.offset + np.einsum("ejk,...k->...ej", bear.basis.reshape(m, 2, kw), x[..., :kw])
-    return b, dist.offset / max(net.anchor_distances.values()) + x[..., kw:] @ dist.basis.T
+    return b, dist.offset / net.unit + x[..., kw:] @ dist.basis.T
 
 
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
@@ -456,7 +462,6 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
 
     The best zero answers; one cluster is ``heuristic-unique``.
     """
-    unit = max(net.anchor_distances.values())
     reps = []
     positivity_failures = 0
     for x, obj in zip(xs, objectives):
@@ -466,8 +471,8 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
         if np.any(d <= 0):
             positivity_failures += 1
             continue
-        zero = {"bearings": b, "distances": d * unit, "positions": recover_positions(net, b, d * unit, warn=False), "objective": float(obj)}
-        rep = next((r for r in reps if np.max(np.linalg.norm(zero["positions"] - r["positions"], axis=1)) < config.cluster_tol * unit), None)
+        zero = {"bearings": b, "distances": d * net.unit, "positions": recover_positions(net, b, d * net.unit, warn=False), "objective": float(obj)}
+        rep = next((r for r in reps if np.max(np.linalg.norm(zero["positions"] - r["positions"], axis=1)) < config.cluster_tol * net.unit), None)
         if rep is None:
             reps.append(zero)
         elif obj < rep["objective"]:
@@ -475,7 +480,7 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     info.update(objective_best=float(np.min(objectives)), starts=len(objectives), heuristic=True, zero_clusters=len(reps))
     if not reps:
         b, d = _edges_at(net, xs[0])
-        return EdgeSolution(b, d * unit, method, "infeasible" if positivity_failures else "solver-failed", info)
+        return EdgeSolution(b, d * net.unit, method, "infeasible" if positivity_failures else "solver-failed", info)
     best = min(reps, key=lambda r: r["objective"])
     return EdgeSolution(best["bearings"], best["distances"], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
@@ -512,7 +517,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
     x0 = system.min_norm_solution
     if L == 0 or kw == 0:
         b, d = _edges_at(net, x0)
-        d = d * max(net.anchor_distances.values())
+        d = d * net.unit
         info["closure_residual"] = float(np.linalg.norm(system.matrix @ x0 - system.rhs))
         info["unit_norm_defect"] = _unit_norm_defect(b)
         status = "localizable" if L == 0 else "unlocalizable"
@@ -565,7 +570,7 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
         J[:, rows + kc :, kw:] = -ND * (d < eps)[..., None]
         return r, J
 
-    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
+    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / net.unit
     starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(config.starts) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
@@ -575,22 +580,22 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
 # --- recovery and entry points ----------------------------------------------
 
 
-def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True, reverse_tree: bool = False) -> np.ndarray:
+def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True) -> np.ndarray:
     """Positions by telescoping signed edge displacements from an anchor.
 
     The base vertex is the lowest-index anchor; its true position seeds the
     tree-path accumulation x = x_base + P (d * b) along the graph's cached
     spanning tree.  A warning is issued when the other anchors are not
-    reproduced (gauge drift).
+    reproduced (gauge drift) to within 1e-6 of the largest anchor distance.
     """
     base = min(net.anchors)
-    P = path_matrix(net.graph, base, reverse_neighbors=reverse_tree).matrix.astype(float)
+    P = path_matrix(net.graph, base).matrix.astype(float)
     disp = distances[:, None] * bearings
     x = net.truth[base - 1] + P @ disp
     if warn:
         drift = max(np.linalg.norm(x[a - 1] - net.truth[a - 1]) for a in net.anchors)
-        if drift > 1e-6:
-            warnings.warn(f"gauge drift: anchor residual {drift:.3e}", stacklevel=2)
+        if drift > 1e-6 * net.unit:
+            warnings.warn(f"gauge drift: anchor residual {drift:.3e} (largest anchor distance {net.unit:.3e})", stacklevel=2)
     return x
 
 
@@ -606,7 +611,6 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     ``unit_norm`` is the largest deviation of a bearing from unit length.
     """
     g = net.graph
-    eidx = g.edge_index()
     b, d = solution.bearings, solution.distances
     sa, rod = net.sa_triples, net.rod_triples
     s1, s2, theta = _sa_relations(net)
@@ -616,11 +620,11 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     ratio_res = np.max(np.abs(d2 - _rod_ratios(net) * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
     Cb = cycle_bearing_matrix(g, b)
     cyc_res = float(np.max(np.abs(Cb @ d))) if Cb.size else 0.0
-    anchor_res = 0.0
-    for (i, j), b_star in net.anchor_bearings.items():
-        e = eidx[(i, j)]
-        anchor_res = max(anchor_res, float(np.linalg.norm(b[e] - b_star)))
-        anchor_res = max(anchor_res, abs(d[e] - net.anchor_distances[(i, j)]))
+    E = net.anchor_edges
+    miss = b[E] - np.array(list(net.anchor_bearings.values()))
+    # Row norms through matmul, which rounds as the 1-D ``np.linalg.norm`` does (its ``axis`` form does not).
+    miss_b = np.sqrt((miss[:, None, :] @ miss[:, :, None]).ravel())
+    anchor_res = float(max(0.0, *miss_b, *np.abs(d[E] - list(net.anchor_distances.values()))))
     return {
         "rotation": float(rot_res),
         "ratio": float(ratio_res),

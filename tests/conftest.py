@@ -27,6 +27,18 @@ def random_framework(n, rng, p=0.5):
     return Framework(g, random_bipartition(n, rng), rng.uniform(0.0, 1.0, (n, 2)))
 
 
+def relabelled_graph(g, perm):
+    """The same graph with old vertex v renamed perm[v - 1] + 1; edge k stays edge k."""
+    return Graph.from_edges(g.n, [(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in g.edges])
+
+
+def relabelled(fw, perm):
+    """The same framework with old vertex v renamed perm[v - 1] + 1."""
+    attrs, points = np.empty(fw.n, dtype=object), np.empty_like(fw.points)
+    attrs[perm], points[perm] = fw.bipartition.attrs, fw.points
+    return Framework(relabelled_graph(fw.graph, perm), Bipartition(tuple(attrs)), points)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

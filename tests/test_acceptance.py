@@ -38,7 +38,7 @@ from sarod.netio import save_network
 from sarod.rigidity import assemble_rigidity_matrix
 from sarod.snl import assemble_bearing_system, assemble_distance_system
 
-from conftest import random_framework
+from conftest import random_framework, relabelled
 from test_rigidity import finite_difference_jacobian
 
 RTOL = 1e-8
@@ -332,17 +332,21 @@ def test_criterion_10_dimension_law():
     print(f"\n[criterion 10] PASS: dimension law holds on {len(nets)} networks (50 seeds x 5 recipes)")
 
 
+def _exact_recovery(net):
+    p = net.truth
+    vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in net.graph.edges])
+    d = np.linalg.norm(vecs, axis=1)
+    return recover_positions(net, vecs / d[:, None], d)
+
+
 def test_criterion_11_recovery_roundtrip():
+    # The second tree is the spanning tree of the network with vertex v renamed n + 1 - v (anchors following).
     nets = _dimension_law_networks()
     worst = 0.0
     for net in nets:
-        p = net.truth
-        vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in net.graph.edges])
-        d = np.linalg.norm(vecs, axis=1)
-        b = vecs / d[:, None]
-        x1 = recover_positions(net, b, d)
-        x2 = recover_positions(net, b, d, reverse_tree=True)
-        worst = max(worst, float(np.max(np.linalg.norm(x1 - p, axis=1))))
-        worst = max(worst, float(np.max(np.linalg.norm(x2 - p, axis=1))))
+        perm = net.framework.n - 1 - np.arange(net.framework.n)
+        other = build_network(relabelled(net.framework, perm), perm[np.array(net.anchors) - 1] + 1)
+        for x in (_exact_recovery(net), _exact_recovery(other)[perm]):
+            worst = max(worst, float(np.max(np.linalg.norm(x - net.truth, axis=1))))
     assert worst < 1e-10
     print(f"\n[criterion 11] PASS: recovery round trip on {len(nets)} networks, two trees, worst error {worst:.2e}")

@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from sarod import Bipartition, Framework, Graph, generate_quadrilateralized, synthesize_measurements
+from sarod import Bipartition, Framework, Graph, MeasurementSet, build_network, generate_quadrilateralized, synthesize_measurements
 from sarod.cli import main
 from sarod.netio import (
     load_measurements,
     load_network,
     measurements_from_dict,
+    measurements_to_dict,
     network_from_dict,
     save_measurements,
     save_network,
@@ -61,6 +62,14 @@ def test_network_schema_validation():
         bad_pos[1]["pos"] = [0.0, value]
         with pytest.raises(ValueError, match="vertex 2: position is not finite"):
             network_from_dict({"vertices": bad_pos, "edges": [[1, 2], [2, 3]]})
+    # Only JSON true and false are anchor flags: the string "false" is not an anchor that is off.
+    for flag in ("false", "no", 0, 1, None):
+        bad_anchor = [dict(rec) for rec in tri]
+        bad_anchor[1]["anchor"] = flag
+        with pytest.raises(ValueError, match="vertex 2: anchor must be true or false"):
+            network_from_dict({"vertices": bad_anchor, "edges": [[1, 2], [2, 3]]})
+    tri[0]["anchor"], tri[2]["anchor"] = True, False
+    assert network_from_dict({"vertices": tri, "edges": [[1, 2], [2, 3]]})[1] == (1,)
 
 
 def test_measurement_schema_roundtrip(tmp_path, rng):
@@ -88,6 +97,10 @@ def test_measurement_schema_roundtrip(tmp_path, rng):
             measurements_from_dict(top)
     with pytest.raises(ValueError, match="rod must be a list"):
         measurements_from_dict({"rod": 5})
+    # A second record for one triple is refused, not silently kept over the first.
+    twice = [{"apex": 2, "j": 1, "k": 3, "value": 1.0}, {"apex": 2, "j": 1, "k": 3, "value": 2.0}]
+    with pytest.raises(ValueError, match=r"duplicate rod measurement for triple \(2, 1, 3\)"):
+        measurements_from_dict({"sa": [], "rod": twice})
 
 
 def test_cli_generate_and_localize(tmp_path):
@@ -221,6 +234,12 @@ def test_cli_analyze_malformed_json(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["analyze", "--net", str(bad)]) == 1
     assert "error:" in (err := capsys.readouterr().err) and "vertex 3: pos x must be a number" in err
+    data["vertices"][2]["pos"] = [1.0, 1.0]
+    data["vertices"][2]["anchor"] = "false"
+    bad.write_text(json.dumps(data))
+    for command in ("analyze", "localize"):
+        assert main([command, "--net", str(bad)]) == 1
+        assert "error:" in (err := capsys.readouterr().err) and "vertex 3: anchor must be true or false, got 'false'" in err
     data["vertices"] = {"id": 1}
     bad.write_text(json.dumps(data))
     assert main(["localize", "--net", str(bad)]) == 1
@@ -240,6 +259,19 @@ def test_cli_localize_rejects_non_integer_measurement_ids(tmp_path, capsys):
     assert "must be an object" in capsys.readouterr().err
 
 
+def test_cli_localize_rejects_duplicate_measurements(tmp_path, capsys):
+    con = generate_quadrilateralized(10, 6)
+    net, meas = tmp_path / "n.json", tmp_path / "m.json"
+    save_network(net, con.framework, anchors=(1, 2))
+    exact = build_network(con.framework, (1, 2))
+    records = measurements_to_dict(MeasurementSet(exact.sa, exact.rod))
+    records["sa"].append(dict(records["sa"][0], value=records["sa"][0]["value"] + 0.5))
+    meas.write_text(json.dumps(records))
+    assert main(["localize", "--net", str(net), "--measurements", str(meas)]) == 1
+    t = tuple(records["sa"][0][key] for key in ("apex", "j", "k"))
+    assert "error:" in (err := capsys.readouterr().err) and f"duplicate sa measurement for triple {t}" in err
+
+
 def test_cli_rejects_invalid_solver_flags(tmp_path, capsys):
     net = tmp_path / "n.json"
     assert main(["generate", "--recipe", "quad2v", "--n", "12", "--seed", "0", "--out", str(net)]) == 0
@@ -249,6 +281,17 @@ def test_cli_rejects_invalid_solver_flags(tmp_path, capsys):
         for argv in (["analyze", "--net", str(net)], ["localize", "--net", str(net)], ["report", "--spec", str(spec), "--out", str(tmp_path / "o.csv")]):
             assert main(argv + flags) == 1, argv + flags
             assert "error:" in capsys.readouterr().err
+    # A negative seed is refused up front, also where no multi-start would draw from it.
+    assert main(["generate", "--recipe", "mix-D2A1", "--n", "12", "--seed", "0", "--out", str(tmp_path / "mix.json")]) == 0
+    for argv in (
+        ["generate", "--recipe", "quad2v", "--n", "12", "--out", str(tmp_path / "g.json")],
+        ["analyze", "--net", str(net)],
+        ["localize", "--net", str(net)],
+        ["analyze", "--net", str(tmp_path / "mix.json")],
+        ["localize", "--net", str(tmp_path / "mix.json")],
+    ):
+        assert main(argv + ["--seed", "-1"]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_analyze_quadrilateral_section(tmp_path, capsys):
@@ -318,6 +361,9 @@ def test_cli_report_batch(tmp_path):
         {"runs": [{"recipe": "quad2v", "n": "10", "seeds": [0]}]},
         {"runs": [{"recipe": "quad2v", "n": 10, "seeds": 3}]},
         [3],
+        {"runs": [{"recipe": "quad2v", "n": 10, "seeds": [1.9, True]}]},
+        {"runs": [{"recipe": "quad2v", "n": 10, "seeds": [0, -1]}]},
+        {"runs": [{"recipe": "quad2v", "n": 10, "seeds": ["1"]}]},
     ],
 )
 def test_cli_report_rejects_malformed_spec(tmp_path, capsys, spec):

@@ -18,10 +18,10 @@ from sarod import (
     triple_index_components,
 )
 from sarod.construction import generate
-from sarod.graph import GraphError, bfs_spanning_tree
+from sarod.graph import GraphError
 from sarod.snl import SolverConfig, build_network, localize_network, solution_residuals
 
-from conftest import random_connected_graph, random_framework
+from conftest import random_connected_graph, random_framework, relabelled_graph
 
 
 def test_graph_validation():
@@ -107,12 +107,24 @@ def test_path_matrix_telescopes_positions(rng):
         assert np.allclose(x, p, atol=1e-12)
 
 
+def reversed_ids(g):
+    """The graph with vertex v renamed n + 1 - v: its spanning tree is a second tree of g.
+
+    Edge k stays edge k, with its canonical orientation flipped.
+    """
+    return relabelled_graph(g, g.n - 1 - np.arange(g.n))
+
+
 def test_path_matrix_tree_differences_lie_in_cycle_space(rng):
     for _ in range(10):
         g = random_connected_graph(7, rng)
         C = fundamental_cycle_basis(g).matrix
         P1 = path_matrix(g, 2).matrix
-        P2 = path_matrix(g, 2, reverse_neighbors=True).matrix
+        # The second tree's path matrix, back in g's vertex ids and edge orientations.
+        P2 = -path_matrix(reversed_ids(g), g.n - 1).matrix[::-1]
+        p = rng.normal(size=(7, 2))
+        vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in g.edges])
+        assert np.allclose(p[1] + P2 @ vecs, p, atol=1e-12)
         stacked = np.vstack([C, P1 - P2])
         assert np.linalg.matrix_rank(stacked) == np.linalg.matrix_rank(C)
 
@@ -124,19 +136,17 @@ def test_shared_spanning_tree():
 
 def test_bfs_tree_reverse_differs_on_cycles():
     g = Graph(4, ((1, 2), (1, 3), (2, 4), (3, 4)))
-    t1 = bfs_spanning_tree(g)[0]
-    t2 = bfs_spanning_tree(g, reverse_neighbors=True)[0]
-    assert t1 != t2
+    assert set(g.spanning_tree.parent_edge) != set(reversed_ids(g).spanning_tree.parent_edge)
 
 
-def _loop_tree_reference(g, reverse_neighbors):
+def _loop_tree_reference(g):
     """Queue-based BFS from vertex 1 and root-path rows, one vertex at a time."""
     adj = g.neighbors()
     eidx = g.edge_index()
     parent, parent_edge = [0] * (g.n + 1), [-1] * (g.n + 1)
     order, seen = [1], {1}
     for u in order:
-        for w in adj[u][::-1] if reverse_neighbors else adj[u]:
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 parent[w], parent_edge[w] = u, eidx[(min(u, w), max(u, w))]
@@ -157,31 +167,30 @@ def _reference_graphs(rng):
         for n in (12, 70):
             g = generate(recipe, n, 0).framework.graph
             graphs += [g, augment_anchor_clique(g, [1, 2, 3])]
-    return graphs
+    return graphs + [reversed_ids(g) for g in graphs]
 
 
 def test_spanning_tree_matches_loop_reference(rng):
     for g in _reference_graphs(rng):
-        for reverse in (False, True):
-            parent, parent_edge, rows, C = _loop_tree_reference(g, reverse)
-            assert bfs_spanning_tree(g, reverse_neighbors=reverse) == (parent, parent_edge)
-            cb = fundamental_cycle_basis(g, reverse_neighbors=reverse)
-            assert cb.tree_parent == parent
-            assert cb.matrix.dtype == C.dtype and np.array_equal(cb.matrix, C)
-            for base in (1, 2, g.n):
-                pm = path_matrix(g, base, reverse_neighbors=reverse)
-                assert pm.tree_parent == parent
-                assert pm.matrix.dtype == rows.dtype and np.array_equal(pm.matrix, rows[1:] - rows[base])
+        parent, parent_edge, rows, C = _loop_tree_reference(g)
+        assert (g.spanning_tree.parent, g.spanning_tree.parent_edge) == (parent, parent_edge)
+        cb = fundamental_cycle_basis(g)
+        assert cb.tree_parent == parent
+        assert cb.matrix.dtype == C.dtype and np.array_equal(cb.matrix, C)
+        for base in (1, 2, g.n):
+            pm = path_matrix(g, base)
+            assert pm.tree_parent == parent
+            assert pm.matrix.dtype == rows.dtype and np.array_equal(pm.matrix, rows[1:] - rows[base])
 
 
 def test_spanning_tree_cached_read_only():
     g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
-    tree = g.spanning_tree()
-    assert g.spanning_tree() is tree and g.spanning_tree(True) is not tree
+    tree = g.spanning_tree
+    assert g.spanning_tree is tree
+    assert fundamental_cycle_basis(g).tree_parent is tree.parent and path_matrix(g, 2).tree_parent is tree.parent
     with pytest.raises(ValueError):
         tree.root_rows[1, 0] = 5
-    with pytest.raises(ValueError):
-        g.spanning_tree(True).root_rows[0, 0] = 1
+    assert Graph(4, g.edges).spanning_tree is not tree  # one cache per instance
 
 
 def test_localization_builds_the_vertex_tree_once(monkeypatch):
@@ -190,16 +199,16 @@ def test_localization_builds_the_vertex_tree_once(monkeypatch):
     builds = []
     original = sarod.graph._spanning_tree
 
-    def counted(g, reverse):
-        builds.append(reverse)
-        return original(g, reverse)
+    def counted(g):
+        builds.append(g)
+        return original(g)
 
     monkeypatch.setattr(sarod.graph, "_spanning_tree", counted)
     net = build_network(generate("mix-D2A1", 16, 2).framework, [1, 2])
     result = localize_network(net, config=SolverConfig(starts=5))
     solution_residuals(net, result.solution)
     assert result.solution.info["zero_clusters"] >= 1
-    assert builds == [False]
+    assert builds == [net.graph]
 
 
 def test_enumerate_triples_star():

@@ -42,7 +42,7 @@ from sarod.construction import generate
 from sarod.geometry import measurement_map
 from sarod.rigidity import _scatter, _shape_starts, assemble_rigidity_matrix, trivial_motions
 
-from conftest import random_framework
+from conftest import random_framework, relabelled
 
 QUAD = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
 
@@ -246,19 +246,11 @@ def test_rank_cuts_on_one_instance_match_fresh_instances():
         infinitesimal_rigidity_test(fw).sigma[0] = 0.0
 
 
-def _relabelled(fw, perm):
-    """The same framework with old vertex v renamed perm[v - 1] + 1."""
-    g = Graph.from_edges(fw.n, [(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in fw.graph.edges])
-    attrs, points = np.empty(fw.n, dtype=object), np.empty_like(fw.points)
-    attrs[perm], points[perm] = fw.bipartition.attrs, fw.points
-    return Framework(g, Bipartition(tuple(attrs)), points)
-
-
 def test_ranks_invariant_under_vertex_relabelling():
     for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
         for seed in range(3):
             fw = generate(recipe, 30, seed).framework
-            other = _relabelled(fw, np.random.default_rng(seed).permutation(fw.n))
+            other = relabelled(fw, np.random.default_rng(seed).permutation(fw.n))
             assert infinitesimal_rigidity_test(other).rank == infinitesimal_rigidity_test(fw).rank, (recipe, seed)
             dual, dual_other = duality_check(fw), duality_check(other)
             assert (dual_other.rank, dual_other.rank_swapped) == (dual.rank, dual.rank_swapped), (recipe, seed)
@@ -356,7 +348,7 @@ def test_quad_verdict_invariant_under_cyclic_relabelling():
     for fw in references + [fw for fw, _ in _off_boundary_quads(rng, 10)]:
         verdict = quad_global_rigidity(fw)
         for shift in range(1, 4):
-            rotated = quad_global_rigidity(_relabelled(fw, (np.arange(4) + shift) % 4))
+            rotated = quad_global_rigidity(relabelled(fw, (np.arange(4) + shift) % 4))
             assert (rotated.rigid, rotated.case) == (verdict.rigid, verdict.case), (fw.points.tolist(), shift)
 
 

@@ -43,7 +43,7 @@ from sarod.graph import fundamental_cycle_basis
 from sarod.rigidity import numerical_rank
 from sarod.snl import _cluster_zeros, _edges_at, assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
 
-from conftest import random_framework
+from conftest import random_framework, relabelled
 
 
 def truth_edges(net):
@@ -309,11 +309,14 @@ def test_solve_disconnected_ground_truth_objective(rng):
 
 
 def test_recover_positions_roundtrip_two_trees(rng):
+    # Renaming vertex v to n + 1 - v (anchors following) gives a second spanning tree and base anchor.
     for seed in range(4):
-        net = build_network(generate_bilateration(13, seed).framework, [1, 2])
-        bt, dt = truth_edges(net)
-        x1 = recover_positions(net, bt, dt)
-        x2 = recover_positions(net, bt, dt, reverse_tree=True)
+        fw = generate_bilateration(13, seed).framework
+        perm = fw.n - 1 - np.arange(fw.n)
+        net, other = build_network(fw, [1, 2]), build_network(relabelled(fw, perm), perm[:2] + 1)
+        assert set(net.graph.spanning_tree.parent_edge) != set(other.graph.spanning_tree.parent_edge)
+        x1 = recover_positions(net, *truth_edges(net))
+        x2 = recover_positions(other, *truth_edges(other))[perm]
         assert np.max(np.linalg.norm(x1 - net.truth, axis=1)) < 1e-10
         assert np.max(np.linalg.norm(x1 - x2, axis=1)) < 1e-10
 
@@ -323,6 +326,20 @@ def test_recover_positions_warns_on_gauge_drift(rng):
     bt, dt = truth_edges(net)
     with pytest.warns(UserWarning, match="gauge drift"):
         recover_positions(net, bt, dt * 1.5)
+
+
+def test_gauge_drift_warning_is_scale_relative():
+    # Distances 0.1 % too long move the other anchor by ~6.5e-4 of the anchor distance at every
+    # scale: that warns at 1e-6 as at 1e6, and exact edges warn at none.
+    fw = generate_bilateration(13, 0).framework
+    for scale in (1e-6, 1.0, 1e6):
+        net = build_network(Framework(fw.graph, fw.bipartition, fw.points * scale), [1, 2])
+        bt, dt = truth_edges(net)
+        with pytest.warns(UserWarning, match="gauge drift"):
+            recover_positions(net, bt, dt * (1.0 + 1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recover_positions(net, bt, dt)
 
 
 def test_localizability_slider_instance():
@@ -460,6 +477,24 @@ def test_localization_invariant_under_scaling_and_rigid_motion():
     assert not disagree, disagree
 
 
+def test_localization_invariant_under_vertex_relabelling():
+    # Renaming the vertices (anchors following) changes the spanning tree, the triple order and the
+    # closure system, but no verdict, rank or component count; the positions follow the renaming.
+    disagree = []
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for seed in range(4):
+            fw = generate(recipe, 30, seed).framework
+            perm = np.random.default_rng(seed).permutation(fw.n)
+            net, other = build_network(fw, [1, 2]), build_network(relabelled(fw, perm), perm[:2] + 1)
+            results = [localize_network(x) for x in (net, other)]
+            verdicts = [(r.method, r.solution.status, *(r.solution.info.get(k) for k in SCALE_INVARIANT_INFO)) for r in results]
+            if verdicts[0] != verdicts[1]:
+                disagree.append((recipe, seed, *verdicts))
+            moved = np.max(np.linalg.norm(results[0].positions - results[1].positions[perm], axis=1))
+            assert moved <= 1e-9 * net.unit, (recipe, seed, moved)
+    assert not disagree, disagree
+
+
 def test_solver_config_settable_fields():
     from dataclasses import fields
 
@@ -473,6 +508,10 @@ def test_solver_config_settable_fields():
     for rtol in (0.0, 1.0, -1e-8, 2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rtol must lie in"):
             SolverConfig(rtol=rtol)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.int64(3)).seed == 3
     config = SolverConfig(starts=1, rtol=0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.starts = 0
@@ -621,21 +660,41 @@ def _loop_reference_systems(net, b, d):
     return sa_rows, rod_rows, rot_res, ratio_res
 
 
+def _loop_reference_anchor_rows(net, b, d):
+    """Anchor rows of the bearing and distance systems, and the worst anchor residual, one pair at a time."""
+    eidx, m = net.graph.edge_index(), net.graph.m
+    bear_rows, bear_rhs, dist_rows, dist_rhs, res = [], [], [], [], 0.0
+    for (i, j), b_star in sorted(net.anchor_bearings.items()):
+        e, d_star = eidx[(i, j)], net.anchor_distances[(i, j)]
+        block = np.zeros((2, 2 * m))
+        block[:, 2 * e : 2 * e + 2] = np.eye(2)
+        bear_rows.append(block)
+        bear_rhs.append(b_star)
+        dist_rows.append(np.eye(m)[e])
+        dist_rhs.append(d_star)
+        res = max(res, float(np.linalg.norm(b[e] - b_star)), abs(d[e] - d_star))
+    return np.vstack(bear_rows), np.concatenate(bear_rhs), np.array(dist_rows), np.array(dist_rhs), res
+
+
 def test_vectorized_assembly_matches_loop_reference():
-    for recipe in ("bilat-D1A1", "mix-D2A1", "type2D1"):
-        net = build_network(generate(recipe, 30, 4).framework, [1, 2])
+    for recipe, anchors in (("bilat-D1A1", [1, 2]), ("mix-D2A1", [1, 2]), ("type2D1", [1, 2]), ("bilat-D1A1", [9, 2, 17, 5])):
+        net = build_network(generate(recipe, 30, 4).framework, anchors)
         b, d = truth_edges(net)
         noise = np.random.default_rng(4).standard_normal((net.graph.m, 3))  # nonzero residuals
         b, d = b + 1e-3 * noise[:, :2], d * (1.0 + 1e-3 * noise[:, 2])
         sa_rows, rod_rows, rot_res, ratio_res = _loop_reference_systems(net, b, d)
+        bear_rows, bear_rhs, dist_rows, dist_rhs, anchor_res = _loop_reference_anchor_rows(net, b, d)
         n_cyc = net.graph.m - net.graph.n + 1
-        A_b = assemble_bearing_system(net, d).matrix
-        assert np.array_equal(A_b[2 * n_cyc : 2 * n_cyc + len(sa_rows)], sa_rows)
-        A_d, _ = assemble_distance_system(net, b)
+        bearing = assemble_bearing_system(net, d)
+        assert np.array_equal(bearing.matrix[2 * n_cyc : 2 * n_cyc + len(sa_rows)], sa_rows)
+        assert np.array_equal(bearing.matrix[-len(bear_rows) :], bear_rows) and np.array_equal(bearing.rhs[-len(bear_rows) :], bear_rhs)
+        A_d, y_d = assemble_distance_system(net, b)
         assert np.array_equal(A_d[2 * n_cyc : 2 * n_cyc + len(rod_rows)], rod_rows)
+        assert np.array_equal(A_d[-len(dist_rows) :], dist_rows) and np.array_equal(y_d[-len(dist_rows) :], dist_rhs)
         rep = solution_residuals(net, EdgeSolution(b, d, "reference", "localizable"))
         assert rep["rotation"] == pytest.approx(rot_res, rel=1e-12)
         assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
+        assert rep["anchor"] == anchor_res
 
 
 def test_closure_solve_matches_full_systems():
