@@ -79,9 +79,12 @@ def network_from_dict(data: dict):
     by_id = {}
     for rec in vertices:
         try:
-            by_id[_vertex_id(rec["id"], "id")] = rec
+            v = _vertex_id(rec["id"], "id")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad vertex record {rec!r}: {exc}") from exc
+        if v in by_id:
+            raise ValueError(f"duplicate vertex id {v}")
+        by_id[v] = rec
     n = len(by_id)
     if sorted(by_id) != list(range(1, n + 1)):
         raise ValueError("vertex ids must be exactly 1..n")

@@ -30,8 +30,14 @@ of the largest anchor distance (so verdicts and ranks do not depend on
 scale).  Unless an edge is free on both sides it is linear, with
 2(m - n + 1) rows and one column per free reference coordinate
 (``closure_system``); its null dimension gives the ranks of the full
-distance and bearing systems.  A trivial null space is an exact answer, in
-every regime.  A nontrivial one with free SA components keeps a
+distance and bearing systems.  The closure is a ``scipy.sparse`` matrix,
+assembled from the signed entries of the fundamental cycles, and one
+sparse LU decides its rank whenever a bound proves the rank cut of the
+SVD would find full row rank; tall and rank-deficient closures, and
+bounds too weak to decide, fall back to one dense SVD.  Each solution
+names the path in ``info["factorization"]``: ``"sparse-lu"`` or
+``"dense-svd"``.  A trivial null space is an exact answer, in every
+regime.  A nontrivial one with free SA components keeps a
 multi-start over the null coordinates only, one batched
 Levenberg-Marquardt run on the unit norms of the free references.  Edges
 free on both sides make the closure bilinear; the same batched solver then
@@ -39,22 +45,25 @@ runs a multi-start over all of (w, y).  ``localizability_check`` reads its
 verdict off that same solve.  ``assemble_distance_system`` and
 ``assemble_bearing_system`` build the full systems for analysis.
 Positions are recovered by telescoping edge displacements along the
-graph's cached spanning tree from an anchor.
+graph's breadth-first vertex tree from an anchor (``graph.tree_sums``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse import vstack as sparse_vstack
+from scipy.sparse.linalg import splu
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
-from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, path_matrix, tree_sums, triple_index_components
+from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components, vertex_graph
 from .rigidity import _batched_lm, _svd_factor
 
 __all__ = [
@@ -136,6 +145,13 @@ class SensorNetwork:
         return max(self.anchor_distances.values())
 
     @cached_property
+    def cycle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the fundamental cycle basis, computed once per network: cycle, edge and sign (+-1.0) of each."""
+        C = fundamental_cycle_basis(self.graph).matrix
+        cycle, edge = np.nonzero(C)
+        return cycle, edge, C[cycle, edge].astype(float)
+
+    @cached_property
     def bearing_param(self) -> "EdgeParameterization":
         """Bearings propagated over the SA index graph, computed once per network."""
         return propagate_bearings(self)
@@ -202,7 +218,9 @@ class EdgeParameterization:
 
     ``offset`` carries the resolved values (zeros on unresolved edges);
     ``basis`` spans the free directions (one 2-column block per unresolved
-    SA component, one positive column per unresolved RoD component).
+    SA component, one positive column per unresolved RoD component), and
+    ``column`` names each edge's free reference, so sparse assembly reads
+    an edge's basis entries without scanning ``basis``.
     ``closure_mismatch`` is the worst transport mismatch over all triples
     (radians for bearings, log-ratio for distances).
     """
@@ -211,6 +229,7 @@ class EdgeParameterization:
     n_components: int
     offset: np.ndarray  # (m, 2) bearings or (m,) distances
     basis: np.ndarray  # (2m, 2k) or (m, k)
+    column: np.ndarray  # (m,) free reference t of each edge (basis columns 2t, 2t + 1 or t), -1 if resolved
     resolved: np.ndarray  # (m,) bool
     closure_mismatch: float
 
@@ -273,6 +292,14 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     return labels, n_comp, pot, pot + ref[labels], np.flatnonzero(np.isnan(ref)), mismatch
 
 
+def _free_columns(labels: np.ndarray, free: np.ndarray, unresolved: np.ndarray):
+    """The unresolved edges, and per edge the index of its component among the free ones (-1 if resolved)."""
+    e = np.flatnonzero(unresolved)
+    column = np.full(len(labels), -1)
+    column[e] = np.searchsorted(free, labels[e])
+    return e, column
+
+
 def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge bearings per SA-index component.
 
@@ -285,25 +312,25 @@ def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     steps = np.where(s1 * s2 < 0, theta + np.pi, theta)
     b = np.array(list(net.anchor_bearings.values()))
     labels, n_comp, phi, angle, free, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[:, 1], b[:, 0]), 2.0 * np.pi, "SA")
-    e = np.flatnonzero(np.isnan(angle))
-    t = np.searchsorted(free, labels[e])
+    e, column = _free_columns(labels, free, np.isnan(angle))
+    t = column[e]
     c, s = np.cos(phi[e]), np.sin(phi[e])
     basis = np.zeros((2 * net.graph.m, 2 * len(free)))
     basis[2 * e, 2 * t], basis[2 * e + 1, 2 * t] = c, s  # R(phi) e_x
     basis[2 * e, 2 * t + 1], basis[2 * e + 1, 2 * t + 1] = -s, c  # R(phi) e_y
     offset = np.nan_to_num(np.column_stack([np.cos(angle), np.sin(angle)]))
-    return EdgeParameterization(labels, n_comp, offset, basis, ~np.isnan(angle), mismatch)
+    return EdgeParameterization(labels, n_comp, offset, basis, column, ~np.isnan(angle), mismatch)
 
 
 def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge distances per RoD-index component (ratios transported as log-sums)."""
     anchors = np.log(list(net.anchor_distances.values()))
     labels, n_comp, log_rho, log_d, free, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
-    e = np.flatnonzero(np.isnan(log_d))
+    e, column = _free_columns(labels, free, np.isnan(log_d))
     basis = np.zeros((net.graph.m, len(free)))
-    basis[e, np.searchsorted(free, labels[e])] = np.exp(log_rho[e])
+    basis[e, column[e]] = np.exp(log_rho[e])
     offset = np.nan_to_num(np.exp(log_d))
-    return EdgeParameterization(labels, n_comp, offset, basis, ~np.isnan(log_d), mismatch)
+    return EdgeParameterization(labels, n_comp, offset, basis, column, ~np.isnan(log_d), mismatch)
 
 
 # --- linear systems ---------------------------------------------------------
@@ -340,13 +367,22 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A x = rhs with its rank, null basis and minimum-norm least-squares solution."""
+    """A x = rhs with its rank, null basis and minimum-norm least-squares solution.
 
-    matrix: np.ndarray
+    ``matrix`` is a dense array for the full distance and bearing systems
+    and a ``scipy.sparse`` CSC matrix for ``closure_system``.
+    ``factorization`` names what decided the rank: ``"dense-svd"`` (one
+    SVD, rank = #{sigma_i > rtol * sigma_max}) or ``"sparse-lu"`` (one
+    sparse LU with a bound proving that this cut gives full row rank, so
+    the verdict is the SVD's; see ``_lu_solved``).
+    """
+
+    matrix: np.ndarray | csc_matrix
     rhs: np.ndarray
     rank: int
     null_basis: np.ndarray  # (columns, null_dim)
     min_norm_solution: np.ndarray
+    factorization: str = "dense-svd"
 
     @property
     def null_dim(self) -> int:
@@ -357,6 +393,47 @@ def _solved(A: np.ndarray, rhs: np.ndarray, rtol: float) -> LinearSystem:
     """The system with rank, null basis and min-norm solution from one SVD, cut as gelsd's cond=rtol."""
     rank, s, u, vt = _svd_factor(A, rtol)
     return LinearSystem(A, rhs, rank, vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank]))
+
+
+_LU_BLOCK = 256  # columns of the inverse held at once by the certificate
+
+
+def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | None:
+    """The r x c system from one sparse LU, or None when its certificate cannot decide the rank.
+
+    A wide A is completed to a square A_hat = [A; G] by a fixed seeded
+    Gaussian block G of c - r rows, each of norm ||A||_F / sqrt(c).  Then
+    sigma_max(A) <= ||A||_F and, by interlacing, sigma_r(A) >=
+    sigma_min(A_hat) >= 1 / ||A_hat^-1||_F, so the bound
+    rtol ||A||_F ||A_hat^-1||_F < 1/2 proves that all r singular values lie
+    above twice the cut rtol * sigma_max: the rank is r, the SVD's verdict.
+    The inverse is summed in column blocks and never held whole.  The null
+    space is spanned by A_hat^-1 [0; I] and the minimum-norm solution is
+    A_hat^-1 [rhs; 0] with its null component removed.  A tall system, an
+    exactly singular LU or a failed bound give None.
+    """
+    r, c = A.shape
+    if not 0 < r <= c:
+        return None
+    norm = float(np.linalg.norm(A.data))
+    A_hat = A
+    if r < c:
+        G = np.random.default_rng(0).standard_normal((c - r, c))
+        G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
+        A_hat = sparse_vstack([A, csc_matrix(G)], format="csc")
+    try:
+        lu = splu(A_hat)
+    except RuntimeError:  # exactly singular
+        return None
+    inverse_sq, bound_sq = 0.0, (0.5 / (rtol * norm)) ** 2
+    for k in range(0, c, _LU_BLOCK):
+        inverse_sq += float(np.sum(lu.solve(np.eye(c, min(_LU_BLOCK, c - k), -k)) ** 2))
+        if not inverse_sq < bound_sq:  # NaN fails too
+            return None
+    # Fortran order, as the SVD's vt[rank:].T: the multi-start's contractions run fastest on it.
+    N = np.asfortranarray(np.linalg.qr(lu.solve(np.eye(c, c - r, -r)))[0])
+    x = lu.solve(np.concatenate([rhs, np.zeros(c - r)]))
+    return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
 
 
 def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = 1e-8) -> LinearSystem:
@@ -391,8 +468,16 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     return _solved(A, z, rtol)
 
 
+def _cycle_sums(net: SensorNetwork, distances: np.ndarray, bearings: np.ndarray) -> np.ndarray:
+    """C (d * b) from the signed cycle entries: each fundamental cycle's summed displacement, (m - n + 1, 2)."""
+    cycle, edge, sign = net.cycle_entries
+    n_cyc = net.graph.m - net.graph.n + 1
+    w = sign * distances[edge]
+    return np.column_stack([np.bincount(cycle, w * bearings[edge, j], minlength=n_cyc) for j in (0, 1)])
+
+
 def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
-    """Cycle closure C (d * b) = 0 as one linear system in the free references of propagation.
+    """Cycle closure C (d * b) = 0 as one sparse linear system in the free references of propagation.
 
     Columns: the kw bearing references w (bearings b0 + NB w), then the ky
     distance references y (distances d0 + ND y, in units of the largest
@@ -401,17 +486,36 @@ def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
     by construction.  ``d * b`` has the bilinear term (ND y) * (NB w) only
     on edges free on both sides, so without them the closure is exactly
     linear; with them this raises ``ValueError``.
+
+    The matrix is assembled as ``scipy.sparse`` CSC straight from the
+    signed cycle entries (cycle c, edge e, sign s): a free bearing puts the
+    2 x 2 block s d0_e R(phi_e) on its reference's two columns, a free
+    distance the 2 x 1 block s b0_e rho_e on its reference's column; the
+    right-hand side is -C (d0 * b0).  One sparse LU decides the rank when
+    its certificate proves full row rank (``_lu_solved``); otherwise (a
+    tall or rank-deficient closure, or a bound too weak to decide) the
+    dense SVD of ``_solved`` does, and ``factorization`` says which.
     """
     bear, dist = net.bearing_param, net.distance_param
     if np.any(~bear.resolved & ~dist.resolved):
         raise ValueError("an edge is free on both sides, so the closure is bilinear")
-    g = net.graph
-    d0 = dist.offset / net.unit
-    Cb = cycle_bearing_matrix(g, bear.offset)
-    C = fundamental_cycle_basis(g).matrix.astype(float)
-    Cw = ((C * d0) @ bear.basis.reshape(g.m, -1)).reshape(len(Cb), bear.dim)
-    A = np.hstack([Cw, Cb @ dist.basis])
-    return _solved(A, -(Cb @ d0), rtol)
+    cycle, edge, sign = net.cycle_entries
+    d0, b0, kw = dist.offset / net.unit, bear.offset, bear.dim
+    r0, r1 = 2 * cycle, 2 * cycle + 1
+    k = np.flatnonzero(bear.column[edge] >= 0)
+    e, t = edge[k], bear.column[edge[k]]
+    cos, sin = (sign[k] * d0[e]) * bear.basis[[2 * e, 2 * e + 1], 2 * t]
+    rows, cols, vals = [r0[k], r1[k], r0[k], r1[k]], [2 * t, 2 * t, 2 * t + 1, 2 * t + 1], [cos, sin, -sin, cos]
+    k = np.flatnonzero(dist.column[edge] >= 0)
+    e, t = edge[k], dist.column[edge[k]]
+    scale = sign[k] * dist.basis[e, t]
+    rows += [r0[k], r1[k]]
+    cols += [kw + t, kw + t]
+    vals += [scale * b0[e, 0], scale * b0[e, 1]]
+    shape = (2 * (net.graph.m - net.graph.n + 1), kw + dist.dim)
+    A = csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    rhs = -_cycle_sums(net, d0, b0).ravel()
+    return _lu_solved(A, rhs, rtol) or replace(_solved(A.toarray(), rhs, rtol), matrix=A)
 
 
 # --- solvers ----------------------------------------------------------------
@@ -460,29 +564,29 @@ def _edges_at(net: SensorNetwork, x: np.ndarray):
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
     """Cluster the starts that reached a zero with positive distances by recovered position.
 
-    The best zero answers; one cluster is ``heuristic-unique``.
+    Every such zero is recovered in one batched walk; the zeros then join
+    clusters in start order.  The best zero answers; one cluster is
+    ``heuristic-unique``.
     """
-    reps = []
-    positivity_failures = 0
-    for x, obj in zip(xs, objectives):
-        if not obj < config.zero_tol:
-            continue
-        b, d = _edges_at(net, x)
-        if np.any(d <= 0):
-            positivity_failures += 1
-            continue
-        zero = {"bearings": b, "distances": d * net.unit, "positions": recover_positions(net, b, d * net.unit, warn=False), "objective": float(obj)}
-        rep = next((r for r in reps if np.max(np.linalg.norm(zero["positions"] - r["positions"], axis=1)) < config.cluster_tol * net.unit), None)
-        if rep is None:
-            reps.append(zero)
-        elif obj < rep["objective"]:
-            rep.update(zero)
+    xs, objectives = np.asarray(xs), np.asarray(objectives)
+    zero = objectives < config.zero_tol
+    b, d = _edges_at(net, xs[zero])
+    positive = np.all(d > 0, axis=1)
+    b, d, obj = b[positive], d[positive] * net.unit, objectives[zero][positive]
+    positions = recover_positions(net, b, d, warn=False)
+    reps: list[int] = []  # per cluster, its best zero so far
+    for k in range(len(obj)):
+        j = next((j for j, r in enumerate(reps) if np.max(np.linalg.norm(positions[k] - positions[r], axis=1)) < config.cluster_tol * net.unit), None)
+        if j is None:
+            reps.append(k)
+        elif obj[k] < obj[reps[j]]:
+            reps[j] = k
     info.update(objective_best=float(np.min(objectives)), starts=len(objectives), heuristic=True, zero_clusters=len(reps))
     if not reps:
         b, d = _edges_at(net, xs[0])
-        return EdgeSolution(b, d * net.unit, method, "infeasible" if positivity_failures else "solver-failed", info)
-    best = min(reps, key=lambda r: r["objective"])
-    return EdgeSolution(best["bearings"], best["distances"], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
+        return EdgeSolution(b, d * net.unit, method, "infeasible" if np.any(zero) else "solver-failed", info)
+    best = min(reps, key=lambda k: obj[k])
+    return EdgeSolution(b[best], d[best], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
 
 def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
@@ -499,7 +603,10 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
     |w_c|^2 - 1, one residual per free SA component c, at w = w0 + N z;
     distinct zeros are clustered by position.  The ranks of the full
     distance and bearing systems follow from the null dimension whenever
-    the other side is fully propagated.
+    the other side is fully propagated.  ``info["factorization"]`` records
+    which factorization decided the closure's rank: ``"sparse-lu"`` when
+    the certified sparse LU of ``closure_system`` did, ``"dense-svd"`` when
+    it fell back to the SVD.
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
@@ -510,6 +617,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
         return _bilinear_solve(net, config, method, info)
     system = closure_system(net, config.rtol)
     L = info["null_dim"] = system.null_dim
+    info["factorization"] = system.factorization
     if bear.fully_resolved:
         info["rank_distance_system"] = m - L
     if dist.fully_resolved:
@@ -583,17 +691,23 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
 def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True) -> np.ndarray:
     """Positions by telescoping signed edge displacements from an anchor.
 
-    The base vertex is the lowest-index anchor; its true position seeds the
-    tree-path accumulation x = x_base + P (d * b) along the graph's cached
-    spanning tree.  A warning is issued when the other anchors are not
-    reproduced (gauge drift) to within 1e-6 of the largest anchor distance.
+    The displacements d * b are summed from vertex 1 along the breadth-first
+    vertex tree (``graph.tree_sums``, the walk that builds the graph's
+    spanning tree), giving S_v; the base vertex is the lowest-index anchor,
+    and x_v = x_base + S_v - S_base, the telescoping sum x_base + P (d * b)
+    of the path matrix without forming it.  Bearings (..., m, 2) and
+    distances (..., m) may carry leading batch axes; one walk then recovers
+    every configuration, (..., n, 2).  A warning is issued when the other
+    anchors are not reproduced (gauge drift) to within 1e-6 of the largest
+    anchor distance.
     """
     base = min(net.anchors)
-    P = path_matrix(net.graph, base).matrix.astype(float)
-    disp = distances[:, None] * bearings
-    x = net.truth[base - 1] + P @ disp
+    steps = np.moveaxis(distances[..., None] * bearings, -2, 0)
+    sums = np.moveaxis(tree_sums(vertex_graph(net.graph), [0], steps)[2], 0, -2)
+    x = net.truth[base - 1] + (sums - sums[..., base - 1 : base, :])
     if warn:
-        drift = max(np.linalg.norm(x[a - 1] - net.truth[a - 1]) for a in net.anchors)
+        anchors = np.array(net.anchors) - 1
+        drift = float(np.max(np.linalg.norm(x[..., anchors, :] - net.truth[anchors], axis=-1), initial=0.0))
         if drift > 1e-6 * net.unit:
             warnings.warn(f"gauge drift: anchor residual {drift:.3e} (largest anchor distance {net.unit:.3e})", stacklevel=2)
     return x
@@ -610,7 +724,6 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     residuals every fundamental cycle, anchor residuals every anchor pair;
     ``unit_norm`` is the largest deviation of a bearing from unit length.
     """
-    g = net.graph
     b, d = solution.bearings, solution.distances
     sa, rod = net.sa_triples, net.rod_triples
     s1, s2, theta = _sa_relations(net)
@@ -618,8 +731,7 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     rot_res = np.max(np.linalg.norm(s2[:, None] * b[sa.e2] - rotated, axis=1), initial=0.0)
     d2 = d[rod.e2]
     ratio_res = np.max(np.abs(d2 - _rod_ratios(net) * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
-    Cb = cycle_bearing_matrix(g, b)
-    cyc_res = float(np.max(np.abs(Cb @ d))) if Cb.size else 0.0
+    cyc_res = float(np.max(np.abs(_cycle_sums(net, d, b)), initial=0.0))
     E = net.anchor_edges
     miss = b[E] - np.array(list(net.anchor_bearings.values()))
     # Row norms through matmul, which rounds as the 1-D ``np.linalg.norm`` does (its ``axis`` form does not).
@@ -680,10 +792,12 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
 
 # --- names benchmarks/tracing.py wraps by attribute -------------------------
 # Nothing in the package calls these: localization factors through
-# _svd_factor and solves in _solve, and no scipy solver remains.
+# _lu_solved or _svd_factor and solves in _solve, no scipy solver remains,
+# and recovery sums along the vertex tree instead of a path matrix.
 from scipy.linalg import lstsq  # noqa: E402, F401
 from scipy.optimize import least_squares  # noqa: E402, F401
 
+from .graph import path_matrix  # noqa: E402, F401
 from .rigidity import null_space, numerical_rank  # noqa: E402, F401
 
 solve_sa_connected = solve_rod_connected = solve_disconnected = _solve

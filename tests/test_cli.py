@@ -68,6 +68,10 @@ def test_network_schema_validation():
         bad_anchor[1]["anchor"] = flag
         with pytest.raises(ValueError, match="vertex 2: anchor must be true or false"):
             network_from_dict({"vertices": bad_anchor, "edges": [[1, 2], [2, 3]]})
+    # Two records for one id are refused, not resolved by keeping the last.
+    twice = [{"id": 1, "attr": "A", "pos": [0.0, 0.0], "anchor": True}, {"id": 1, "attr": "D", "pos": [5.0, 5.0]}, *tri[1:]]
+    with pytest.raises(ValueError, match="duplicate vertex id 1"):
+        network_from_dict({"vertices": twice, "edges": [[1, 2], [2, 3]]})
     tri[0]["anchor"], tri[2]["anchor"] = True, False
     assert network_from_dict({"vertices": tri, "edges": [[1, 2], [2, 3]]})[1] == (1,)
 

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import lstsq, null_space
 from scipy.optimize import least_squares
 from scipy.stats import qmc
@@ -39,9 +40,9 @@ from sarod import (
 )
 from sarod.construction import generate
 from sarod.geometry import rotation
-from sarod.graph import fundamental_cycle_basis
-from sarod.rigidity import numerical_rank
-from sarod.snl import _cluster_zeros, _edges_at, assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
+from sarod.graph import fundamental_cycle_basis, path_matrix
+from sarod.rigidity import _svd_factor, numerical_rank
+from sarod.snl import _cluster_zeros, _edges_at, _lu_solved, _solved, assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
 
 from conftest import random_framework, relabelled
 
@@ -319,6 +320,22 @@ def test_recover_positions_roundtrip_two_trees(rng):
         x2 = recover_positions(other, *truth_edges(other))[perm]
         assert np.max(np.linalg.norm(x1 - net.truth, axis=1)) < 1e-10
         assert np.max(np.linalg.norm(x1 - x2, axis=1)) < 1e-10
+
+
+def test_recover_positions_sums_the_path_matrix_rows(rng):
+    # The tree sums are the path matrix's telescoping sum x_base + P (d * b)
+    # for any edge values, consistent or not, and a batch recovers each of
+    # its configurations as one call would.
+    for recipe in ("quad2v", "mix-D2A1", "type2D1"):
+        net = build_network(generate(recipe, 40, 2).framework, [3, 5])
+        m = net.graph.m
+        b, d = rng.normal(size=(4, m, 2)), rng.uniform(0.5, 2.0, (4, m))
+        P = path_matrix(net.graph, 3).matrix
+        batch = recover_positions(net, b, d, warn=False)
+        for k in range(4):
+            x = recover_positions(net, b[k], d[k], warn=False)
+            assert np.max(np.abs(x - (net.truth[2] + P @ (d[k, :, None] * b[k])))) <= 1e-12 * np.max(np.abs(x))
+            assert np.array_equal(batch[k], x)
 
 
 def test_recover_positions_warns_on_gauge_drift(rng):
@@ -695,6 +712,8 @@ def test_vectorized_assembly_matches_loop_reference():
         assert rep["rotation"] == pytest.approx(rot_res, rel=1e-12)
         assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
         assert rep["anchor"] == anchor_res
+        # The cycle residual, summed from the signed cycle entries, is the dense cycle matrix's.
+        assert rep["cycle"] == pytest.approx(np.max(np.abs(cycle_bearing_matrix(net.graph, b) @ d)), rel=1e-12)
 
 
 def test_closure_solve_matches_full_systems():
@@ -864,3 +883,73 @@ def test_closure_system_shape():
         x /= np.concatenate([np.diag(net.bearing_param.basis.T @ net.bearing_param.basis),
                              np.diag(net.distance_param.basis.T @ net.distance_param.basis)])
         assert np.max(np.abs(system.matrix @ x - system.rhs)) < 1e-10
+
+
+def _assert_matches_dense_svd(system, case):
+    """Rank, null space and minimum-norm solution of ``system`` are those of one dense SVD of its matrix."""
+    rank, s, u, vt = _svd_factor(system.matrix.toarray())
+    N = vt[rank:].T
+    x = vt[:rank].T @ ((u[:, :rank].T @ system.rhs) / s[:rank])
+    assert system.rank == rank and system.null_dim == N.shape[1], case
+    assert np.max(np.abs(system.null_basis @ system.null_basis.T - N @ N.T), initial=0.0) <= 1e-10, case
+    assert np.max(np.abs(system.min_norm_solution - x), initial=0.0) <= 1e-10 * max(1.0, np.max(np.abs(x), initial=0.0)), case
+
+
+def test_closure_factorization_matches_dense_svd():
+    # Every recipe's closure is square and nonsingular or wide with full row
+    # rank, so its certified sparse LU decides it, with the verdict, null
+    # space and solution of the dense SVD, at every scale.
+    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+        for n in (12, 70, 140):
+            for seed in range(3):
+                fw = generate(recipe, n, seed).framework
+                for scale in (1e-6, 1.0, 1e6):
+                    case = (recipe, n, seed, scale)
+                    system = closure_system(build_network(Framework(fw.graph, fw.bipartition, fw.points * scale), [1, 2]))
+                    assert scipy.sparse.issparse(system.matrix) and system.matrix.format == "csc", case
+                    assert system.factorization == "sparse-lu", case
+                    _assert_matches_dense_svd(system, case)
+
+
+def test_closure_falls_back_to_dense_svd():
+    # A tall closure (more cycle rows than free references) is left to the
+    # dense SVD, with the verdicts the dense solve always gave: the slider
+    # is unlocalizable, the quadrilateral anchored across a diagonal is
+    # localizable.  The wide closure of a defective quadrilateralization has
+    # full row rank and one null direction, which the certificate decides.
+    slider = Framework(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]), Bipartition.from_a_set(4, [1, 3, 4]),
+                       np.array([[0.0, 0], [1, 1], [2, 0], [0.7, 0]]))
+    quad = Framework(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))), Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]]))
+    defect = generate_quadrilateralized(12, 3, defect_quads=1).framework
+    for fw, anchors, shape, factorization, status in (
+        (slider, [1, 2], (4, 3), "dense-svd", "unlocalizable"),
+        (quad, [1, 3], (4, 3), "dense-svd", "localizable"),
+        (defect, [1, 2], (10, 11), "sparse-lu", "unlocalizable"),
+    ):
+        net = build_network(fw, anchors)
+        system = closure_system(net)
+        assert system.matrix.shape == shape and system.factorization == factorization
+        _assert_matches_dense_svd(system, shape)
+        sol = localize_network(net).solution
+        assert (sol.status, sol.info["factorization"], sol.info["null_dim"]) == (status, factorization, system.null_dim)
+
+
+def test_lu_certificate_is_scale_free_and_one_sided():
+    # The certificate holds exactly when every singular value clears the
+    # rank cut with room to spare, relative to ||A||_F: sigma ratio 1e-6
+    # certifies at every scale, 1e-9 (below the 1e-8 cut) never does, and a
+    # singular LU gives up too.  Flipping the bound's direction or dropping
+    # ||A||_F from it fails here.
+    rtol = SolverConfig().rtol
+    for scale in (1e-6, 1.0, 1e6):
+        for rows, wide in ((np.diag([1.0, 1e-6]), False), (np.array([[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]]), True)):
+            A, rhs = scipy.sparse.csc_matrix(rows * scale), np.array([1.0, 2.0])
+            system = _lu_solved(A, rhs, rtol)
+            assert system is not None and system.rank == 2 and system.factorization == "sparse-lu", (scale, wide)
+            assert system.null_dim == int(wide)
+            assert np.allclose(system.min_norm_solution[:2], rhs / np.diag(rows[:, :2]) / scale)
+            near = rows.copy()
+            near[1, 1] = 1e-9
+            assert _lu_solved(scipy.sparse.csc_matrix(near * scale), rhs, rtol) is None, (scale, wide)
+            assert _solved(near * scale, rhs, rtol).rank == 1
+    assert _lu_solved(scipy.sparse.csc_matrix(np.ones((2, 2))), np.ones(2), rtol) is None
