@@ -58,13 +58,18 @@ def as_points(points) -> np.ndarray:
 
 
 def check_distinct(points: np.ndarray):
+    """Raise ``CollocationError`` naming the lowest vertex that shares its position, and its lowest twin.
+
+    Sorts the positions lexicographically (stable, so twins stay in vertex
+    order) and compares neighbours with ``==``, so -0.0 equals 0.0.
+    """
     p = as_points(points)
-    diff = p[:, None, :] - p[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() <= 0.0:
-        i, j = np.unravel_index(int(dist.argmin()), dist.shape)
-        raise CollocationError(f"collocated nodes (Assumption 1): vertices {i + 1} and {j + 1}")
+    order = np.lexsort(p.T[::-1])
+    q = p[order]
+    twins = np.flatnonzero((q[1:] == q[:-1]).all(axis=1))
+    if twins.size:
+        k = twins[np.argmin(order[twins])]
+        raise CollocationError(f"collocated nodes (Assumption 1): vertices {order[k] + 1} and {order[k + 1] + 1}")
 
 
 @dataclass(frozen=True)

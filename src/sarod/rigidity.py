@@ -9,14 +9,30 @@ four-dimensional null space always contains the two translations, the
 rotation field, and the scaling field.
 
 The rank test and the duality check use the ``reduced`` rows (2m - n of
-them, spanning the same row space as the full set) scaled to unit norm.
-A diagonal row scaling leaves the exact rank unchanged.  With unit rows an
-SA row is the RoD row of the same triple times blockdiag(R(pi/2)), up to
-sign, so swapping the bipartition gives an orthogonal transform of the
-matrix and the relative rank cut sees one spectrum for both.  Both tests
-need singular values only: each framework's spectrum is computed once,
-without singular vectors, cached on the framework and shared by the rank
-test and the duality check; each caller applies its own rank cut.
+them, spanning the same row space as the full set) scaled to unit norm,
+as a sparse matrix M (R x N, N = 2n, six entries per row).  A diagonal row
+scaling leaves the exact rank unchanged.  With unit rows an SA row is the
+RoD row of the same triple times blockdiag(R(pi/2)), up to sign, so
+swapping the bipartition gives an orthogonal transform of the matrix and
+the relative rank cut sees one spectrum for both.
+
+The verdict at a cut ``rtol`` is the one the dense singular values would
+give, rank = #{sigma_i > rtol * sigma_1}, but it is first decided by a
+certificate (``_RankTest``).  Let Q be an orthonormal basis of the trivial
+motions and B = [M; Q^T].  On range(Q)^perp, |Bx| = |Mx|, so by
+Courant-Fischer sigma_{N-4}(M) >= sigma_min(B); one Cholesky factorization
+of fl(M^T M + Q Q^T) - s I that runs to completion proves sigma_min(B) >= l
+once its backward error (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Thm 10.3) and the rounding of the normal matrix are
+charged against the shift s.  With sigma_1 <= ||M||_F, l > 2 rtol ||M||_F
+gives sigma_{N-4} > 2 rtol sigma_1; with sigma_1 >= 1 (unit rows),
+||M Q||_F / sigma_min(Q) < rtol / 2 gives sigma_{N-3} < rtol sigma_1 / 2.
+Together the rank is exactly N - 4, with factor-2 margins that absorb the
+SVD's own backward error.  Any other outcome (a failed Cholesky on a
+flexible or ill-conditioned framework, or a bound that does not decide)
+falls back to the dense singular values.  Each framework's certificates
+(one per cut) and its spectrum (once a fallback needed it) are cached on
+the framework and shared by the rank test and the duality check.
 
 The equivalent-shape oracle moves all of its starts in one batched
 Levenberg-Marquardt iteration.  Its Jacobian is the rigidity matrix itself,
@@ -26,9 +42,12 @@ from the same measurement map and scatter, for the whole batch.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 # benchmarks/tracing.py wraps least_squares and rigidity_function on this module.
 from scipy.optimize import least_squares  # noqa: F401
 
@@ -74,7 +93,8 @@ class RankReport:
     rank: int
     required: int
     verdict: str  # "rigid" | "flexible"
-    sigma: np.ndarray
+    factorization: str  # "cholesky" (certified) | "dense-svd" (fallback)
+    sigma_bounds: tuple[float, float]  # lower bound on sigma_rank / sigma_1, upper bound on sigma_(rank+1) / sigma_1
     rtol: float
     trivial_motion_residual: float
 
@@ -87,7 +107,8 @@ class RankReport:
             "rank": int(self.rank),
             "required": int(self.required),
             "verdict": self.verdict,
-            "sigma": [float(s) for s in self.sigma],
+            "factorization": self.factorization,
+            "sigma_bounds": [float(b) for b in self.sigma_bounds],
             "rtol": float(self.rtol),
             "trivial_motion_residual": float(self.trivial_motion_residual),
         }
@@ -100,13 +121,21 @@ def _scatter(grads: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
     return rows.reshape(*grads.shape[:-2], 2 * n)
 
 
-def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatrix:
-    """Rigidity matrix of the framework (the Jacobian of ``rigidity_function``), SA rows before RoD rows."""
+def _sparse_rigidity_matrix(fw: Framework, mode: str):
+    """(CSR rigidity matrix, SA triples, RoD triples): each row holds its triple's six gradient entries."""
     check_distinct(fw.points)
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, mode)
     t = np.concatenate([sa.vertex_index, rod.vertex_index])
     _, grads = measurement_map(fw.points, t, len(sa), gradients=True)
-    return RigidityMatrix(_scatter(grads, t, fw.n), sa, rod)
+    cols = 2 * t[..., None] + np.arange(2)  # (T, 3, 2), as grads
+    matrix = sp.csr_matrix((grads.ravel(), cols.ravel(), np.arange(0, grads.size + 1, 6)), shape=(len(t), 2 * fw.n))
+    return matrix, sa, rod
+
+
+def assemble_rigidity_matrix(fw: Framework, mode: str = "full") -> RigidityMatrix:
+    """Rigidity matrix of the framework (the Jacobian of ``rigidity_function``), SA rows before RoD rows."""
+    matrix, sa, rod = _sparse_rigidity_matrix(fw, mode)
+    return RigidityMatrix(matrix.toarray(), sa, rod)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
@@ -152,48 +181,140 @@ def trivial_motions(points) -> np.ndarray:
     return np.column_stack([t1, t2, rot, scale])
 
 
-def _rank_test_matrix(fw: Framework) -> np.ndarray:
-    """Reduced rigidity matrix with every row scaled to unit norm (same exact rank and null space)."""
-    M = assemble_rigidity_matrix(fw, "reduced").matrix
-    return M / np.linalg.norm(M, axis=1, keepdims=True)
+def _rank_test_matrix(fw: Framework) -> sp.csr_matrix:
+    """Reduced rigidity matrix with every row scaled to unit norm (same exact rank and null space), as CSR."""
+    M, _, _ = _sparse_rigidity_matrix(fw, "reduced")
+    M.data /= np.repeat(np.linalg.norm(M.data.reshape(-1, 6), axis=1), 6)
+    return M
 
 
-def _rank_test_spectrum(fw: Framework, M: np.ndarray | None = None) -> np.ndarray:
-    """Singular values of ``_rank_test_matrix(fw)``, factored at most once per framework.
+_U = float(np.finfo(float).eps) / 2  # unit roundoff
 
-    ``M`` is that matrix when the caller has already assembled it.  The
-    read-only spectrum is cached in the framework's instance dict; the
-    framework is frozen and its points are a read-only copy, so the cache
-    cannot go stale.  It holds no rank: each caller applies its own
-    ``rtol`` cut.
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of a k-term floating-point sum of products."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _up(x: float, terms: int = 16) -> float:
+    """``x`` inflated to bound the exact value of a sum of ``terms`` nonnegative terms (or a short formula)."""
+    return x * (1.0 + _gamma(terms))
+
+
+class _RankTest:
+    """One framework's rank-test state: its matrix, certificates and (on fallback) spectrum.
+
+    ``matrix`` is M, the reduced unit-row matrix (R x N), and ``fro`` an upper
+    bound on ||M||_F >= sigma_1.  ``trivial`` is an upper bound on
+    sigma_{N-3}(M) / sigma_1, namely ||M Q||_F / sigma_min(Q) with Q the
+    orthonormal QR basis of the trivial motions (and sigma_1 >= 1).
+    ``certified(rtol)`` is a lower bound on sigma_{N-4}(M) / sigma_1 from one
+    shifted Cholesky per cut (0.0 when it fails); ``spectrum()`` the dense
+    singular values, computed at most once.  See the module docstring.
     """
-    cache = fw.__dict__
-    if "_rank_test_sigma" not in cache:
-        _, sigma = numerical_rank(_rank_test_matrix(fw) if M is None else M)
-        sigma.flags.writeable = False
-        cache["_rank_test_sigma"] = sigma
-    return cache["_rank_test_sigma"]
+
+    def __init__(self, fw: Framework):
+        M = _rank_test_matrix(fw)
+        T = trivial_motions(fw.points)
+        self.matrix = M
+        self.residual = float(np.max(np.linalg.norm(M @ T, axis=0) / np.linalg.norm(T, axis=0)))
+        self.fro = math.sqrt(_up(float(M.data @ M.data), M.nnz + 1))
+        Q = np.linalg.qr(T)[0]
+        self.basis = Q
+        self.basis_fro2 = _up(float(np.sum(Q * Q)), Q.size + 1)
+        # ||Q^T Q - I||_2 <= ||fl(Q^T Q) - I||_F + gamma_N ||Q||_F^2, and sigma_min(Q)^2 >= 1 - that.
+        drift = _up(float(np.linalg.norm(Q.T @ Q - np.eye(4))) + _gamma(len(Q)) * self.basis_fro2)
+        MQ = M @ Q
+        mq = _up(math.sqrt(_up(float(np.sum(MQ * MQ)), MQ.size + 1)) + _gamma(6) * self.fro * math.sqrt(self.basis_fro2))
+        self.trivial = _up(mq / math.sqrt(1.0 - drift)) if drift < 1.0 else math.inf
+        self._certified: dict[float, float] = {}
+        self._sigma: np.ndarray | None = None
+
+    def certified(self, rtol: float) -> float:
+        if rtol not in self._certified:
+            self._certified[rtol] = self._certify(rtol)
+        return self._certified[rtol]
+
+    def _certify(self, rtol: float) -> float:
+        """Lower bound on sigma_{N-4}(M) / ||M||_F from one Cholesky of H - s I, H = fl(M^T M + Q Q^T); 0.0 if it fails.
+
+        The shift s = 2 (tau + gamma_{N+1} tr H + e_H + u max h_ii), with
+        tau = (2 rtol ||M||_F)^2 and e_H = gamma_{k+1} ||B||_F^2 (k the largest
+        column count of B) bounding the rounding of H.  A completed factor
+        R^T R = H - s I + dH with |dH| <= gamma_{N+1} |R^T| |R| (Higham, Thm
+        10.3) and ||R||_F^2 <= tr H / (1 - gamma_{N+1}) leaves
+        lambda_min(B^T B) >= l^2 = s - gamma_{N+1} ||R||_F^2 - u (max h_ii + s) - e_H.
+        H is formed column-major, then updated (BLAS syrk, rank 4) and
+        factored (LAPACK potrf) in place, upper triangle only: one N x N array.
+        """
+        M, Q = self.matrix, self.basis
+        N = M.shape[1]
+        k = int(np.bincount(M.indices, minlength=N).max()) + len(Q.T)
+        H = blas.dsyrk(1.0, Q, beta=1.0, c=(M.T @ M).toarray(order="F"), overwrite_c=1)
+        diag = np.diagonal(H)
+        trace, hmax = _up(float(diag.sum()), N), float(diag.max())
+        g = _gamma(N + 1)
+        e_h = _gamma(k + 1) * (self.fro**2 + self.basis_fro2)
+        s = _up(2.0 * ((2.0 * rtol * self.fro) ** 2 + g * trace + e_h + _U * hmax))
+        H.flat[:: N + 1] -= s
+        if lapack.dpotrf(H, lower=0, clean=0, overwrite_a=1)[1]:
+            return 0.0
+        ell2 = s - _up(g * trace / (1.0 - g) + _U * (hmax + s) + e_h)
+        return math.sqrt(ell2) / self.fro * (1.0 - _gamma(4)) if ell2 > 0.0 else 0.0
+
+    def spectrum(self) -> np.ndarray:
+        """Dense singular values of M, computed once and read-only."""
+        if self._sigma is None:
+            _, sigma = numerical_rank(self.matrix.toarray())
+            sigma.flags.writeable = False
+            self._sigma = sigma
+        return self._sigma
+
+    def decide(self, rtol: float):
+        """(rank, factorization, sigma_bounds) at the cut rank = #{sigma_i > rtol * sigma_1}."""
+        N = self.matrix.shape[1]
+        if self.trivial < 0.5 * rtol and (lower := self.certified(rtol)) > 2.0 * rtol:
+            return N - 4, "cholesky", (lower, self.trivial)
+        s = self.spectrum()
+        rank = _rank(s, rtol)
+        ratio = s / s[0] if s.size and s[0] > 0 else np.zeros_like(s)
+        return rank, "dense-svd", (float(ratio[rank - 1]) if rank else 0.0, float(ratio[rank]) if rank < s.size else 0.0)
 
 
-def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL) -> RankReport:
-    """Rank test: rigid iff rank equals 2n - 4; also checks the trivial null space.
+def _rank_test(fw: Framework) -> _RankTest:
+    """The framework's ``_RankTest``, built at most once.
 
-    Singular values only, of the ``reduced`` matrix with unit-norm rows (see
-    the module docstring), computed once per framework and shared with
-    ``duality_check``.  ``sigma`` and ``trivial_motion_residual`` refer to
-    that matrix; ``null_space`` gives a null-space basis when one is needed.
+    Cached in the framework's instance dict; the framework is frozen and its
+    points are a read-only copy, so the cache cannot go stale.  It holds no
+    verdict: each caller applies its own ``rtol`` cut.
     """
     if fw.n < 3:
         raise ValueError("rigidity analysis needs n >= 3")
-    M = _rank_test_matrix(fw)
-    sigma = _rank_test_spectrum(fw, M)
-    rank = _rank(sigma, rtol)
+    cache = fw.__dict__
+    if "_rank_test" not in cache:
+        cache["_rank_test"] = _RankTest(fw)
+    return cache["_rank_test"]
+
+
+def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL) -> RankReport:
+    """Rank test: rigid iff rank equals 2n - 4 at the relative cut ``rtol``.
+
+    The rank is that of the ``reduced`` matrix M with unit-norm rows, the one
+    the dense singular values would give.  A certified shifted Cholesky
+    decides it when it can (``factorization == "cholesky"``); otherwise the
+    dense singular values do (``"dense-svd"``).  ``sigma_bounds`` are a lower
+    bound on sigma_rank / sigma_1 and an upper bound on sigma_(rank+1) /
+    sigma_1, exact ratios on the dense path.  ``trivial_motion_residual`` is
+    max_j ||M t_j|| / ||t_j|| over the four trivial motions t_j (sigma_1 >=
+    1).  The framework's certificates and spectrum are cached and shared
+    with ``duality_check``; ``null_space`` gives a null-space basis when one
+    is needed.
+    """
+    test = _rank_test(fw)
+    rank, factorization, bounds = test.decide(rtol)
     required = 2 * fw.n - 4
-    T = trivial_motions(fw.points)
-    smax = sigma[0] if sigma.size else 0.0
-    resid = float(np.max(np.linalg.norm(M @ T, axis=0) / (smax * np.linalg.norm(T, axis=0)))) if smax > 0 else 0.0
     verdict = "rigid" if rank == required else "flexible"
-    return RankReport(rank, required, verdict, sigma, rtol, resid)
+    return RankReport(rank, required, verdict, factorization, bounds, rtol, test.residual)
 
 
 @dataclass(frozen=True)
@@ -209,14 +330,12 @@ class DualityResult:
 def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
     """Rank comparison after swapping the A/D parts of the bipartition.
 
-    Both ranks come from the singular values of the reduced unit-row
-    matrices of the rank test.  The framework's own spectrum is the one
-    ``infinitesimal_rigidity_test`` computed, if it ran first; the swapped
-    framework's is always assembled and factored anew.
+    Both ranks are decided as in ``infinitesimal_rigidity_test``, each by its
+    own certificate or spectrum.  The framework's own state is the one the
+    rank test cached, if it ran first; the swapped framework is always
+    assembled and decided anew, so the swapped rank is measured, not derived.
     """
-    r1 = _rank(_rank_test_spectrum(fw), rtol)
-    r2 = _rank(_rank_test_spectrum(fw.swapped()), rtol)
-    return DualityResult(r1, r2)
+    return DualityResult(_rank_test(fw).decide(rtol)[0], _rank_test(fw.swapped()).decide(rtol)[0])
 
 
 # --- quadrilateral global-rigidity criteria -------------------------------

@@ -98,6 +98,23 @@ def test_collocation_raises():
         ratio_of_distance([[0, 0], [1, 0], [1, 1]], (1, 1, 3))
 
 
+def test_check_distinct_names_the_lowest_vertex_and_its_lowest_twin():
+    from sarod.geometry import check_distinct
+
+    check_distinct([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # Vertices 2, 4 and 5 coincide, and so do 3 and 6: the lowest vertex with a twin is 2, its lowest twin 4.
+    three = [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]]
+    with pytest.raises(CollocationError, match="vertices 2 and 4$"):
+        check_distinct(three)
+    with pytest.raises(CollocationError, match="vertices 1 and 3$"):
+        check_distinct([[3.0, 1.0], [0.0, 0.0], [3.0, 1.0]])
+    # -0.0 and 0.0 are one position.
+    with pytest.raises(CollocationError, match="vertices 1 and 3$"):
+        check_distinct([[0.0, -0.0], [1.0, 0.0], [-0.0, 0.0]])
+    with pytest.raises(CollocationError, match="vertices 2 and 3$"):
+        check_distinct([[5.0, 5.0], [-0.0, 2.0], [0.0, 2.0]])
+
+
 def test_rigidity_function_triangle_order():
     g = Graph(3, ((1, 2), (1, 3), (2, 3)))
     fw = Framework(g, Bipartition.from_a_set(3, [2]), np.array([[0.0, 0], [1, 0], [0.4, 0.9]]))

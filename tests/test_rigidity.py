@@ -3,9 +3,12 @@
 The finite-difference Jacobian is the independent oracle for the assembled
 matrix; seeded random sweeps cover the rank bound, the trivial null space,
 duality under bipartition swap, and reduced-mode rank equality.  The
-rank test and the duality check share one cached singular spectrum per
-framework; its ranks are checked against the full factorization, against
-fresh instances and for call order, and its SVD calls are counted.  The
+rank test and the duality check decide the rank with a certified shifted
+Cholesky and fall back to one cached singular spectrum per framework;
+their ranks are checked against the dense singular values (on a recipe
+grid, across scales, and along a deformation that sweeps the smallest
+retained singular value through the cut), against fresh instances and for
+call order, and their SVD calls are counted.  The
 quadrilateral criterion is pinned on the published coordinate examples and
 cross-checked against the brute-force shape search, whose batched
 Levenberg-Marquardt run is checked against the per-start scipy loop kept
@@ -138,7 +141,7 @@ def test_reduced_mode_has_same_rank(rng):
 
 
 def _check_cached_rank(fw, rtol):
-    M = sarod.rigidity._rank_test_matrix(fw)
+    M = sarod.rigidity._rank_test_matrix(fw).toarray()
     rank = infinitesimal_rigidity_test(fw, rtol).rank
     assert rank == sarod.rigidity._svd_factor(M, rtol)[0]
     assert 2 * fw.n - rank == null_space(M, rtol).shape[1]
@@ -167,11 +170,74 @@ def test_rank_and_duality_on_recipe_instances(recipe, n, seed):
     # entries at kappa/len, and the relative rank cut then dropped a
     # direction or split the duality ranks on each of the first six
     # instances (on the sixth only with the reduced rows left unscaled).
-    # The rank read off the cached spectrum is the full factorization's.
+    # The certified rank is the full factorization's.
     fw = generate(recipe, n, seed).framework
     assert _check_cached_rank(fw, 1e-8) == 2 * n - 4
     dual = duality_check(fw)
     assert dual.equal and dual.rank == 2 * n - 4
+
+
+def _dense_rank(fw, rtol):
+    return sarod.rigidity._rank(np.linalg.svd(sarod.rigidity._rank_test_matrix(fw).toarray(), compute_uv=False), rtol)
+
+
+@pytest.mark.parametrize("recipe", ["quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"])
+def test_certified_rank_matches_dense_svd(recipe):
+    # Every framework of the grid and its swap is certified at the default
+    # cut, and at both cuts the rank and the duality ranks are the dense
+    # singular values' (a cut the certificate cannot decide falls back).
+    for n, seed, scale in itertools.product((12, 70, 140), range(3), (1e-6, 1.0, 1e6)):
+        base = generate(recipe, n, seed).framework
+        fw = Framework(base.graph, base.bipartition, base.points * scale)
+        for rtol in (1e-8, 1e-3):
+            ranks = _dense_rank(fw, rtol), _dense_rank(fw.swapped(), rtol)
+            for framework, rank in zip((fw, fw.swapped()), ranks):
+                rep = infinitesimal_rigidity_test(framework, rtol)
+                assert rep.rank == rank, (recipe, n, seed, scale, rtol)
+                if rtol == 1e-8:
+                    assert rep.factorization == "cholesky" and rep.rigid, (recipe, n, seed, scale)
+            dual = duality_check(fw, rtol)
+            assert (dual.rank, dual.rank_swapped) == ranks, (recipe, n, seed, scale, rtol)
+
+
+def test_uncertified_framework_takes_the_dense_fallback():
+    # sigma_r / sigma_1 = 1.4e-6 here: too close to rank deficiency for the
+    # Cholesky of the normal matrix, so both it and its swap fall back.
+    fw = generate("type2D1", 250, 59182745).framework
+    rep = infinitesimal_rigidity_test(fw)
+    assert (rep.factorization, rep.rank) == ("dense-svd", 496)
+    assert rep.sigma_bounds[0] == pytest.approx(1.4e-6, rel=0.05)
+    assert duality_check(fw).equal
+
+
+def test_rank_test_is_sound_along_a_deformation_to_flexibility():
+    # Vertex 12 of this framework has degree 2; moving it onto the line
+    # through its two neighbours makes the framework flexible, and
+    # sigma_r / sigma_1 shrinks in proportion to its distance from the line.
+    # Along the sweep the reported rank is always the dense singular values',
+    # and nothing is certified with sigma_r / sigma_1 below the cut.
+    fw = generate("type2D1", 20, 0).framework
+    v = 12
+    a, b = [u for e in fw.graph.edges if v in e for u in e if u != v]
+    p = np.array(fw.points)
+    axis = (p[b - 1] - p[a - 1]) / np.linalg.norm(p[b - 1] - p[a - 1])
+    foot = p[a - 1] + ((p[v - 1] - p[a - 1]) @ axis) * axis
+    ratios, paths = [], set()
+    for t in np.logspace(-1.6, -10.0, 30):
+        q = p.copy()
+        q[v - 1] = foot + t * (p[v - 1] - foot)
+        moved = Framework(fw.graph, fw.bipartition, q)
+        s = np.linalg.svd(sarod.rigidity._rank_test_matrix(moved).toarray(), compute_uv=False)
+        ratios.append(s[2 * fw.n - 5] / s[0])
+        for rtol in (1e-6, 1e-8, 1e-10):
+            rep = infinitesimal_rigidity_test(moved, rtol)
+            assert rep.rank == sarod.rigidity._rank(s, rtol), (t, rtol)
+            assert rep.factorization == "dense-svd" or ratios[-1] > 2.0 * rtol, (t, rtol)
+            lower, upper = rep.sigma_bounds  # bounds on sigma_rank / sigma_1 and sigma_(rank+1) / sigma_1
+            assert lower <= s[rep.rank - 1] / s[0] * (1 + 1e-9) and upper >= s[rep.rank] / s[0] * (1 - 1e-9), (t, rtol)
+            paths.add((rep.factorization, rep.rigid))
+    assert max(ratios) > 1e-3 and min(ratios) < 1e-11
+    assert paths == {("cholesky", True), ("dense-svd", True), ("dense-svd", False)}
 
 
 def test_swapped_bipartition_has_the_same_spectrum(rng):
@@ -179,8 +245,8 @@ def test_swapped_bipartition_has_the_same_spectrum(rng):
     # original up to row signs, so the rank test sees one spectrum.
     for _ in range(15):
         fw = random_framework(int(rng.integers(4, 11)), rng)
-        s = infinitesimal_rigidity_test(fw).sigma
-        s_swapped = infinitesimal_rigidity_test(fw.swapped()).sigma
+        s = numerical_rank(sarod.rigidity._rank_test_matrix(fw).toarray())[1]
+        s_swapped = numerical_rank(sarod.rigidity._rank_test_matrix(fw.swapped()).toarray())[1]
         assert np.max(np.abs(s - s_swapped)) <= 1e-10 * s[0]
 
 
@@ -190,22 +256,29 @@ def _fresh(fw):
 
 
 def test_rank_test_and_duality_factor_two_sigma_only_spectra(monkeypatch):
-    # The rank test factors the framework's matrix and the duality check
-    # only the swapped one; neither computes singular vectors, and another
-    # rank cut on the same instance reuses the cached spectrum.
+    # A certified instance factors no SVD at all.  A flexible one takes the
+    # fallback: the rank test factors the framework's matrix and the duality
+    # check only the swapped one; neither computes singular vectors, and
+    # another rank cut on the same instance reuses the cached spectrum.
     svd, calls = np.linalg.svd, []
 
     def counting_svd(*args, **kwargs):
         calls.append(inspect.signature(svd).bind(*args, **kwargs).arguments.get("compute_uv", True))
         return svd(*args, **kwargs)
 
-    fw = generate("quad2v", 40, 3).framework
+    rigid = generate("quad2v", 40, 3).framework
+    flexible = Framework(QUAD, Bipartition(("D",) * 4), np.array([[0.0, 0.0], [1.0, 0.1], [1.2, 1.0], [0.0, 1.1]]))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    assert infinitesimal_rigidity_test(fw).rigid
-    assert duality_check(fw).equal
+    rep = infinitesimal_rigidity_test(rigid)
+    assert rep.rigid and rep.factorization == "cholesky"
+    assert duality_check(rigid).equal
+    assert calls == []
+    rep = infinitesimal_rigidity_test(flexible)
+    assert not rep.rigid and rep.factorization == "dense-svd"
+    duality_check(flexible)
     assert calls == [False, False]
-    infinitesimal_rigidity_test(fw, 1e-3)
-    duality_check(fw, 1e-3)
+    infinitesimal_rigidity_test(flexible, 1e-3)
+    duality_check(flexible, 1e-3)
     assert calls == [False, False, False]  # only the new swapped framework is factored
 
 
@@ -229,12 +302,12 @@ def test_duality_ranks_do_not_depend_on_call_order(rng):
         after = duality_check(other)
         assert (first.rank, first.rank_swapped) == (after.rank, after.rank_swapped)
         assert rep.rank == rep_fresh.rank == first.rank
-        assert np.array_equal(rep.sigma, rep_fresh.sigma)
+        assert rep.to_dict() == rep_fresh.to_dict()
 
 
 def test_rank_cuts_on_one_instance_match_fresh_instances():
     fw = generate("mix-D2A1", 31, 4).framework
-    s = infinitesimal_rigidity_test(_fresh(fw)).sigma
+    s = numerical_rank(sarod.rigidity._rank_test_matrix(fw).toarray())[1]
     k = len(s) // 2
     loose = float(np.sqrt(s[k] * s[k + 1]) / s[0])  # cuts the spectrum after index k
     for rtol in (1e-8, loose, 1e-8):
@@ -242,8 +315,9 @@ def test_rank_cuts_on_one_instance_match_fresh_instances():
         assert shared.to_dict() == fresh.to_dict()
         assert duality_check(fw, rtol) == duality_check(_fresh(fw), rtol)
     assert infinitesimal_rigidity_test(fw, loose).rank == k + 1
+    assert infinitesimal_rigidity_test(fw, loose).factorization == "dense-svd"
     with pytest.raises(ValueError):  # the cached spectrum is read-only
-        infinitesimal_rigidity_test(fw).sigma[0] = 0.0
+        sarod.rigidity._rank_test(fw).spectrum()[0] = 0.0
 
 
 def test_ranks_invariant_under_vertex_relabelling():
