@@ -3,7 +3,7 @@
 Subcommands: ``generate`` (build a network from a seeded recipe),
 ``analyze`` (rigidity/duality/connectivity/localizability report),
 ``localize`` (solve and emit CSV + report),
-``check-quad`` (quadrilateral global-rigidity criterion), and ``report``
+``check-quad`` (quadrilateral global-rigidity criterion and shape count), and ``report``
 (batch sweeps to an aggregate CSV).  Exit codes: 0 success/localizable,
 2 unlocalizable (or not rigid for check-quad), 1 usage or data errors.
 All flags are long-form and all randomness is seeded, so identical inputs
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from dataclasses import replace
 from .construction import RECIPES, generate
 from .graph import enumerate_triples, triple_index_components
 from .netio import _json_default, load_measurements, load_network, save_network, write_report, write_result_csv
-from .rigidity import _QUAD_EDGES, duality_check, infinitesimal_rigidity_test, quad_global_rigidity
+from .rigidity import _QUAD_EDGES, duality_check, equivalent_shape_search, infinitesimal_rigidity_test, quad_global_rigidity
 from .snl import SolverConfig, build_network, localizability_check, localize_network, solution_residuals
 
 
@@ -121,9 +122,10 @@ def cmd_check_quad(args) -> int:
     try:
         fw, _ = load_network(args.net)
         verdict = quad_global_rigidity(fw)
+        shape_count = len(equivalent_shape_search(fw))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"{args.net}: {exc}")
-    print(json.dumps(verdict.to_dict(), indent=1))
+    print(json.dumps({**verdict.to_dict(), "shape_count": shape_count}, indent=1))
     return 0 if verdict.rigid else 2
 
 
@@ -192,7 +194,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sarod`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sarod",
         description="Rigidity analysis and localization for planar networks with signed-angle and distance-ratio sensing.",
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_flags(p)
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("check-quad", help="quadrilateral global-rigidity criterion")
+    p = sub.add_parser("check-quad", help="quadrilateral global-rigidity criterion and equivalent-shape count")
     p.add_argument("--net", required=True, help="network JSON path (4-cycle)")
     p.set_defaults(func=cmd_check_quad)
 

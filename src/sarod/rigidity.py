@@ -34,9 +34,17 @@ falls back to the dense singular values.  Each framework's certificates
 (one per cut) and its spectrum (once a fallback needed it) are cached on
 the framework and shared by the rank test and the duality check.
 
-The equivalent-shape oracle moves all of its starts in one batched
-Levenberg-Marquardt iteration.  Its Jacobian is the rigidity matrix itself,
-from the same measurement map and scatter, for the whole batch.
+The equivalent-shape oracle pins vertices 1 and 2 and returns one
+configuration per shape.  On a 4-cycle with one to three A-vertices it
+enumerates every shape in closed form: a shape with the same measurements
+rotates each edge by its bearing class's angle and scales it by its length
+class's factor, and the cycle closure leaves two real unknowns, given by a
+2 x 2 linear system (three A-vertices), a circle intersection (one) or a
+quadratic in one scale (an A-pair).  Any other framework, and a degenerate
+4-cycle, gets the random multi-start search, which moves all of its starts
+in one batched Levenberg-Marquardt iteration.  Its Jacobian is the rigidity
+matrix itself, from the same measurement map and scatter, for the whole
+batch.
 """
 
 from __future__ import annotations
@@ -77,6 +85,8 @@ __all__ = [
 DEFAULT_RTOL = 1e-8
 QUAD_TOL = 1e-9  # absolute tolerance of the 4-cycle criterion on scale-normalized residuals
 SHAPE_CLUSTER_TOL = 1e-6  # the oracle's shape-clustering radius, in units of |p2 - p1|
+SHAPE_RESIDUAL_TOL = 1e-10  # the oracle's measurement residual bound (max-norm)
+_QUAD_SINGULAR = 1e-12  # relative size at which the closed-form 4-cycle oracle calls its input degenerate
 
 
 @dataclass(frozen=True)
@@ -455,7 +465,7 @@ def quad_global_rigidity(fw: Framework) -> QuadVerdict:
     )
 
 
-# --- brute-force equivalent-shape oracle ----------------------------------
+# --- equivalent-shape oracle -----------------------------------------------
 
 
 def _shape_starts(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -529,45 +539,182 @@ def _batched_lm(x: np.ndarray, fun, tiny: float):
     return x, r
 
 
-def equivalent_shape_search(fw: Framework, trials: int = 50, seed: int = 0, residual_tol: float = 1e-10):
-    """Desk-scale search for all shapes satisfying the framework's constraints.
-
-    Multi-start nonlinear least squares on the measurement residual with the
-    similarity gauge removed by pinning vertices 1 and 2: one batched
-    Levenberg-Marquardt run (``_batched_lm``) moves all ``trials`` starts at
-    once, with the rigidity matrix as analytic Jacobian.  Solutions below
-    ``residual_tol`` (max-norm) are clustered modulo similarity (radius
-    ``SHAPE_CLUSTER_TOL`` times |p2 - p1|) in start order and returned as
-    configurations.  The true configuration is always
-    among the starts, so at least one shape is found.
-    """
-    if fw.n > 8:
-        raise ValueError("oracle is desk-scale only (n <= 8)")
-    check_distinct(fw.points)
+def _shape_problem(fw: Framework):
+    """(triples t, SA count, target values) of the oracle's measurement residual."""
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
-    target = rigidity_function(fw.points, sa, rod)
-    t = np.concatenate([sa.vertex_index, rod.vertex_index])
-    n_sa = len(sa)
+    return np.concatenate([sa.vertex_index, rod.vertex_index]), len(sa), rigidity_function(fw.points, sa, rod)
+
+
+def _shape_residual(vals: np.ndarray, target: np.ndarray, n_sa: int) -> np.ndarray:
+    """Measurement residual ``vals - target``, angle entries wrapped to [-pi, pi)."""
+    r = vals - target
+    r[..., :n_sa] = np.mod(r[..., :n_sa] + np.pi, 2.0 * np.pi) - np.pi
+    return r
+
+
+def _distinct_shapes(q: np.ndarray, r: np.ndarray, scale: float, residual_tol: float) -> list[np.ndarray]:
+    """The configurations of q (S, n, 2) that are shapes, one per similarity class, in order.
+
+    A configuration is a shape when its residual row of r (S, T) is within
+    ``residual_tol`` (max-norm; non-finite fails) and no two of its vertices
+    are closer than 1e-9 ``scale`` (|p2 - p1|).  It joins an earlier shape
+    when it lies within ``SHAPE_CLUSTER_TOL`` ``scale`` of it, pointwise or
+    after a similarity fit.
+    """
+    n = q.shape[1]
+    tol = SHAPE_CLUSTER_TOL * scale
+    shapes: list[np.ndarray] = []
+    for qi, ok in zip(q, np.all(np.abs(r) <= residual_tol, axis=1)):  # False where non-finite
+        if not ok or np.min([np.linalg.norm(qi[i] - qi[j]) for i, j in itertools.combinations(range(n), 2)]) < 1e-9 * scale:
+            continue
+        if not any(np.max(np.linalg.norm(qi - rep, axis=1)) < tol or fit_similarity(rep, qi, tol=tol)[2] for rep in shapes):
+            shapes.append(qi)
+    return shapes
+
+
+def _random_shape_search(fw: Framework, trials: int, seed: int, residual_tol: float) -> list[np.ndarray]:
+    """The multi-start search behind ``equivalent_shape_search``, for any framework on n <= 8 vertices."""
+    t, n_sa, target = _shape_problem(fw)
     p = np.asarray(fw.points, dtype=float)
-    scale = float(np.linalg.norm(p[1] - p[0]))
 
     def unpack(x):
         return np.concatenate([np.broadcast_to(p[:2], (len(x), 2, 2)), x.reshape(len(x), -1, 2)], axis=1)
 
     def residual(x):
         vals, grads = measurement_map(unpack(x), t, n_sa, gradients=True)
-        r = vals - target
-        r[:, :n_sa] = np.mod(r[:, :n_sa] + np.pi, 2.0 * np.pi) - np.pi
-        return r, _scatter(grads, t, fw.n)[..., 4:]
+        return _shape_residual(vals, target, n_sa), _scatter(grads, t, fw.n)[..., 4:]
 
     x0 = _shape_starts(p, trials, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # collocated iterates: masked as non-finite
         x, r = _batched_lm(x0, residual, 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(target), initial=0.0)))
-    shapes: list[np.ndarray] = []
-    tol = SHAPE_CLUSTER_TOL * scale
-    for q, ok in zip(unpack(x), np.all(np.abs(r) <= residual_tol, axis=1)):  # False where non-finite
-        if not ok or np.min([np.linalg.norm(q[i] - q[j]) for i, j in itertools.combinations(range(fw.n), 2)]) < 1e-9 * scale:
-            continue
-        if not any(np.max(np.linalg.norm(q - rep, axis=1)) < tol or fit_similarity(rep, q, tol=tol)[2] for rep in shapes):
-            shapes.append(q)
-    return shapes
+    return _distinct_shapes(unpack(x), r, float(np.linalg.norm(p[1] - p[0])), residual_tol)
+
+
+def _cross(u: complex, v: complex) -> float:
+    """Planar cross product of two vectors written as complex numbers."""
+    return (u.conjugate() * v).imag
+
+
+def _edge_classes(joints) -> list[int]:
+    """Class of each 4-cycle edge when every vertex in ``joints`` ties its two edges together.
+
+    Edge e runs from vertex e to vertex e + 1 (0-based, mod 4), so vertex v
+    joins edges v - 1 and v.  Classes are numbered by first edge, so edge 0
+    is in class 0.
+    """
+    label = list(range(4))
+    for v in joints:
+        label = [label[v - 1] if lab == label[v] else lab for lab in label]
+    first: dict[int, int] = {}
+    return [first.setdefault(lab, len(first)) for lab in label]
+
+
+def _quad_configurations(p: np.ndarray, is_a: np.ndarray) -> list[np.ndarray] | None:
+    """Every configuration of a 4-cycle with its measurements and vertices 1, 2 fixed, in closed form.
+
+    With edge vectors z_e as complex numbers, a configuration with the same
+    measurements has edge vectors y e^(i theta) z_e (y > 0): an A-vertex
+    gives its two edges one rotation theta (a bearing class), a D-vertex
+    one scale y (a length class).  Edge 0 (vertex 1 to 2) is fixed, and so
+    are its two classes, which leaves two real unknowns in the closure
+    sum_b,d y_d e^(i theta_b) G[b, d] = 0, with G[b, d] the sum of the z_e
+    in bearing class b and length class d:
+
+    - three A-vertices: one bearing class, y1 G01 + y2 G02 = -G00;
+    - one A-vertex: one length class, |G0 + e^(i theta1) G1| = |G2|, whose
+      two roots theta1 each fix theta2;
+    - an A-pair (adjacent or opposite): |G00 + y G01|^2 = |G10 + y G11|^2,
+      a quadratic in y, whose positive roots each fix theta.
+
+    Returns the rebuilt configurations, not yet checked against the
+    measurements, or None when the input is degenerate at the
+    ``_QUAD_SINGULAR`` relative tolerance (a singular linear system, a
+    quadratic that vanishes identically, a vanishing class sum): such
+    inputs have a continuum of shapes.
+    """
+    z = (np.roll(p, -1, axis=0) - p) @ np.array([1.0, 1j])
+    bear, length = _edge_classes(np.flatnonzero(is_a)), _edge_classes(np.flatnonzero(~is_a))
+    G = np.zeros((max(bear) + 1, max(length) + 1), dtype=complex)
+    np.add.at(G, (bear, length), z)
+    tol = _QUAD_SINGULAR * float(np.vdot(z, z).real)
+    roots = []  # (rotation e^(i theta) per bearing class, scale y per length class)
+    if len(G) == 1:
+        g0, g1, g2 = G[0]
+        det = _cross(g1, g2)
+        if abs(det) <= tol:
+            return None
+        roots.append(([1.0], [1.0, _cross(g2, g0) / det, _cross(g0, g1) / det]))  # Cramer's rule
+    elif G.shape[1] == 1:
+        g0, g1, g2 = G[:, 0]
+        if min(abs(g0), abs(g1), abs(g2)) ** 2 <= tol:
+            return None
+        cos = (abs(g2) ** 2 - abs(g0) ** 2 - abs(g1) ** 2) / (2.0 * abs(g0 * g1))
+        half = math.acos(min(max(cos, -1.0), 1.0))  # theta1 + arg(conj(g0) g1) = +-half
+        for sign in (1.0, -1.0):
+            e1 = np.exp(1j * sign * half) * g0 * g1.conjugate() / abs(g0 * g1)
+            u = -(g0 + e1 * g1)
+            roots.append(([1.0, e1, u * g2.conjugate() / abs(u * g2)], [1.0]))
+    else:
+        (g00, g01), (g10, g11) = G
+        a = abs(g01) ** 2 - abs(g11) ** 2
+        b = 2.0 * ((g00.conjugate() * g01).real - (g10.conjugate() * g11).real)
+        c = abs(g00) ** 2 - abs(g10) ** 2
+        if max(abs(a), abs(b), abs(c)) <= tol:
+            return None
+        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        for y in (c / q if q else 0.0, q / a if a else 0.0):  # both roots without cancellation
+            if not y > 0.0:
+                continue
+            v, u = g10 + y * g11, -(g00 + y * g01)
+            if abs(v) ** 2 <= tol:
+                return None
+            roots.append(([1.0, u * v.conjugate() / abs(u * v)], [1.0, y]))
+    configs = []
+    for rot, y in roots:
+        if min(y) > 0.0:
+            w = np.asarray(y)[length] * np.asarray(rot)[bear] * z
+            tail = p[1] @ np.array([1.0, 1j]) + np.cumsum(w[1:3])  # vertices 3 and 4
+            configs.append(np.vstack([p[:2], np.column_stack([tail.real, tail.imag])]))
+    return configs
+
+
+def _quad_shapes(fw: Framework, residual_tol: float = SHAPE_RESIDUAL_TOL) -> list[np.ndarray] | None:
+    """``equivalent_shape_search`` on a 4-cycle in closed form: the input, then every other shape; None if degenerate."""
+    p = np.asarray(fw.points, dtype=float)
+    configs = _quad_configurations(p, np.array(fw.bipartition.attrs) == "A")
+    if configs is None:
+        return None
+    t, n_sa, target = _shape_problem(fw)
+    q = np.array([p, *configs])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a collocated root: masked as non-finite
+        vals, _ = measurement_map(q, t, n_sa, gradients=True)
+    return _distinct_shapes(q, _shape_residual(vals, target, n_sa), float(np.linalg.norm(p[1] - p[0])), residual_tol)
+
+
+def equivalent_shape_search(fw: Framework, trials: int = 50, seed: int = 0, residual_tol: float = SHAPE_RESIDUAL_TOL):
+    """All shapes satisfying the framework's measurements, for desk-scale frameworks (n <= 8).
+
+    The similarity gauge is removed by pinning vertices 1 and 2.  A shape is
+    a configuration whose measurement residual is at most ``residual_tol``
+    (max-norm, angles wrapped), with no two vertices closer than 1e-9 |p2 -
+    p1|; shapes are clustered modulo similarity (radius
+    ``SHAPE_CLUSTER_TOL`` |p2 - p1|).  The input configuration (the search's
+    first start) comes first.
+
+    A 4-cycle on the edges (1, 2), (2, 3), (3, 4), (1, 4) with one to
+    three A-vertices gets every shape in closed form (``_quad_shapes``): at
+    most two candidates from a linear system, a circle intersection or a
+    quadratic, each put through the same checks.  Every other framework,
+    and a degenerate 4-cycle (which has a continuum of shapes), gets a
+    multi-start nonlinear least-squares search: one batched
+    Levenberg-Marquardt run (``_batched_lm``) moves all ``trials`` starts
+    at once, with the rigidity matrix as analytic Jacobian, from starts
+    drawn with ``seed``.  ``trials`` and ``seed`` steer only that search.
+    """
+    if fw.n > 8:
+        raise ValueError("oracle is desk-scale only (n <= 8)")
+    check_distinct(fw.points)
+    shapes = None
+    if fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial():
+        shapes = _quad_shapes(fw, residual_tol)
+    return _random_shape_search(fw, trials, seed, residual_tol) if shapes is None else shapes

@@ -127,7 +127,7 @@ def test_criterion_04_quad_checker_vs_oracle():
         per_case[case] = agree
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    print(f"\n[criterion 4] PASS: {scored} scored instances agree ({per_case}), {boundary} boundary reported, {elapsed:.0f}s")
+    print(f"\n[criterion 4] PASS: {scored} scored instances agree ({per_case}), {boundary} boundary reported, {elapsed:.2f}s")
 
 
 def test_criterion_05_example1_quadrilateralized():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sarod import Bipartition, Framework, Graph, MeasurementSet, build_network, generate_quadrilateralized, synthesize_measurements
-from sarod.cli import main
+from sarod.cli import build_parser, main
 from sarod.netio import (
     load_measurements,
     load_network,
@@ -317,16 +317,21 @@ def test_cli_analyze_quadrilateral_section(tmp_path, capsys):
     assert "quadrilateral" not in report2
 
 
-def test_cli_check_quad_exit_codes(tmp_path):
+def test_cli_check_quad_exit_codes(tmp_path, capsys):
+    # The exit code is the criterion's; shape_count is the oracle's count of equivalent shapes.
     g = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
     rigid = Framework(g, Bipartition.from_a_set(4, [1, 2, 3]), np.array([[0.0, 0], [1, 0.1], [1.2, 1], [0, 1.1]]))
     p1 = tmp_path / "rigid.json"
     save_network(p1, rigid)
     assert main(["check-quad", "--net", str(p1)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rigid"], out["case"], out["shape_count"]) == (True, 1, 1)
     floppy = Framework(g, Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]]))
     p2 = tmp_path / "floppy.json"
     save_network(p2, floppy)
     assert main(["check-quad", "--net", str(p2)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rigid"], out["case"], out["shape_count"]) == (False, 3, 2)
 
 
 def test_cli_report_batch(tmp_path):
@@ -394,3 +399,7 @@ def test_cli_generate_bit_identical(tmp_path):
     main(["generate", "--recipe", "type2D1", "--n", "13", "--seed", "8", "--out", str(a)])
     main(["generate", "--recipe", "type2D1", "--n", "13", "--seed", "8", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -10,10 +10,13 @@ grid, across scales, and along a deformation that sweeps the smallest
 retained singular value through the cut), against fresh instances and for
 call order, and their SVD calls are counted.  The
 quadrilateral criterion is pinned on the published coordinate examples and
-cross-checked against the brute-force shape search, whose batched
-Levenberg-Marquardt run is checked against the per-start scipy loop kept
-here as its reference.  Ranks and quad verdicts must not depend on vertex
-labels.
+cross-checked against the closed-form 4-cycle shape enumerator.  The
+enumerator's shapes are checked against the random multi-start search
+(which must find no shape it misses, and finds its second shapes given
+enough starts) and under scaling, rigid motion and relabelling; the random
+search's batched Levenberg-Marquardt run is checked against the per-start
+scipy loop kept here as its reference.  Ranks, quad verdicts and shape
+counts must not depend on vertex labels.
 """
 
 import inspect
@@ -42,8 +45,16 @@ from sarod import (
     signed_angle,
 )
 from sarod.construction import generate
-from sarod.geometry import measurement_map
-from sarod.rigidity import _scatter, _shape_starts, assemble_rigidity_matrix, trivial_motions
+from sarod.geometry import measurement_map, rotation
+from sarod.rigidity import (
+    SHAPE_RESIDUAL_TOL,
+    _quad_shapes,
+    _random_shape_search,
+    _scatter,
+    _shape_starts,
+    assemble_rigidity_matrix,
+    trivial_motions,
+)
 
 from conftest import random_framework, relabelled
 
@@ -585,7 +596,7 @@ def test_shape_count_matches_reference(monkeypatch):
 
     monkeypatch.setattr(sarod.rigidity, "least_squares", no_scipy_call)
     for k, (fw, verdict) in enumerate(_off_boundary_quads(np.random.default_rng(11), 5)):
-        shapes = equivalent_shape_search(fw, trials=50, seed=k)
+        shapes = _random_shape_search(fw, 50, k, SHAPE_RESIDUAL_TOL)
         assert len(shapes) == len(reference_shape_search(fw, trials=50, seed=k)), fw.points.tolist()
         assert (len(shapes) == 1) == verdict.rigid
 
@@ -607,3 +618,72 @@ def test_oracle_runs_with_fewer_measurements_than_unknowns():
     assert reference_shape_search(fw, trials=5) == []
     shapes = equivalent_shape_search(fw, trials=5)
     assert len(shapes) >= 2 and np.allclose(shapes[0], fw.points, rtol=0.0, atol=1e-12)
+
+
+# --- the closed-form 4-cycle enumerator -------------------------------------
+
+# Two off-boundary 4-cycles whose second shape lies in a basin so small that
+# the 50-start random search missed it, printed at full precision.
+MISSED_BY_50_STARTS = [
+    ([1, 2], [[0.3505505609450925, 0.14691591052276787], [0.8390074550522748, 0.586570766303683],
+              [0.42610756504183167, 0.18239371424499062], [0.9928123148716845, 0.27255313654024704]]),
+    ([1, 3], [[0.2814941743488798, 0.43894289403018405], [0.8445414470087453, 0.14436636300253658],
+              [0.745858571045921, 0.8044589059129466], [0.43503460669109484, 0.5012386191738057]]),
+]
+
+
+def _same_shapes(found, reference, scale):
+    """Every configuration of ``found`` is similar to one of ``reference``, at 1e-6 of ``scale``."""
+    return all(any(fit_similarity(r, q, tol=1e-6 * scale)[2] for r in reference) for q in found)
+
+
+@pytest.mark.parametrize("a_set, points", MISSED_BY_50_STARTS, ids=["adjacent-pair", "opposite-pair"])
+def test_enumerator_finds_the_shapes_fifty_starts_missed(a_set, points):
+    fw = Framework(QUAD, Bipartition.from_a_set(4, a_set), np.array(points))
+    assert not quad_global_rigidity(fw).rigid
+    shapes = _quad_shapes(fw)
+    assert len(shapes) == 2 and np.array_equal(shapes[0], fw.points)
+    assert len(equivalent_shape_search(fw)) == 2
+    searched = _random_shape_search(fw, 500, 0, SHAPE_RESIDUAL_TOL)
+    assert len(searched) == 2 and _same_shapes(searched, shapes, 1.0) and _same_shapes(shapes, searched, 1.0)
+
+
+def test_enumerated_shapes_invariant_under_similarity_and_relabelling():
+    rng = np.random.default_rng(15)
+    frameworks = [fw for fw, _ in _off_boundary_quads(rng, 5)]
+    frameworks += [Framework(QUAD, Bipartition.from_a_set(4, a), np.array(p)) for a, p in MISSED_BY_50_STARTS]
+    for fw in frameworks:
+        shapes = _quad_shapes(fw)
+        p = fw.points
+        moved = [p * 1e-6, p * 1e6, p @ rotation(2.0).T, p + [3.0, -7.0]]
+        for q in moved:
+            found = _quad_shapes(Framework(QUAD, fw.bipartition, q))
+            scale = float(np.linalg.norm(q[1] - q[0]))
+            assert len(found) == len(shapes) and fit_similarity(shapes[0], found[0], tol=1e-9 * scale)[2]
+            assert _same_shapes(found, shapes, scale), (p.tolist(), q.tolist())
+        for shift in range(1, 4):
+            perm = (np.arange(4) + shift) % 4
+            found = [q[perm] for q in _quad_shapes(relabelled(fw, perm))]  # back in the old labels
+            assert len(found) == len(shapes) and np.array_equal(found[0], p)
+            assert _same_shapes(found, shapes, 1.0), (p.tolist(), shift)
+
+
+def test_enumerated_shapes_include_every_searched_shape():
+    # 200 random starts per quad, against the closed form, 40 quads per A-set class.
+    for k, (fw, verdict) in enumerate(_off_boundary_quads(np.random.default_rng(16), 40)):
+        shapes = _quad_shapes(fw)
+        assert (len(shapes) == 1) == verdict.rigid
+        searched = _random_shape_search(fw, 200, k, SHAPE_RESIDUAL_TOL)
+        assert _same_shapes(searched, shapes, 1.0), fw.points.tolist()
+
+
+@pytest.mark.parametrize("a_set, points", [
+    ([1, 2, 3], [[0.0, 0], [1, 0], [2, 0], [0.5, 1.0]]),  # A-vertices on a line: a singular linear system
+    ([1, 3], [[0.6, 0.9], [0, 0], [0.6, -0.9], [2, 0]]),  # a kite about the D-diagonal: the quadratic vanishes
+], ids=["collinear-a-vertices", "opposite-pair-kite"])
+def test_degenerate_quad_takes_the_random_search(a_set, points):
+    # Both 4-cycles have a continuum of shapes, which only the random search samples.
+    fw = Framework(QUAD, Bipartition.from_a_set(4, a_set), np.array(points))
+    assert _quad_shapes(fw) is None
+    shapes = equivalent_shape_search(fw, trials=20, seed=1)
+    assert len(shapes) == len(_random_shape_search(fw, 20, 1, SHAPE_RESIDUAL_TOL)) >= 2
