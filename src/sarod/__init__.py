@@ -58,7 +58,6 @@ from .snl import (
     assemble_distance_system,
     build_network,
     closure_system,
-    cycle_bearing_matrix,
     localizability_check,
     localize_network,
     mean_squared_error,

@@ -25,27 +25,23 @@ Localization is one solve, ``localize_network``.  Its regime is read off
 the input, not chosen: ``"sa"`` when every bearing propagates, ``"rod"``
 when every distance does, ``"general"`` otherwise.  Every regime solves one
 system: the cycle closure C (d * b) = 0 in the free references x = (w, y)
-of propagation, bearings ``b0 + NB w`` and distances ``d0 + ND y`` in units
-of the largest anchor distance (so verdicts and ranks do not depend on
-scale).  Unless an edge is free on both sides it is linear, with
-2(m - n + 1) rows and one column per free reference coordinate
-(``closure_system``); its null dimension gives the ranks of the full
-distance and bearing systems.  The closure is a ``scipy.sparse`` matrix,
-assembled from the signed entries of the fundamental cycles, and one
-sparse LU decides its rank whenever a bound proves the rank cut of the
-SVD would find full row rank; tall and rank-deficient closures, and
-bounds too weak to decide, fall back to one dense SVD.  Each solution
-names the path in ``info["factorization"]``: ``"sparse-lu"`` or
-``"dense-svd"``.  A trivial null space is an exact answer, in every
-regime.  A nontrivial one with free SA components keeps a
-multi-start over the null coordinates only, one batched
-Levenberg-Marquardt run on the unit norms of the free references.  Edges
-free on both sides make the closure bilinear; the same batched solver then
-runs a multi-start over all of (w, y).  ``localizability_check`` reads its
-verdict off that same solve.  ``assemble_distance_system`` and
-``assemble_bearing_system`` build the full systems for analysis.
-Positions are recovered by telescoping edge displacements along the
-graph's breadth-first vertex tree from an anchor (``graph.tree_sums``).
+of propagation: a free edge's bearing is its SA reference rotated by
+R(phi_e), its distance its RoD reference scaled by rho_e, in units of the
+largest anchor distance (so verdicts and ranks do not depend on scale).
+Unless an edge is free on both sides it is linear (``closure_system``),
+and its null dimension gives the ranks of the full distance and bearing
+systems.  One certified sparse LU decides its rank, or one dense SVD when
+the certificate cannot; ``info["factorization"]`` names which.  A trivial
+null space is an exact answer, in every regime.  A nontrivial one with
+free SA components keeps a multi-start over the null coordinates only, one
+batched Levenberg-Marquardt run on the unit norms of the free references.
+Edges free on both sides make the closure bilinear; the same batched
+solver then runs a multi-start over all of (w, y).
+``localizability_check`` reads its verdict off that same solve.
+``assemble_distance_system`` and ``assemble_bearing_system`` build the
+full systems for analysis.  Positions are recovered by telescoping edge
+displacements along the graph's breadth-first vertex tree from an anchor
+(``graph.tree_sums``).
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ __all__ = [
     "EdgeSolution",
     "LocalizationResult",
     "build_network",
-    "cycle_bearing_matrix",
     "propagate_bearings",
     "propagate_distances",
     "assemble_distance_system",
@@ -106,8 +101,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.starts >= 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if not (isinstance(self.starts, (int, np.integer)) and not isinstance(self.starts, bool) and self.starts >= 1):
+            raise ValueError(f"starts must be a positive integer, got {self.starts!r}")
         if not 0.0 < self.rtol < 1.0:
             raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
 
@@ -168,8 +163,11 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
     Adds the anchor clique, synthesizes exact measurements over the
     augmented triple sets (or validates user-supplied ones for coverage),
     and precomputes anchor-pair bearings and distances.  Needs at least two
-    anchors.
+    anchors, given as integer vertex ids (a float, bool or string is refused).
     """
+    bad = [a for a in anchors if not isinstance(a, (int, np.integer)) or isinstance(a, bool)]
+    if bad:
+        raise ValueError(f"anchor ids must be integers, got {bad[0]!r}")
     anchor_list = tuple(sorted(set(int(a) for a in anchors)))
     if len(anchor_list) < 2:
         raise ValueError("need n_a >= 2 anchors (a single anchor leaves a free rotation)")
@@ -214,32 +212,31 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
 
 @dataclass(frozen=True)
 class EdgeParameterization:
-    """Affine solution set over the m canonical edges.
+    """Affine solution set over the m canonical edges, in O(m) storage.
 
-    ``offset`` carries the resolved values (zeros on unresolved edges);
-    ``basis`` spans the free directions (one 2-column block per unresolved
-    SA component, one positive column per unresolved RoD component), and
-    ``column`` names each edge's free reference, so sparse assembly reads
-    an edge's basis entries without scanning ``basis``.
-    ``closure_mismatch`` is the worst transport mismatch over all triples
-    (radians for bearings, log-ratio for distances).
+    ``offset`` carries the resolved values (zeros on unresolved edges).  An
+    unresolved edge is the free reference of its component (a 2-vector per
+    SA component, a positive scalar per RoD component) rotated by R(phi_e)
+    or scaled by rho_e, its ``transport``.  ``closure_mismatch`` is the
+    worst transport mismatch over all triples (radians for bearings,
+    log-ratio for distances).
     """
 
     labels: np.ndarray  # (m,) component ids
     n_components: int
     offset: np.ndarray  # (m, 2) bearings or (m,) distances
-    basis: np.ndarray  # (2m, 2k) or (m, k)
-    column: np.ndarray  # (m,) free reference t of each edge (basis columns 2t, 2t + 1 or t), -1 if resolved
-    resolved: np.ndarray  # (m,) bool
+    transport: np.ndarray  # (m,) angle phi_e (bearings) or scale rho_e (distances) from the component reference
+    column: np.ndarray  # (m,) free reference t of each edge (coordinates 2t, 2t + 1 or t), -1 if resolved
+    dim: int  # free coordinates: 2 per free SA component, 1 per free RoD component
     closure_mismatch: float
+
+    @property
+    def resolved(self) -> np.ndarray:
+        return self.column < 0
 
     @property
     def fully_resolved(self) -> bool:
         return bool(self.resolved.all())
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def _sa_relations(net: SensorNetwork):
@@ -272,8 +269,9 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     component holding an anchor edge is shifted to reproduce the anchor
     value there (``anchor_values``, one per ``net.anchor_edges``).  Returns
     (labels, count, potentials, pinned potentials (NaN on free components),
-    free component ids, worst closure mismatch); mismatches above the
-    consistency tolerance raise ``InfeasibleMeasurementsError``.
+    free reference count, per edge its free reference index (-1 if pinned),
+    worst closure mismatch); mismatches above the consistency tolerance
+    raise ``InfeasibleMeasurementsError``.
     """
     g = net.graph
     labels, n_comp = triple_index_components(triples, g)
@@ -289,69 +287,48 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     ref[comp] = shift
     if np.any(np.abs(_centered(shift - ref[comp], period)) > tol):
         raise InfeasibleMeasurementsError(f"infeasible {side} data: anchor values disagree within a component")
-    return labels, n_comp, pot, pot + ref[labels], np.flatnonzero(np.isnan(ref)), mismatch
-
-
-def _free_columns(labels: np.ndarray, free: np.ndarray, unresolved: np.ndarray):
-    """The unresolved edges, and per edge the index of its component among the free ones (-1 if resolved)."""
-    e = np.flatnonzero(unresolved)
-    column = np.full(len(labels), -1)
-    column[e] = np.searchsorted(free, labels[e])
-    return e, column
+    free = np.isnan(ref)
+    column = np.where(free[labels], np.cumsum(free)[labels] - 1, -1)
+    return labels, n_comp, pot, pot + ref[labels], int(free.sum()), column, mismatch
 
 
 def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge bearings per SA-index component.
 
-    Within a component every edge bearing is a fixed rotation of the
-    component reference; anchor-pair edges pin their component, other
+    Within a component every edge bearing is a fixed rotation R(phi_e) of
+    the component reference; anchor-pair edges pin their component, other
     components contribute a free 2-vector each.  Inconsistent rotations
     around an index cycle raise ``InfeasibleMeasurementsError``.
     """
     s1, s2, theta = _sa_relations(net)
     steps = np.where(s1 * s2 < 0, theta + np.pi, theta)
     b = np.array(list(net.anchor_bearings.values()))
-    labels, n_comp, phi, angle, free, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[:, 1], b[:, 0]), 2.0 * np.pi, "SA")
-    e, column = _free_columns(labels, free, np.isnan(angle))
-    t = column[e]
-    c, s = np.cos(phi[e]), np.sin(phi[e])
-    basis = np.zeros((2 * net.graph.m, 2 * len(free)))
-    basis[2 * e, 2 * t], basis[2 * e + 1, 2 * t] = c, s  # R(phi) e_x
-    basis[2 * e, 2 * t + 1], basis[2 * e + 1, 2 * t + 1] = -s, c  # R(phi) e_y
+    labels, n_comp, phi, angle, n_free, column, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[:, 1], b[:, 0]), 2.0 * np.pi, "SA")
     offset = np.nan_to_num(np.column_stack([np.cos(angle), np.sin(angle)]))
-    return EdgeParameterization(labels, n_comp, offset, basis, column, ~np.isnan(angle), mismatch)
+    return EdgeParameterization(labels, n_comp, offset, phi, column, 2 * n_free, mismatch)
 
 
 def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge distances per RoD-index component (ratios transported as log-sums)."""
     anchors = np.log(list(net.anchor_distances.values()))
-    labels, n_comp, log_rho, log_d, free, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
-    e, column = _free_columns(labels, free, np.isnan(log_d))
-    basis = np.zeros((net.graph.m, len(free)))
-    basis[e, column[e]] = np.exp(log_rho[e])
-    offset = np.nan_to_num(np.exp(log_d))
-    return EdgeParameterization(labels, n_comp, offset, basis, column, ~np.isnan(log_d), mismatch)
+    labels, n_comp, log_rho, log_d, n_free, column, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
+    return EdgeParameterization(labels, n_comp, np.nan_to_num(np.exp(log_d)), np.exp(log_rho), column, n_free, mismatch)
 
 
 # --- linear systems ---------------------------------------------------------
 
 
-def cycle_bearing_matrix(g: Graph, bearings: np.ndarray) -> np.ndarray:
-    """Column-wise pairing of cycle-basis signs with edge bearings, 2(m-n+1) x m."""
-    C = fundamental_cycle_basis(g).matrix.astype(float)
-    return (C[:, None, :] * bearings.T).reshape(-1, g.m)
-
-
 def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     """Stacked linear system A d = y on the m edge distances.
 
-    Rows: the cycle bearing matrix (rhs 0), one row per RoD triple
-    (-kappa at the (r,s)-edge, +1 at the (r,t)-edge, rhs 0), and one row
-    per anchor pair (rhs the anchor distance).  Needs a full bearing
-    vector.
+    Rows: the cycle signs times each bearing coordinate (rhs 0), one row
+    per RoD triple (-kappa at the (r,s)-edge, +1 at the (r,t)-edge, rhs 0),
+    and one row per anchor pair (rhs the anchor distance).  Needs a full
+    bearing vector.
     """
     g = net.graph
-    Cb = cycle_bearing_matrix(g, bearings)
+    C = fundamental_cycle_basis(g).matrix.astype(float)
+    Cb = (C[:, None, :] * bearings.T).reshape(-1, g.m)
     n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_distances)
     A = np.zeros((n_rows, g.m))
     y = np.zeros(n_rows)
@@ -469,28 +446,53 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
 
 
 def _cycle_sums(net: SensorNetwork, distances: np.ndarray, bearings: np.ndarray) -> np.ndarray:
-    """C (d * b) from the signed cycle entries: each fundamental cycle's summed displacement, (m - n + 1, 2)."""
+    """C (d * b) summed in edge order from the signed cycle entries, (..., m - n + 1, 2) for a batch of (d, b) or one."""
     cycle, edge, sign = net.cycle_entries
     n_cyc = net.graph.m - net.graph.n + 1
-    w = sign * distances[edge]
-    return np.column_stack([np.bincount(cycle, w * bearings[edge, j], minlength=n_cyc) for j in (0, 1)])
+    w = sign * distances[..., edge]
+    batch = w.shape[:-1]
+    bins = (n_cyc * np.arange(math.prod(batch))[:, None] + cycle).ravel()
+    sums = [np.bincount(bins, (w * bearings[..., edge, j]).ravel(), minlength=n_cyc * math.prod(batch)) for j in (0, 1)]
+    return np.stack(sums, axis=-1).reshape(batch + (n_cyc, 2))
+
+
+def _closure_entries(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray):
+    """The nonzeros (rows, cols, vals) of the closure Jacobian d(C (d * b))/dx at bearings b and distances d.
+
+    Each signed cycle entry (cycle c, edge e, sign s) puts on rows 2c,
+    2c + 1 the block s d_e R(phi_e) on a free bearing's two columns and
+    s rho_e b_e on a free distance's column; repeated (row, col) pairs sum.
+    For a batch of (b, d), vals is (..., nnz) and rows and cols are shared.
+    """
+    bear, dist = net.bearing_param, net.distance_param
+    cycle, edge, sign = net.cycle_entries
+    r0, r1 = 2 * cycle, 2 * cycle + 1
+    k = np.flatnonzero(bear.column[edge] >= 0)
+    e, t = edge[k], 2 * bear.column[edge[k]]
+    sd = sign[k] * distances[..., e]
+    cos, sin = sd * np.cos(bear.transport[e]), sd * np.sin(bear.transport[e])
+    rows, cols, vals = [r0[k], r1[k], r0[k], r1[k]], [t, t, t + 1, t + 1], [cos, sin, -sin, cos]
+    k = np.flatnonzero(dist.column[edge] >= 0)
+    e, t = edge[k], bear.dim + dist.column[edge[k]]
+    scale = sign[k] * dist.transport[e]
+    rows += [r0[k], r1[k]]
+    cols += [t, t]
+    vals += [scale * bearings[..., e, 0], scale * bearings[..., e, 1]]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, axis=-1)
 
 
 def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
     """Cycle closure C (d * b) = 0 as one sparse linear system in the free references of propagation.
 
-    Columns: the kw bearing references w (bearings b0 + NB w), then the ky
-    distance references y (distances d0 + ND y, in units of the largest
-    anchor distance).  Rows: both coordinates of every fundamental cycle,
-    2(m - n + 1) in all.  The SA triples, RoD triples and anchor pairs hold
-    by construction.  ``d * b`` has the bilinear term (ND y) * (NB w) only
-    on edges free on both sides, so without them the closure is exactly
-    linear; with them this raises ``ValueError``.
+    Columns: the kw bearing references w, then the ky distance references
+    y (in units of the largest anchor distance).  Rows: both coordinates of
+    every fundamental cycle, 2(m - n + 1) in all.  The SA triples, RoD
+    triples and anchor pairs hold by construction.  ``d * b`` is bilinear
+    in (w, y) only on edges free on both sides, so without them the closure
+    is exactly linear; with them this raises ``ValueError``.
 
-    The matrix is assembled as ``scipy.sparse`` CSC straight from the
-    signed cycle entries (cycle c, edge e, sign s): a free bearing puts the
-    2 x 2 block s d0_e R(phi_e) on its reference's two columns, a free
-    distance the 2 x 1 block s b0_e rho_e on its reference's column; the
+    The matrix is the closure Jacobian (``_closure_entries``) at the
+    propagated offsets (b0, d0), as ``scipy.sparse`` CSC, and the
     right-hand side is -C (d0 * b0).  One sparse LU decides the rank when
     its certificate proves full row rank (``_lu_solved``); otherwise (a
     tall or rank-deficient closure, or a bound too weak to decide) the
@@ -499,21 +501,10 @@ def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
     bear, dist = net.bearing_param, net.distance_param
     if np.any(~bear.resolved & ~dist.resolved):
         raise ValueError("an edge is free on both sides, so the closure is bilinear")
-    cycle, edge, sign = net.cycle_entries
-    d0, b0, kw = dist.offset / net.unit, bear.offset, bear.dim
-    r0, r1 = 2 * cycle, 2 * cycle + 1
-    k = np.flatnonzero(bear.column[edge] >= 0)
-    e, t = edge[k], bear.column[edge[k]]
-    cos, sin = (sign[k] * d0[e]) * bear.basis[[2 * e, 2 * e + 1], 2 * t]
-    rows, cols, vals = [r0[k], r1[k], r0[k], r1[k]], [2 * t, 2 * t, 2 * t + 1, 2 * t + 1], [cos, sin, -sin, cos]
-    k = np.flatnonzero(dist.column[edge] >= 0)
-    e, t = edge[k], dist.column[edge[k]]
-    scale = sign[k] * dist.basis[e, t]
-    rows += [r0[k], r1[k]]
-    cols += [kw + t, kw + t]
-    vals += [scale * b0[e, 0], scale * b0[e, 1]]
-    shape = (2 * (net.graph.m - net.graph.n + 1), kw + dist.dim)
-    A = csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    d0, b0 = dist.offset / net.unit, bear.offset
+    rows, cols, vals = _closure_entries(net, b0, d0)
+    shape = (2 * (net.graph.m - net.graph.n + 1), bear.dim + dist.dim)
+    A = csc_matrix((vals, (rows, cols)), shape=shape)
     rhs = -_cycle_sums(net, d0, b0).ravel()
     return _lu_solved(A, rhs, rtol) or replace(_solved(A.toarray(), rhs, rtol), matrix=A)
 
@@ -554,11 +545,22 @@ def _evidence(net: SensorNetwork) -> dict:
 
 
 def _edges_at(net: SensorNetwork, x: np.ndarray):
-    """Bearings and distances (in units of the largest anchor distance) at free references x = (w, y), or a batch of them."""
+    """Bearings and distances (in units of the largest anchor distance) at free references x = (w, y), or a batch of them.
+
+    A free edge gathers its reference through ``column`` and rotates it by
+    R(phi_e) or scales it by rho_e; resolved edges keep their offsets.
+    """
     bear, dist = net.bearing_param, net.distance_param
-    m, kw = net.graph.m, bear.dim
-    b = bear.offset + np.einsum("ejk,...k->...ej", bear.basis.reshape(m, 2, kw), x[..., :kw])
-    return b, dist.offset / net.unit + x[..., kw:] @ dist.basis.T
+    batch = x.shape[:-1]
+    b = np.broadcast_to(bear.offset, batch + bear.offset.shape).copy()
+    d = np.broadcast_to(dist.offset / net.unit, batch + dist.offset.shape).copy()
+    e = np.flatnonzero(~bear.resolved)
+    t, cos, sin = 2 * bear.column[e], np.cos(bear.transport[e]), np.sin(bear.transport[e])
+    w0, w1 = x[..., t], x[..., t + 1]
+    b[..., e, 0], b[..., e, 1] = cos * w0 - sin * w1, sin * w0 + cos * w1
+    e = np.flatnonzero(~dist.resolved)
+    d[..., e] = dist.transport[e] * x[..., bear.dim + dist.column[e]]
+    return b, d
 
 
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
@@ -603,10 +605,8 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
     |w_c|^2 - 1, one residual per free SA component c, at w = w0 + N z;
     distinct zeros are clustered by position.  The ranks of the full
     distance and bearing systems follow from the null dimension whenever
-    the other side is fully propagated.  ``info["factorization"]`` records
-    which factorization decided the closure's rank: ``"sparse-lu"`` when
-    the certified sparse LU of ``closure_system`` did, ``"dense-svd"`` when
-    it fell back to the SVD.
+    the other side is fully propagated.  ``info["factorization"]`` names
+    what decided the closure's rank (``closure_system``).
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
@@ -657,25 +657,26 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
     minimizes the cycle closure, the unit norms of the free SA references
     and a hinge below ``positivity_eps`` on the distances (in units of the
     largest anchor distance) from a Latin hypercube of starts; distinct
-    zeros are clustered by position, so the verdict is heuristic.
+    zeros are clustered by position, so the verdict is heuristic.  The
+    closure and its Jacobian come from ``_cycle_sums`` and ``_closure_entries``.
     """
     bear, dist = net.bearing_param, net.distance_param
-    m, kw, ky = net.graph.m, bear.dim, dist.dim
-    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
-    NB, ND = bear.basis.reshape(m, 2, kw), dist.basis
+    kw, ky = bear.dim, dist.dim
     eps = config.positivity_eps
     comp = np.arange(kw).reshape(-1, 2)  # the coordinates of each free SA reference
-    rows, kc = 2 * len(C), len(comp)
+    rows, kc = 2 * (net.graph.m - net.graph.n + 1), len(comp)
+    free = np.flatnonzero(~dist.resolved)
+    hinge_rows, hinge_cols, rho = rows + kc + free, kw + dist.column[free], dist.transport[free]
 
     def stacked(x):
         """Residuals (S, T) and Jacobians (S, T, kw + ky) of every start in the batch x."""
         b, d = _edges_at(net, x)
-        r = np.concatenate([(C @ (d[:, :, None] * b)).reshape(len(x), rows), (x[:, comp] ** 2).sum(axis=2) - 1.0, np.maximum(0.0, eps - d)], axis=1)
+        r = np.concatenate([_cycle_sums(net, d, b).reshape(len(x), rows), (x[:, comp] ** 2).sum(axis=2) - 1.0, np.maximum(0.0, eps - d)], axis=1)
         J = np.zeros(r.shape + (kw + ky,))
-        J[:, :rows, :kw] = (C @ (d[:, :, None, None] * NB).reshape(len(x), m, -1)).reshape(len(x), rows, kw)
-        J[:, :rows, kw:] = (C @ (b[..., None] * ND[:, None, :]).reshape(len(x), m, -1)).reshape(len(x), rows, ky)
+        i, j, vals = _closure_entries(net, b, d)
+        np.add.at(J, (slice(None), i, j), vals)
         J[:, rows + np.arange(kc)[:, None], comp] = 2.0 * x[:, comp]
-        J[:, rows + kc :, kw:] = -ND * (d < eps)[..., None]
+        J[:, hinge_rows, hinge_cols] = -rho * (d[:, free] < eps)
         return r, J
 
     scale_guess = float(np.mean(list(net.anchor_distances.values()))) / net.unit

@@ -26,7 +26,6 @@ from sarod import (
     MeasurementSet,
     SolverConfig,
     build_network,
-    cycle_bearing_matrix,
     generate_bilateration,
     generate_mixed,
     generate_quadrilateralized,
@@ -42,7 +41,18 @@ from sarod.construction import generate
 from sarod.geometry import rotation
 from sarod.graph import fundamental_cycle_basis, path_matrix
 from sarod.rigidity import _svd_factor, numerical_rank
-from sarod.snl import _cluster_zeros, _edges_at, _lu_solved, _solved, assemble_bearing_system, assemble_distance_system, closure_system, solution_residuals
+from sarod.snl import (
+    _closure_entries,
+    _cluster_zeros,
+    _cycle_sums,
+    _edges_at,
+    _lu_solved,
+    _solved,
+    assemble_bearing_system,
+    assemble_distance_system,
+    closure_system,
+    solution_residuals,
+)
 
 from conftest import random_framework, relabelled
 
@@ -52,6 +62,26 @@ def truth_edges(net):
     vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in net.graph.edges])
     d = np.linalg.norm(vecs, axis=1)
     return vecs / d[:, None], d
+
+
+def dense_basis(param):
+    """The free directions of an ``EdgeParameterization`` as one dense matrix: the reference for its per-edge transport.
+
+    Bearings give (2m, dim), one column pair R(phi_e) e_x, R(phi_e) e_y per
+    free SA component; distances give (m, dim), rho_e in its component's
+    column.
+    """
+    e = np.flatnonzero(~param.resolved)
+    t, m = param.column[e], len(param.column)
+    if param.offset.ndim == 1:
+        basis = np.zeros((m, param.dim))
+        basis[e, t] = param.transport[e]
+        return basis
+    c, s = np.cos(param.transport[e]), np.sin(param.transport[e])
+    basis = np.zeros((2 * m, param.dim))
+    basis[2 * e, 2 * t], basis[2 * e + 1, 2 * t] = c, s
+    basis[2 * e, 2 * t + 1], basis[2 * e + 1, 2 * t + 1] = -s, c
+    return basis
 
 
 def triangle_network(rng, a_set=(1, 2), anchors=(1, 2)):
@@ -69,6 +99,17 @@ def test_build_network_idempotent_clique(rng):
     assert len(net3.anchor_distances) == 3
     with pytest.raises(ValueError, match="n_a >= 2"):
         build_network(fw, [2])
+
+
+def test_build_network_refuses_non_integer_anchor_ids(rng):
+    # int() would truncate 1.9 and read True and "1" as vertex 1; each is
+    # refused by name instead.  Numpy integers are ids.
+    fw = Framework(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))), Bipartition.from_a_set(4, [1, 3]), rng.uniform(0, 1, (4, 2)))
+    for bad in (1.9, True, "1", np.float64(1.0), None):
+        with pytest.raises(ValueError, match=re.escape(f"anchor ids must be integers, got {bad!r}")):
+            build_network(fw, [bad, 2])
+    assert build_network(fw, np.array([2, 1])).anchors == (1, 2)
+    assert build_network(fw, [np.int32(1), 3]).anchors == (1, 3)
 
 
 def test_localizability_check_warns_on_single_attribute_anchors(rng):
@@ -130,17 +171,19 @@ def test_measurement_ingestion_roundtrip(rng):
 
 
 def test_cycle_bearing_matrix_shapes_and_compatibility(rng):
-    tree = Graph(4, ((1, 2), (2, 3), (2, 4)))
+    # The cycle bearing matrix heads the distance system: 2(m - n + 1) rows.
+    tree = build_network(Framework(Graph(4, ((1, 2), (2, 3), (2, 4))), Bipartition.from_a_set(4, [1, 3]), rng.uniform(0, 1, (4, 2))), [1, 2])
     b = rng.normal(size=(3, 2))
     b /= np.linalg.norm(b, axis=1)[:, None]
-    assert cycle_bearing_matrix(tree, b).shape == (0, 3)
+    assert assemble_distance_system(tree, b)[0].shape[0] == len(tree.rod_triples) + 1
+    assert _cycle_sums(tree, np.ones(3), b).shape == (0, 2)
 
     net = triangle_network(rng)
     bt, dt = truth_edges(net)
-    Cb = cycle_bearing_matrix(net.graph, bt)
-    assert Cb.shape == (2, 3)
+    Cb = assemble_distance_system(net, bt)[0][:2]
     assert np.max(np.abs(Cb @ dt)) < 1e-12
     assert np.max(np.abs(Cb @ (3.7 * dt))) < 1e-11  # scaling stays compatible
+    assert np.max(np.abs(_cycle_sums(net, 3.7 * dt, bt))) < 1e-11
 
 
 def test_propagation_resolves_connected_sets(rng):
@@ -203,7 +246,7 @@ def test_propagation_matches_loop_reference():
         dist = propagate_distances(net)
         assert np.array_equal(dist.labels, labels) and dist.n_components == count
         free = ~dist.resolved
-        assert np.allclose(dist.basis[free].sum(axis=1), rho[free], rtol=1e-13, atol=0)
+        assert np.allclose(dense_basis(dist)[free].sum(axis=1), rho[free], rtol=1e-13, atol=0)
         (i, j), d_star = next(iter(net.anchor_distances.items()))
         pinned = dist.resolved & (labels == labels[eidx[(i, j)]])
         assert np.allclose(dist.offset[pinned], rho[pinned] * d_star / rho[eidx[(i, j)]], rtol=1e-13, atol=0)
@@ -215,7 +258,7 @@ def test_propagation_matches_loop_reference():
         bear = propagate_bearings(net)
         assert np.array_equal(bear.labels, labels) and bear.n_components == count
         e = np.flatnonzero(~bear.resolved)
-        first = bear.basis[:, 0::2]  # R(phi) e_x column of each free component
+        first = dense_basis(bear)[:, 0::2]  # R(phi) e_x column of each free component
         assert np.allclose((first[2 * e].sum(axis=1), first[2 * e + 1].sum(axis=1)), (np.cos(phi[e]), np.sin(phi[e])), rtol=0, atol=1e-12)
         (i, j), b_star = next(iter(net.anchor_bearings.items()))
         a = eidx[(i, j)]
@@ -295,18 +338,18 @@ def test_solve_disconnected_ground_truth_objective(rng):
     bt, dt = truth_edges(net)
     # Project the truth onto the parameterizations and evaluate the solver's
     # residual stack: it must vanish.
-    w = bear.basis.T @ (bt.ravel() - bear.offset.ravel())
-    y = dist.basis.T @ (dt - dist.offset)
-    scale = (dist.basis.T @ dist.basis).diagonal()
+    NB, ND = dense_basis(bear), dense_basis(dist)
+    w = NB.T @ (bt.ravel() - bear.offset.ravel())
+    y = ND.T @ (dt - dist.offset)
+    scale = (ND.T @ ND).diagonal()
     y = y / np.where(scale > 0, scale, 1.0)
-    wb = bear.basis.T @ bear.basis
+    wb = NB.T @ NB
     w = np.linalg.solve(wb + 1e-15 * np.eye(len(w)), w) if len(w) else w
-    b = (bear.offset.ravel() + bear.basis @ w).reshape(-1, 2)
-    d = dist.offset + dist.basis @ y
+    b = (bear.offset.ravel() + NB @ w).reshape(-1, 2)
+    d = dist.offset + ND @ y
     assert np.max(np.abs(b - bt)) < 1e-8
     assert np.max(np.abs(d - dt)) < 1e-8
-    C = cycle_bearing_matrix(net.graph, b)
-    assert np.max(np.abs(C @ d)) < 1e-8
+    assert np.max(np.abs(_cycle_sums(net, d, b))) < 1e-8
 
 
 def test_recover_positions_roundtrip_two_trees(rng):
@@ -519,9 +562,10 @@ def test_solver_config_settable_fields():
     assert SolverConfig().zero_tol == 1e-16
     with pytest.raises(TypeError):
         SolverConfig(zero_tol=1e-10)
-    for starts in (0, -3):
-        with pytest.raises(ValueError, match="starts must be at least 1"):
+    for starts in (0, -3, 2.5, 1.0, True, "5", None):
+        with pytest.raises(ValueError, match="starts must be a positive integer"):
             SolverConfig(starts=starts)
+    assert SolverConfig(starts=np.int64(5)).starts == 5
     for rtol in (0.0, 1.0, -1e-8, 2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rtol must lie in"):
             SolverConfig(rtol=rtol)
@@ -713,7 +757,8 @@ def test_vectorized_assembly_matches_loop_reference():
         assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
         assert rep["anchor"] == anchor_res
         # The cycle residual, summed from the signed cycle entries, is the dense cycle matrix's.
-        assert rep["cycle"] == pytest.approx(np.max(np.abs(cycle_bearing_matrix(net.graph, b) @ d)), rel=1e-12)
+        C = fundamental_cycle_basis(net.graph).matrix
+        assert rep["cycle"] == pytest.approx(np.max(np.abs(C @ (d[:, None] * b))), rel=1e-12)
 
 
 def test_closure_solve_matches_full_systems():
@@ -775,7 +820,7 @@ def reference_bilinear_solve(net, config=None):
     bear, dist = net.bearing_param, net.distance_param
     m, kw, ky = net.graph.m, bear.dim, dist.dim
     C = fundamental_cycle_basis(net.graph).matrix.astype(float)
-    NB, ND = bear.basis.reshape(m, 2, kw), dist.basis
+    NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
     eps = config.positivity_eps
     comp = np.arange(kw).reshape(-1, 2)
 
@@ -876,13 +921,75 @@ def test_closure_system_shape():
         g = net.graph
         assert system.matrix.shape == (2 * (g.m - g.n + 1), net.bearing_param.dim + net.distance_param.dim)
         b, d = truth_edges(net)
-        x = np.concatenate([net.bearing_param.basis.T @ (b.ravel() - net.bearing_param.offset.ravel()),
-                            net.distance_param.basis.T @ (d - net.distance_param.offset) / max(net.anchor_distances.values())])
+        NB, ND = dense_basis(net.bearing_param), dense_basis(net.distance_param)
+        x = np.concatenate([NB.T @ (b.ravel() - net.bearing_param.offset.ravel()), ND.T @ (d - net.distance_param.offset) / max(net.anchor_distances.values())])
         # Each basis column lives on one component's edges, so the columns are
         # orthogonal and projecting the truth recovers its free references.
-        x /= np.concatenate([np.diag(net.bearing_param.basis.T @ net.bearing_param.basis),
-                             np.diag(net.distance_param.basis.T @ net.distance_param.basis)])
+        x /= np.concatenate([np.diag(NB.T @ NB), np.diag(ND.T @ ND)])
         assert np.max(np.abs(system.matrix @ x - system.rhs)) < 1e-10
+
+
+def _dense_closure_jacobian(net, b, d):
+    """d(C (d * b))/dx from the dense cycle matrix and bases: the reference for ``_closure_entries``."""
+    bear, dist = net.bearing_param, net.distance_param
+    m, kw = net.graph.m, bear.dim
+    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
+    NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
+    JB = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(2 * len(C), kw)
+    JD = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(2 * len(C), dist.dim)
+    return np.hstack([JB, JD])
+
+
+RECIPES = ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal")
+
+
+def test_closure_entries_match_dense_formula():
+    # One function gives the closure Jacobian's nonzeros to the linear and the
+    # bilinear solve.  Densified at random free references, it is the dense
+    # C / basis contraction on every recipe and on bilinear networks, and at
+    # the offsets it is the closure system's matrix.
+    gen = np.random.default_rng(11)
+    nets = [build_network(generate(recipe, 40, 2).framework, [1, 2]) for recipe in RECIPES]
+    nets += [_bilinear_k4(gen) for _ in range(3)]
+    while len(nets) < 11:
+        net = build_network(random_framework(int(gen.integers(5, 10)), gen), [1, 2])
+        if _has_bilinear_edge(net):
+            nets.append(net)
+    for k, net in enumerate(nets):
+        dim = net.bearing_param.dim + net.distance_param.dim
+        b, d = _edges_at(net, gen.standard_normal(dim))
+        ref = _dense_closure_jacobian(net, b, d)
+        rows, cols, vals = _closure_entries(net, b, d)
+        J = np.zeros_like(ref)
+        np.add.at(J, (rows, cols), vals)
+        assert np.max(np.abs(J - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
+        if not _has_bilinear_edge(net):
+            ref = _dense_closure_jacobian(net, *_edges_at(net, np.zeros(dim)))
+            assert np.max(np.abs(closure_system(net).matrix.toarray() - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
+
+
+def test_edges_at_batch_matches_single_calls():
+    # Leading batch axes change nothing: every slice of a batched call is the
+    # single call at that x, bit for bit.
+    gen = np.random.default_rng(12)
+    for net in [build_network(generate(recipe, 40, 0).framework, [1, 2]) for recipe in RECIPES] + [_bilinear_k4(gen)]:
+        m, dim = net.graph.m, net.bearing_param.dim + net.distance_param.dim
+        xs = gen.standard_normal((4, 3, dim))
+        b, d = _edges_at(net, xs)
+        assert b.shape == (4, 3, m, 2) and d.shape == (4, 3, m)
+        for i, j in np.ndindex(4, 3):
+            bi, di = _edges_at(net, xs[i, j])
+            assert np.array_equal(b[i, j], bi) and np.array_equal(d[i, j], di)
+
+
+def test_edge_parameterization_is_linear_in_edges():
+    # Propagation stores per edge its transport and reference index, never a
+    # dense basis: no array holds more than m x 2 entries.
+    for recipe in RECIPES:
+        net = build_network(generate(recipe, 70, 1).framework, [1, 2])
+        for param in (net.bearing_param, net.distance_param):
+            sizes = {f.name: getattr(param, f.name).size for f in dataclasses.fields(param) if isinstance(getattr(param, f.name), np.ndarray)}
+            assert max(sizes.values()) <= 2 * net.graph.m, (recipe, sizes)
 
 
 def _assert_matches_dense_svd(system, case):
