@@ -8,9 +8,12 @@ incidence matrix row of edge (i, j) has -1 at column i and +1 at column j.
 
 All matrices produced here (incidence, cycle basis, path matrices) are
 integer-valued, so identities like C @ H == 0 hold exactly.  Every
-spanning-tree sum is one breadth-first forest walk, ``tree_sums``, over a
-``signed_graph`` (the vertex graph or a triple index graph); each ``Graph``
-builds its one vertex spanning tree at most once.
+breadth-first forest is one walk, ``tree_sums``, over a ``signed_graph``
+(the vertex graph or a triple index graph).  Each ``Graph`` builds its one
+vertex spanning tree at most once, and that tree keeps its root paths as
+one sparse signed matrix R (``SpanningTree.root_paths``): the cycle basis
+and the path matrices are read off R's rows, and nothing holds a dense
+(n, m) copy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ __all__ = [
     "Graph",
     "Bipartition",
     "TripleIndexSet",
-    "CycleBasis",
-    "PathMatrix",
     "edge_code",
     "incidence_matrix",
     "SpanningTree",
@@ -178,28 +179,11 @@ class TripleIndexSet:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Breadth-first spanning tree from vertex 1 with its signed root-path rows."""
+    """Breadth-first spanning tree from vertex 1 with its signed root paths R, one sparse nonzero per path edge."""
 
     parent: tuple[int, ...]  # parent id per vertex (0 for the root), 1-based slots
     parent_edge: tuple[int, ...]  # canonical index of the edge to the parent (-1 for the root)
-    root_rows: np.ndarray  # (n, m) read-only ints: row v - 1 is the signed edge indicator of the path 1 -> v
-
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental-cycle matrix of a spanning tree; C @ H == 0 exactly."""
-
-    matrix: np.ndarray  # (m-n+1, m) ints
-    tree_parent: tuple[int, ...]  # parent id per vertex (0 for the root), 1-based slots
-
-
-@dataclass(frozen=True)
-class PathMatrix:
-    """Signed tree-path indicator rows from a base vertex; row ``base`` is zero."""
-
-    matrix: np.ndarray  # (n, m) ints
-    base: int
-    tree_parent: tuple[int, ...]
+    root_paths: csr_matrix  # R, (n, m) read-only sparse ints: row v - 1 is the signed edge indicator of the path 1 -> v
 
 
 def edge_code(i: int, j: int, n: int) -> int:
@@ -217,36 +201,47 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return H
 
 
-def fundamental_cycle_basis(g: Graph) -> CycleBasis:
-    """Cycle basis from the graph's BFS spanning tree; exactly m-n+1 rows.
+def fundamental_cycle_basis(g: Graph) -> csr_matrix:
+    """Cycle basis from the graph's BFS spanning tree: a sparse (m-n+1, m) int matrix C.
 
-    Non-tree edge (u, v) gives the cycle u -> v, then the tree path v -> u.
+    Non-tree edge (u, v) gives the cycle u -> v, then the tree path v -> u:
+    its row is R[u] - R[v] plus the chord's indicator, from the root paths R,
+    so the shared prefix above the two ends cancels.  Rows ascend by chord
+    index and every row keeps sorted columns and no stored zeros.
     """
     tree = g.spanning_tree
     chords = np.setdiff1d(np.arange(g.m), tree.parent_edge)
     ends = np.array(g.edges, dtype=int).reshape(-1, 2)[chords] - 1
-    C = tree.root_rows[ends[:, 0]] - tree.root_rows[ends[:, 1]]
-    C[np.arange(len(chords)), chords] += 1
-    return CycleBasis(C, tree.parent)
+    R = tree.root_paths
+    return R[ends[:, 0]] - R[ends[:, 1]] + csr_matrix((np.ones(len(chords), dtype=int), (np.arange(len(chords)), chords)), shape=(len(chords), g.m))
 
 
-def path_matrix(g: Graph, base: int) -> PathMatrix:
-    """Path matrix with the given base vertex, from the graph's BFS spanning tree."""
+def path_matrix(g: Graph, base: int) -> np.ndarray:
+    """Dense (n, m) path matrix R - R[base] from the root paths: row v - 1 is the signed tree path base -> v.
+
+    A reference for analysis and tests; recovery multiplies by R instead.
+    """
     if not (1 <= base <= g.n):
         raise GraphError(f"base vertex {base} not in 1..{g.n}")
-    tree = g.spanning_tree
-    return PathMatrix(tree.root_rows - tree.root_rows[base - 1], base, tree.parent)
+    rows = g.spanning_tree.root_paths.toarray()
+    return rows - rows[base - 1]
 
 
 def _spanning_tree(g: Graph) -> SpanningTree:
-    """BFS tree from vertex 1 over ascending neighbours."""
-    # A tree path uses an edge at most once, so int8 sums are exact and keep pointer doubling cache-sized.
-    parent, entry, rows = tree_sums(vertex_graph(g), [0], np.eye(g.m, dtype=np.int8))
+    """BFS tree from vertex 1 over ascending neighbours, and its root paths by sparse pointer doubling."""
+    parent, entry, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
     if np.count_nonzero(parent < 0) > 1:
         raise GraphError("graph not connected")
-    rows = rows.astype(int)
-    rows.flags.writeable = False
-    return SpanningTree((0, *(parent + 1).tolist()), (-1, *(np.abs(entry) - 1).tolist()), rows)
+    child = np.flatnonzero(parent >= 0)
+    # R[v] holds the signed tree edges from up[v] down to v; once every up[v] is the root, they are v's root path.
+    R = csr_matrix((np.sign(entry[child]), (child, np.abs(entry[child]) - 1)), shape=(g.n, g.m))
+    up = csr_matrix((np.ones(len(child), dtype=int), (child, parent[child])), shape=(g.n, g.n))
+    while up.nnz:
+        R, up = R + up @ R, up @ up
+    R.sort_indices()
+    for a in (R.data, R.indices, R.indptr):
+        a.flags.writeable = False
+    return SpanningTree((0, *(parent + 1).tolist()), (-1, *(np.abs(entry) - 1).tolist()), R)
 
 
 def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):

@@ -39,9 +39,11 @@ Edges free on both sides make the closure bilinear; the same batched
 solver then runs a multi-start over all of (w, y).
 ``localizability_check`` reads its verdict off that same solve.
 ``assemble_distance_system`` and ``assemble_bearing_system`` build the
-full systems for analysis.  Positions are recovered by telescoping edge
-displacements along the graph's breadth-first vertex tree from an anchor
-(``graph.tree_sums``).
+full systems for analysis.  The cycle closure reads the signed entries of
+the sparse fundamental cycle basis (``SensorNetwork.cycle_entries``), and
+positions are recovered by telescoping edge displacements from an anchor
+with one sparse product by the root paths of the graph's breadth-first
+vertex tree (``SpanningTree.root_paths``); neither is held dense.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from scipy.sparse.linalg import splu
 from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
-from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components, vertex_graph
+from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components
 from .rigidity import _batched_lm, _svd_factor
 
 __all__ = [
@@ -141,10 +143,9 @@ class SensorNetwork:
 
     @cached_property
     def cycle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzeros of the fundamental cycle basis, computed once per network: cycle, edge and sign (+-1.0) of each."""
-        C = fundamental_cycle_basis(self.graph).matrix
-        cycle, edge = np.nonzero(C)
-        return cycle, edge, C[cycle, edge].astype(float)
+        """The nonzeros of the sparse fundamental cycle basis, computed once per network: cycle, edge and sign (+-1.0) of each, row by row."""
+        C = fundamental_cycle_basis(self.graph).tocoo()
+        return C.row, C.col, C.data.astype(float)
 
     @cached_property
     def bearing_param(self) -> "EdgeParameterization":
@@ -327,7 +328,7 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     bearing vector.
     """
     g = net.graph
-    C = fundamental_cycle_basis(g).matrix.astype(float)
+    C = fundamental_cycle_basis(g).toarray().astype(float)
     Cb = (C[:, None, :] * bearings.T).reshape(-1, g.m)
     n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_distances)
     A = np.zeros((n_rows, g.m))
@@ -426,7 +427,7 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     """
     g = net.graph
     sa = net.sa_triples
-    C = fundamental_cycle_basis(g).matrix.astype(float)
+    C = fundamental_cycle_basis(g).toarray().astype(float)
     C1 = np.kron(C * (distances / net.unit), np.eye(2))
     n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_bearings)
     A = np.zeros((n_rows, 2 * g.m))
@@ -566,9 +567,11 @@ def _edges_at(net: SensorNetwork, x: np.ndarray):
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
     """Cluster the starts that reached a zero with positive distances by recovered position.
 
-    Every such zero is recovered in one batched walk; the zeros then join
-    clusters in start order.  The best zero answers; one cluster is
-    ``heuristic-unique``.
+    Every such zero is recovered in one batched sparse product; the zeros
+    then join clusters in start order, each cluster represented by its
+    best zero.  The first cluster answers: exact zeros' objectives are
+    rounding noise, so which cluster they favour is not evidence.  One
+    cluster is ``heuristic-unique``.
     """
     xs, objectives = np.asarray(xs), np.asarray(objectives)
     zero = objectives < config.zero_tol
@@ -587,8 +590,7 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     if not reps:
         b, d = _edges_at(net, xs[0])
         return EdgeSolution(b, d * net.unit, method, "infeasible" if np.any(zero) else "solver-failed", info)
-    best = min(reps, key=lambda k: obj[k])
-    return EdgeSolution(b[best], d[best], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
+    return EdgeSolution(b[reps[0]], d[reps[0]], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
 
 
 def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
@@ -692,19 +694,20 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
 def recover_positions(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray, warn: bool = True) -> np.ndarray:
     """Positions by telescoping signed edge displacements from an anchor.
 
-    The displacements d * b are summed from vertex 1 along the breadth-first
-    vertex tree (``graph.tree_sums``, the walk that builds the graph's
-    spanning tree), giving S_v; the base vertex is the lowest-index anchor,
-    and x_v = x_base + S_v - S_base, the telescoping sum x_base + P (d * b)
-    of the path matrix without forming it.  Bearings (..., m, 2) and
-    distances (..., m) may carry leading batch axes; one walk then recovers
-    every configuration, (..., n, 2).  A warning is issued when the other
-    anchors are not reproduced (gauge drift) to within 1e-6 of the largest
-    anchor distance.
+    The base vertex is the lowest-index anchor, and x = x_base + (R - R_base)
+    (d * b): the graph's sparse root paths R (``SpanningTree.root_paths``)
+    sum the displacements d * b from vertex 1 to every vertex, and the base
+    row is subtracted, the path matrix product without forming it.
+    Bearings (..., m, 2) and distances (..., m) may carry leading batch
+    axes; one sparse product then recovers every configuration, (..., n, 2).
+    A warning is issued when the other anchors are not reproduced (gauge
+    drift) to within 1e-6 of the largest anchor distance.
     """
     base = min(net.anchors)
-    steps = np.moveaxis(distances[..., None] * bearings, -2, 0)
-    sums = np.moveaxis(tree_sums(vertex_graph(net.graph), [0], steps)[2], 0, -2)
+    steps = distances[..., None] * bearings
+    batch = steps.shape[:-2]
+    sums = net.graph.spanning_tree.root_paths @ np.moveaxis(steps, -2, 0).reshape(net.graph.m, -1)
+    sums = np.moveaxis(sums.reshape((net.graph.n,) + batch + (2,)), 0, -2)
     x = net.truth[base - 1] + (sums - sums[..., base - 1 : base, :])
     if warn:
         anchors = np.array(net.anchors) - 1
@@ -779,22 +782,22 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
     free SA component, is exact and keeps the solve status (``localizable``,
     ``unlocalizable``, ``infeasible``).  The multi-start cases (a nontrivial
     null space with unit-norm constraints, or an edge free on both sides)
-    give ``heuristic-unique`` or ``heuristic-ambiguous`` and say so with
-    ``heuristic: True``.  Warns when all anchors share one sensing
+    say so with ``heuristic: True``: ``heuristic-unique`` for one cluster of
+    zeros, ``heuristic-ambiguous`` for two or more, and ``solver-failed`` or
+    ``infeasible`` as the solve reports them when no zero with positive
+    distances was found.  Warns when all anchors share one sensing
     attribute: the exact localizability criteria assume both kinds.
     """
     if len({net.framework.bipartition.attr(a) for a in net.anchors}) < 2:
         warnings.warn("anchors all share one sensing attribute; the exact localizability criteria assume both kinds", stacklevel=2)
     sol = _solve(net, config)
-    if not sol.info.get("heuristic"):
-        return sol.status, sol.info
-    return ("heuristic-unique" if sol.status == "heuristic-unique" else "heuristic-ambiguous"), sol.info
+    return ("heuristic-ambiguous" if sol.status == "ambiguous" else sol.status), sol.info
 
 
 # --- names benchmarks/tracing.py wraps by attribute -------------------------
 # Nothing in the package calls these: localization factors through
 # _lu_solved or _svd_factor and solves in _solve, no scipy solver remains,
-# and recovery sums along the vertex tree instead of a path matrix.
+# and recovery multiplies by the sparse root paths instead of a path matrix.
 from scipy.linalg import lstsq  # noqa: E402, F401
 from scipy.optimize import least_squares  # noqa: E402, F401
 

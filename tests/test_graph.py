@@ -51,27 +51,27 @@ def test_incidence_row_sums_and_rank():
 
 def test_cycle_basis_tree_is_empty():
     tree = Graph(4, ((1, 2), (2, 3), (2, 4)))
-    assert fundamental_cycle_basis(tree).matrix.shape == (0, 3)
+    assert fundamental_cycle_basis(tree).toarray().shape == (0, 3)
 
 
 def test_cycle_basis_triangle():
     tri = Graph(3, ((1, 2), (1, 3), (2, 3)))
-    cb = fundamental_cycle_basis(tri)
-    assert cb.matrix.shape == (1, 3)
-    assert set(np.abs(cb.matrix[0])) == {1}
+    cb = fundamental_cycle_basis(tri).toarray()
+    assert cb.shape == (1, 3)
+    assert set(np.abs(cb[0])) == {1}
 
 
 def test_cycle_basis_orthogonal_to_incidence():
     g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4), (1, 4)))
-    cb = fundamental_cycle_basis(g)
-    assert cb.matrix.shape[0] == g.m - g.n + 1 == 2
-    assert np.all(cb.matrix @ incidence_matrix(g) == 0)
+    cb = fundamental_cycle_basis(g).toarray()
+    assert cb.shape[0] == g.m - g.n + 1 == 2
+    assert np.all(cb @ incidence_matrix(g) == 0)
 
 
 def test_cycle_basis_exact_on_random_graphs(rng):
     for _ in range(25):
         g = random_connected_graph(int(rng.integers(4, 10)), rng)
-        C = fundamental_cycle_basis(g).matrix
+        C = fundamental_cycle_basis(g).toarray()
         assert C.shape[0] == g.m - g.n + 1
         assert C.dtype.kind == "i"
         assert np.all(C @ incidence_matrix(g) == 0)
@@ -85,7 +85,7 @@ def test_cycle_basis_requires_connected():
 
 def test_path_matrix_chain():
     g = Graph(3, ((1, 2), (2, 3)))
-    P = path_matrix(g, 1).matrix
+    P = path_matrix(g, 1)
     assert P[0].tolist() == [0, 0]
     assert P[2].tolist() == [1, 1]
 
@@ -93,7 +93,7 @@ def test_path_matrix_chain():
 def test_path_matrix_base_row_zero(rng):
     g = random_connected_graph(6, rng)
     for base in (1, 3, 6):
-        P = path_matrix(g, base).matrix
+        P = path_matrix(g, base)
         assert np.all(P[base - 1] == 0)
 
 
@@ -102,7 +102,7 @@ def test_path_matrix_telescopes_positions(rng):
     p = rng.normal(size=(7, 2))
     vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in g.edges])
     for base in (1, 4):
-        P = path_matrix(g, base).matrix
+        P = path_matrix(g, base)
         x = p[base - 1] + P @ vecs
         assert np.allclose(x, p, atol=1e-12)
 
@@ -118,10 +118,10 @@ def reversed_ids(g):
 def test_path_matrix_tree_differences_lie_in_cycle_space(rng):
     for _ in range(10):
         g = random_connected_graph(7, rng)
-        C = fundamental_cycle_basis(g).matrix
-        P1 = path_matrix(g, 2).matrix
+        C = fundamental_cycle_basis(g).toarray()
+        P1 = path_matrix(g, 2)
         # The second tree's path matrix, back in g's vertex ids and edge orientations.
-        P2 = -path_matrix(reversed_ids(g), g.n - 1).matrix[::-1]
+        P2 = -path_matrix(reversed_ids(g), g.n - 1)[::-1]
         p = rng.normal(size=(7, 2))
         vecs = np.array([p[j - 1] - p[i - 1] for (i, j) in g.edges])
         assert np.allclose(p[1] + P2 @ vecs, p, atol=1e-12)
@@ -130,8 +130,15 @@ def test_path_matrix_tree_differences_lie_in_cycle_space(rng):
 
 
 def test_shared_spanning_tree():
+    # The cycle basis and the path matrix read the same tree: chord (u, v)'s
+    # cycle is u -> v, then the tree path v -> u, so its row is P[u] - P[v]
+    # plus the chord, for the path matrix P from any base.
     g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4), (1, 4)))
-    assert fundamental_cycle_basis(g).tree_parent == path_matrix(g, 3).tree_parent
+    C, P = fundamental_cycle_basis(g).toarray(), path_matrix(g, 3)
+    chords = [e for e in range(g.m) if e not in g.spanning_tree.parent_edge]
+    for row, e in zip(C, chords):
+        u, v = g.edges[e]
+        assert np.array_equal(row, P[u - 1] - P[v - 1] + np.eye(g.m, dtype=int)[e])
 
 
 def test_bfs_tree_reverse_differs_on_cycles():
@@ -174,22 +181,25 @@ def test_spanning_tree_matches_loop_reference(rng):
     for g in _reference_graphs(rng):
         parent, parent_edge, rows, C = _loop_tree_reference(g)
         assert (g.spanning_tree.parent, g.spanning_tree.parent_edge) == (parent, parent_edge)
-        cb = fundamental_cycle_basis(g)
-        assert cb.tree_parent == parent
-        assert cb.matrix.dtype == C.dtype and np.array_equal(cb.matrix, C)
+        R = g.spanning_tree.root_paths.toarray()
+        assert R.dtype == rows.dtype and np.array_equal(R, rows[1:])
+        cb = fundamental_cycle_basis(g).toarray()
+        assert cb.dtype == C.dtype and np.array_equal(cb, C)
+        # Row by row with ascending edges, the order the closure sums in.
+        coo = fundamental_cycle_basis(g).tocoo()
+        assert np.array_equal(np.stack([coo.row, coo.col]), np.nonzero(C))
         for base in (1, 2, g.n):
             pm = path_matrix(g, base)
-            assert pm.tree_parent == parent
-            assert pm.matrix.dtype == rows.dtype and np.array_equal(pm.matrix, rows[1:] - rows[base])
+            assert pm.dtype == rows.dtype and np.array_equal(pm, rows[1:] - rows[base])
 
 
 def test_spanning_tree_cached_read_only():
     g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
     tree = g.spanning_tree
     assert g.spanning_tree is tree
-    assert fundamental_cycle_basis(g).tree_parent is tree.parent and path_matrix(g, 2).tree_parent is tree.parent
-    with pytest.raises(ValueError):
-        tree.root_rows[1, 0] = 5
+    for array in (tree.root_paths.data, tree.root_paths.indices, tree.root_paths.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 5
     assert Graph(4, g.edges).spanning_tree is not tree  # one cache per instance
 
 

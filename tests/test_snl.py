@@ -8,6 +8,7 @@ reproduce the configuration under either spanning tree.
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,19 +367,37 @@ def test_recover_positions_roundtrip_two_trees(rng):
 
 
 def test_recover_positions_sums_the_path_matrix_rows(rng):
-    # The tree sums are the path matrix's telescoping sum x_base + P (d * b)
-    # for any edge values, consistent or not, and a batch recovers each of
-    # its configurations as one call would.
+    # The root-path product is the path matrix's telescoping sum
+    # x_base + P (d * b) for any edge values, consistent or not, and a batch
+    # recovers each of its configurations as one call would.
     for recipe in ("quad2v", "mix-D2A1", "type2D1"):
         net = build_network(generate(recipe, 40, 2).framework, [3, 5])
         m = net.graph.m
         b, d = rng.normal(size=(4, m, 2)), rng.uniform(0.5, 2.0, (4, m))
-        P = path_matrix(net.graph, 3).matrix
+        P = path_matrix(net.graph, 3)
         batch = recover_positions(net, b, d, warn=False)
         for k in range(4):
             x = recover_positions(net, b[k], d[k], warn=False)
             assert np.max(np.abs(x - (net.truth[2] + P @ (d[k, :, None] * b[k])))) <= 1e-12 * np.max(np.abs(x))
             assert np.array_equal(batch[k], x)
+
+
+def test_cycle_basis_and_recovery_stay_sparse_at_scale():
+    # mix-D2A1 at n = 1000 (m = 2494): the root paths and the cycle basis
+    # hold about 10k nonzeros, so building them and recovering positions
+    # allocates well under a dense (n, m) int matrix's 19 MiB.
+    net = build_network(generate("mix-D2A1", 1000, 0).framework, [1, 2])
+    b, d = truth_edges(net)
+    tracemalloc.start()
+    try:
+        C = fundamental_cycle_basis(net.graph)
+        x = recover_positions(net, b, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert C.shape == (net.graph.m - net.graph.n + 1, net.graph.m)
+    assert np.max(np.abs(x - net.truth)) < 1e-12
 
 
 def test_recover_positions_warns_on_gauge_drift(rng):
@@ -757,7 +776,7 @@ def test_vectorized_assembly_matches_loop_reference():
         assert rep["ratio"] == pytest.approx(ratio_res, rel=1e-12)
         assert rep["anchor"] == anchor_res
         # The cycle residual, summed from the signed cycle entries, is the dense cycle matrix's.
-        C = fundamental_cycle_basis(net.graph).matrix
+        C = fundamental_cycle_basis(net.graph).toarray()
         assert rep["cycle"] == pytest.approx(np.max(np.abs(C @ (d[:, None] * b))), rel=1e-12)
 
 
@@ -819,7 +838,7 @@ def reference_bilinear_solve(net, config=None):
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
     m, kw, ky = net.graph.m, bear.dim, dist.dim
-    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
+    C = fundamental_cycle_basis(net.graph).toarray().astype(float)
     NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
     eps = config.positivity_eps
     comp = np.arange(kw).reshape(-1, 2)
@@ -849,16 +868,21 @@ def _has_bilinear_edge(net):
     return bool(np.any(~net.bearing_param.resolved & ~net.distance_param.resolved))
 
 
+def _random_bilinear_networks(count):
+    """The first ``count`` random networks (n 5-9, anchors 1, 2, rng 7) with an edge free on both sides."""
+    gen, nets = np.random.default_rng(7), []
+    while len(nets) < count:
+        net = build_network(random_framework(int(gen.integers(5, 10)), gen), [1, 2])
+        if _has_bilinear_edge(net):
+            nets.append(net)
+    return nets
+
+
 def test_bilinear_solve_matches_trust_region_reference(rng):
     # The batched solve reaches the verdict of the per-start trust-region
     # reference on K4s and on random frameworks with an edge free on both
     # sides; a unique answer is the same configuration.
-    nets = [_bilinear_k4(rng) for _ in range(5)]
-    gen = np.random.default_rng(7)
-    while len(nets) < 11:
-        net = build_network(random_framework(int(gen.integers(5, 10)), gen), [1, 2])
-        if _has_bilinear_edge(net):
-            nets.append(net)
+    nets = [_bilinear_k4(rng) for _ in range(5)] + _random_bilinear_networks(6)
     statuses = set()
     for k, net in enumerate(nets):
         result = localize_network(net)
@@ -914,6 +938,41 @@ def test_bilinear_edges_take_the_trust_region_fallback(rng, monkeypatch):
         assert localizability_check(net)[0] == "heuristic-unique"
 
 
+def test_localizability_check_keeps_a_failed_multi_start():
+    # The 11th random bilinear network finds no zero from any start: the
+    # check reports the failure, not two or more solutions.
+    net = _random_bilinear_networks(11)[-1]
+    sol = localize_network(net).solution
+    assert (net.graph.n, sol.status, sol.info["zero_clusters"]) == (7, "solver-failed", 0)
+    assert sol.info["objective_best"] > SolverConfig.zero_tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # both anchors sense angles
+        verdict, evidence = localizability_check(net)
+    assert verdict == "solver-failed" and evidence["heuristic"] is True and evidence["zero_clusters"] == 0
+
+
+def test_ambiguous_answer_ignores_the_zeros_objectives(monkeypatch):
+    # Exact zeros' objectives are rounding noise: ordering them either way
+    # along the starts returns the same cluster, the first one found.
+    import sarod.snl
+
+    nets = _random_bilinear_networks(46)
+    for k in (2, 25, 41, 44, 45):
+        net, calls = nets[k], []
+        monkeypatch.setattr(sarod.snl, "_cluster_zeros", lambda *args: calls.append(args) or _cluster_zeros(*args))
+        result = localize_network(net)
+        monkeypatch.undo()
+        assert result.solution.status == "ambiguous" and result.solution.info["zero_clusters"] >= 2, k
+        _, xs, objectives, config, method, info = calls[0]
+        zero = objectives < config.zero_tol
+        ramp = np.linspace(1e-3, 0.5, len(objectives)) * config.zero_tol
+        for rescaled in (np.where(zero, ramp, objectives), np.where(zero, ramp[::-1], objectives)):
+            sol = _cluster_zeros(net, xs, rescaled, config, method, dict(info))
+            assert (sol.status, sol.info["zero_clusters"]) == ("ambiguous", result.solution.info["zero_clusters"]), k
+            x = recover_positions(net, sol.bearings, sol.distances, warn=False)
+            assert np.max(np.linalg.norm(x - result.positions, axis=1)) < config.cluster_tol * net.unit, k
+
+
 def test_closure_system_shape():
     for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1"):
         net = build_network(generate(recipe, 30, 1).framework, [1, 2])
@@ -933,7 +992,7 @@ def _dense_closure_jacobian(net, b, d):
     """d(C (d * b))/dx from the dense cycle matrix and bases: the reference for ``_closure_entries``."""
     bear, dist = net.bearing_param, net.distance_param
     m, kw = net.graph.m, bear.dim
-    C = fundamental_cycle_basis(net.graph).matrix.astype(float)
+    C = fundamental_cycle_basis(net.graph).toarray().astype(float)
     NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
     JB = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(2 * len(C), kw)
     JD = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(2 * len(C), dist.dim)
