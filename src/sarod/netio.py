@@ -55,10 +55,10 @@ def network_to_dict(fw: Framework, anchors=(), construction=None) -> dict:
             {
                 "id": v,
                 "attr": fw.bipartition.attr(v),
-                "pos": [float(fw.points[v - 1, 0]), float(fw.points[v - 1, 1])],
+                "pos": pos,
                 "anchor": v in anchor_set,
             }
-            for v in range(1, fw.n + 1)
+            for v, pos in enumerate(fw.points.tolist(), start=1)
         ],
         "edges": [[int(i), int(j)] for (i, j) in fw.graph.edges],
     }
@@ -89,7 +89,7 @@ def network_from_dict(data: dict):
     if sorted(by_id) != list(range(1, n + 1)):
         raise ValueError("vertex ids must be exactly 1..n")
     attrs = []
-    points = np.zeros((n, 2))
+    coords = []
     anchors = []
     for v in range(1, n + 1):
         rec = by_id[v]
@@ -100,7 +100,7 @@ def network_from_dict(data: dict):
         if not isinstance(pos, (list, tuple)) or len(pos) != 2:
             raise ValueError(f"vertex {v}: pos must be [x, y], got {pos!r}")
         attrs.append(attr)
-        points[v - 1] = [_number(pos[0], f"vertex {v}: pos x"), _number(pos[1], f"vertex {v}: pos y")]
+        coords.append((_number(pos[0], f"vertex {v}: pos x"), _number(pos[1], f"vertex {v}: pos y")))
         anchor = rec.get("anchor", False)
         if type(anchor) is not bool:  # JSON "false" and 0 are not flags
             raise ValueError(f"vertex {v}: anchor must be true or false, got {anchor!r}")
@@ -110,19 +110,22 @@ def network_from_dict(data: dict):
         graph = Graph.from_edges(n, edges)
     except TypeError as exc:  # an edge that is not a pair, or a vertex id that does not compare with ints
         raise ValueError(f"edges must be [i, j] pairs of integer vertex ids: {exc}") from exc
-    return Framework(graph, Bipartition(tuple(attrs)), points), tuple(anchors)
+    return Framework(graph, Bipartition(tuple(attrs)), np.array(coords, dtype=float).reshape(n, 2)), tuple(anchors)
+
+
+def _write_json(path, obj):
+    """``obj`` as compact JSON plus a newline: without ``indent`` the json module's C encoder writes it."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, default=_json_default) + "\n")
 
 
 def save_network(path, fw: Framework, anchors=(), construction=None):
-    with open(path, "w") as fh:
-        json.dump(network_to_dict(fw, anchors, construction), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, network_to_dict(fw, anchors, construction))
 
 
 def load_network(path):
     with open(path) as fh:
-        data = json.load(fh)
-    return network_from_dict(data)
+        return network_from_dict(json.load(fh))
 
 
 def measurements_to_dict(ms: MeasurementSet) -> dict:
@@ -156,9 +159,7 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
 
 
 def save_measurements(path, ms: MeasurementSet):
-    with open(path, "w") as fh:
-        json.dump(measurements_to_dict(ms), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, measurements_to_dict(ms))
 
 
 def load_measurements(path) -> MeasurementSet:
@@ -170,15 +171,12 @@ def write_result_csv(path, truth: np.ndarray, estimate: np.ndarray):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vertex_id", "true_x", "true_y", "est_x", "est_y", "err"])
-        for v in range(truth.shape[0]):
-            err = float(np.linalg.norm(estimate[v] - truth[v]))
-            writer.writerow([v + 1, truth[v, 0], truth[v, 1], estimate[v, 0], estimate[v, 1], err])
+        err = np.linalg.norm(estimate - truth, axis=1)
+        writer.writerows([v, *row] for v, row in enumerate(np.column_stack([truth, estimate, err]).tolist(), start=1))
 
 
 def write_report(path, report: dict):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, default=_json_default)
-        fh.write("\n")
+    _write_json(path, report)
 
 
 def _json_default(obj):

@@ -56,8 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
-# benchmarks/tracing.py wraps least_squares and rigidity_function on this module.
-from scipy.optimize import least_squares  # noqa: F401
 
 from .geometry import (
     Framework,
@@ -68,6 +66,13 @@ from .geometry import (
     rigidity_function,
 )
 from .graph import TripleIndexSet, enumerate_triples
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call: nothing in the package calls it, but benchmarks/tracing.py wraps it (and ``rigidity_function``) on this module."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
 
 __all__ = [
     "RigidityMatrix",

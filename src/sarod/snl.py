@@ -58,7 +58,6 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse import vstack as sparse_vstack
 from scipy.sparse.linalg import splu
-from scipy.stats import qmc
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components
@@ -564,6 +563,12 @@ def _edges_at(net: SensorNetwork, x: np.ndarray):
     return b, d
 
 
+def _latin_hypercube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n points of a Latin hypercube in [0, 1)^d, drawn as scipy.stats.qmc.LatinHypercube draws them from ``rng``: the offsets, then one permutation per dimension."""
+    u = rng.uniform(size=(n, d))
+    return (rng.permuted(np.tile(np.arange(1, n + 1), (d, 1)), axis=1).T - u) / n
+
+
 def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
     """Cluster the starts that reached a zero with positive distances by recovered position.
 
@@ -646,7 +651,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
 
     starts = np.zeros((config.starts, L))
     if config.starts > 1:
-        pts = qmc.LatinHypercube(d=L, seed=np.random.default_rng(config.seed)).random(config.starts - 1)
+        pts = _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L)
         starts[1:] = (2.0 * pts - 1.0) * config.box_half_width
     z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)
     return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, method, info)
@@ -682,7 +687,7 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
         return r, J
 
     scale_guess = float(np.mean(list(net.anchor_distances.values()))) / net.unit
-    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(config.starts) - 1.0) * config.box_half_width
+    starts = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts, kw + ky) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
     return _cluster_zeros(net, x, np.sum(r * r, axis=1), config, method, info)
@@ -796,12 +801,11 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
 
 # --- names benchmarks/tracing.py wraps by attribute -------------------------
 # Nothing in the package calls these: localization factors through
-# _lu_solved or _svd_factor and solves in _solve, no scipy solver remains,
-# and recovery multiplies by the sparse root paths instead of a path matrix.
+# _lu_solved or _svd_factor and solves in _solve, recovery multiplies by the
+# sparse root paths, and rigidity's least_squares imports scipy.optimize lazily.
 from scipy.linalg import lstsq  # noqa: E402, F401
-from scipy.optimize import least_squares  # noqa: E402, F401
 
 from .graph import path_matrix  # noqa: E402, F401
-from .rigidity import null_space, numerical_rank  # noqa: E402, F401
+from .rigidity import least_squares, null_space, numerical_rank  # noqa: E402, F401
 
 solve_sa_connected = solve_rod_connected = solve_disconnected = _solve

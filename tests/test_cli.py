@@ -3,12 +3,18 @@ exit codes: 0 success/localizable, 2 unlocalizable, 1 usage/data errors)."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sarod import Bipartition, Framework, Graph, MeasurementSet, build_network, generate_quadrilateralized, synthesize_measurements
+import sarod
+from sarod import Bipartition, Framework, Graph, MeasurementSet, build_network, enumerate_triples, generate_quadrilateralized, synthesize_measurements
 from sarod.cli import build_parser, main
+from sarod.construction import RECIPES, generate
 from sarod.netio import (
     load_measurements,
     load_network,
@@ -17,6 +23,7 @@ from sarod.netio import (
     network_from_dict,
     save_measurements,
     save_network,
+    write_report,
 )
 
 
@@ -78,8 +85,6 @@ def test_network_schema_validation():
 
 def test_measurement_schema_roundtrip(tmp_path, rng):
     fw = generate_quadrilateralized(8, 1).framework
-    from sarod import enumerate_triples
-
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, "full")
     ms = synthesize_measurements(fw.points, sa, rod)
     path = tmp_path / "meas.json"
@@ -105,6 +110,54 @@ def test_measurement_schema_roundtrip(tmp_path, rng):
     twice = [{"apex": 2, "j": 1, "k": 3, "value": 1.0}, {"apex": 2, "j": 1, "k": 3, "value": 2.0}]
     with pytest.raises(ValueError, match=r"duplicate rod measurement for triple \(2, 1, 3\)"):
         measurements_from_dict({"sa": [], "rod": twice})
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_network_file_round_trips_bit_for_bit(tmp_path, recipe):
+    # The compact writer keeps each float's shortest repr, so every coordinate loads back exactly.
+    con = generate(recipe, 14, 3)
+    path = tmp_path / "net.json"
+    save_network(path, con.framework, anchors=(1, 2), construction=con.steps)
+    fw, anchors = load_network(path)
+    assert np.array_equal(fw.points, con.framework.points)
+    assert (fw.graph.edges, fw.bipartition.attrs, anchors) == (con.framework.graph.edges, con.framework.bipartition.attrs, (1, 2))
+    assert json.loads(path.read_text())["construction"] == con.steps
+    assert path.read_text().endswith("}\n")
+
+
+def test_report_and_measurement_files_parse_to_their_dict(tmp_path):
+    fw = generate_quadrilateralized(8, 1).framework
+    ms = synthesize_measurements(fw.points, *enumerate_triples(fw.graph, fw.bipartition, "full"))
+    report = {"status": "localizable", "mse": 1e-31, "info": {"rank": np.int64(12), "defect": np.float64(0.1), "x": np.arange(3.0)}}
+    meas_path, report_path = tmp_path / "meas.json", tmp_path / "report.json"
+    save_measurements(meas_path, ms)
+    write_report(report_path, report)
+    assert json.loads(meas_path.read_text()) == measurements_to_dict(ms)
+    assert json.loads(report_path.read_text()) == {"status": "localizable", "mse": 1e-31, "info": {"rank": 12, "defect": 0.1, "x": [0.0, 1.0, 2.0]}}
+    assert meas_path.read_text().endswith("}\n") and report_path.read_text().endswith("}\n")
+
+
+def test_cold_import_loads_only_the_scipy_it_calls(tmp_path):
+    # scipy.stats and scipy.optimize took most of a cold start: neither the
+    # import nor a generate, localize (a heuristic multi-start) or analyze
+    # run may load them, or scipy.spatial and scipy.special, which they pull in.
+    net = tmp_path / "net.json"
+    code = (
+        "import sys, sarod, sarod.cli\n"
+        f"sarod.cli.main(['generate', '--recipe', 'mix-D2A1', '--n', '12', '--seed', '0', '--out', {str(net)!r}])\n"
+        f"sarod.cli.main(['localize', '--net', {str(net)!r}])\n"
+        f"sarod.cli.main(['analyze', '--net', {str(net)!r}, '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])\n"
+    )
+    src = str(Path(sarod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "status=heuristic-unique" in run.stdout
+    assert run.stdout.splitlines()[-1] == "[]"
+    # The names benchmarks/tracing.py wraps still solve, loading scipy.optimize on first call.
+    assert sarod.snl.least_squares is sarod.rigidity.least_squares
+    res = sarod.rigidity.least_squares(lambda x: x * x - [4.0, 9.0], np.ones(2))
+    assert np.allclose(res.x, [2.0, 3.0]) and res.nfev > 1 and np.max(np.abs(res.fun)) < 1e-10
 
 
 def test_cli_generate_and_localize(tmp_path):

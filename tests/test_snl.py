@@ -47,6 +47,7 @@ from sarod.snl import (
     _cluster_zeros,
     _cycle_sums,
     _edges_at,
+    _latin_hypercube,
     _lu_solved,
     _solved,
     assemble_bearing_system,
@@ -895,6 +896,18 @@ def test_bilinear_solve_matches_trust_region_reference(rng):
             radius = np.max(np.linalg.norm(net.truth - net.truth.mean(axis=0), axis=1))
             assert np.max(np.linalg.norm(result.positions - x_ref, axis=1)) <= 1e-6 * radius, k
     assert "heuristic-unique" in statuses
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123])
+def test_latin_hypercube_matches_scipy_qmc(seed):
+    # The multi-start draws its starts as scipy's LatinHypercube does, from
+    # a child spawned off the seeded generator, so starts (and answers) match
+    # the sampler the package no longer imports.
+    for d in (1, 3, 4, 17, 60):
+        for n in (1, 2, 19, 20):
+            expected = qmc.LatinHypercube(d=d, seed=np.random.default_rng(seed)).random(n)
+            got = _latin_hypercube(np.random.default_rng(seed).spawn(1)[0], n, d)
+            assert got.shape == (n, d) and np.array_equal(got, expected), (d, n)
 
 
 def _refuse_scipy_solvers(monkeypatch):
