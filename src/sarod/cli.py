@@ -55,7 +55,7 @@ def _analysis_report(fw, anchors, config: SolverConfig) -> dict:
     report["rod_components"] = c_d
     if fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial():
         report["quadrilateral"] = quad_global_rigidity(fw).to_dict()
-    if len(anchors) >= 2:
+    if anchors:
         net = build_network(fw, anchors)
         verdict, evidence = localizability_check(net, config)
         report["anchors"] = list(anchors)
@@ -85,8 +85,6 @@ def cmd_localize(args) -> int:
         fw, anchors = load_network(args.net)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"{args.net}: {exc}")
-    if len(anchors) < 2:
-        return _fail("network file declares fewer than 2 anchors")
     measurements = None
     if args.measurements:
         try:
@@ -115,7 +113,7 @@ def cmd_localize(args) -> int:
     if args.out_report:
         write_report(args.out_report, report)
     print(f"method={result.method} status={result.solution.status} mse={result.mse:.3e} time={elapsed:.3f}s")
-    return 0 if result.solution.status in ("localizable", "heuristic-unique") else 2
+    return 0 if result.solution.ok else 2
 
 
 def cmd_check_quad(args) -> int:
@@ -203,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
-        p.add_argument("--starts", type=int, default=20, help="multi-start count for nonlinear solves (default: %(default)s)")
-        p.add_argument("--rtol", type=float, default=1e-8, help="relative rank tolerance (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=SolverConfig.seed, help="random seed (default: %(default)s)")
+        p.add_argument("--starts", type=int, default=SolverConfig.starts, help="multi-start count for nonlinear solves (default: %(default)s)")
+        p.add_argument("--rtol", type=float, default=SolverConfig.rtol, help="relative rank tolerance (default: %(default)s)")
 
     p = sub.add_parser("generate", help="generate a network from a seeded recipe")
     p.add_argument("--recipe", required=True, choices=sorted(RECIPES), help="construction recipe")
@@ -235,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="batch sweep to aggregate CSV")
     p.add_argument("--spec", required=True, help="batch spec JSON: {runs: [{recipe, n, seeds}]}")
     p.add_argument("--out", required=True, help="aggregate CSV path")
-    p.add_argument("--starts", type=int, default=20, help="multi-start count (default: %(default)s)")
-    p.add_argument("--rtol", type=float, default=1e-8, help="rank tolerance (default: %(default)s)")
+    p.add_argument("--starts", type=int, default=SolverConfig.starts, help="multi-start count (default: %(default)s)")
+    p.add_argument("--rtol", type=float, default=SolverConfig.rtol, help="rank tolerance (default: %(default)s)")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -348,7 +348,7 @@ def augment_anchor_clique(g: Graph, anchors: Iterable[int]) -> Graph:
     """Add every missing anchor-anchor edge; existing edge indices are preserved."""
     anchor_list = sorted(set(anchors))
     if len(anchor_list) < 2:
-        raise GraphError("need n_a >= 2 anchors")
+        raise GraphError("need n_a >= 2 anchors (a single anchor leaves a free rotation)")
     for a in anchor_list:
         if not (1 <= a <= g.n):
             raise GraphError(f"anchor {a} not a vertex")

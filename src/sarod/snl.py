@@ -61,7 +61,7 @@ from scipy.sparse.linalg import splu
 
 from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components
-from .rigidity import _batched_lm, _svd_factor
+from .rigidity import DEFAULT_RTOL, _batched_lm, _svd_factor
 
 __all__ = [
     "InfeasibleMeasurementsError",
@@ -92,7 +92,7 @@ class SolverConfig:
 
     seed: int = 0
     starts: int = 20
-    rtol: float = 1e-8
+    rtol: float = DEFAULT_RTOL
     zero_tol: ClassVar[float] = 1e-16  # accept threshold on the squared-residual objective
     cluster_tol: ClassVar[float] = 1e-6
     positivity_eps: ClassVar[float] = 1e-6
@@ -162,15 +162,14 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
 
     Adds the anchor clique, synthesizes exact measurements over the
     augmented triple sets (or validates user-supplied ones for coverage),
-    and precomputes anchor-pair bearings and distances.  Needs at least two
-    anchors, given as integer vertex ids (a float, bool or string is refused).
+    and precomputes anchor-pair bearings and distances.  Anchors are integer
+    vertex ids (a float, bool or string is refused); ``augment_anchor_clique``
+    refuses fewer than two.
     """
     bad = [a for a in anchors if not isinstance(a, (int, np.integer)) or isinstance(a, bool)]
     if bad:
         raise ValueError(f"anchor ids must be integers, got {bad[0]!r}")
     anchor_list = tuple(sorted(set(int(a) for a in anchors)))
-    if len(anchor_list) < 2:
-        raise ValueError("need n_a >= 2 anchors (a single anchor leaves a free rotation)")
     check_distinct(fw.points)
     g_hat = augment_anchor_clique(fw.graph, anchor_list)
     fw_hat = Framework(g_hat, fw.bipartition, fw.points)
@@ -378,26 +377,25 @@ _LU_BLOCK = 256  # columns of the inverse held at once by the certificate
 def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | None:
     """The r x c system from one sparse LU, or None when its certificate cannot decide the rank.
 
-    A wide A is completed to a square A_hat = [A; G] by a fixed seeded
-    Gaussian block G of c - r rows, each of norm ||A||_F / sqrt(c).  Then
-    sigma_max(A) <= ||A||_F and, by interlacing, sigma_r(A) >=
-    sigma_min(A_hat) >= 1 / ||A_hat^-1||_F, so the bound
-    rtol ||A||_F ||A_hat^-1||_F < 1/2 proves that all r singular values lie
-    above twice the cut rtol * sigma_max: the rank is r, the SVD's verdict.
-    The inverse is summed in column blocks and never held whole.  The null
-    space is spanned by A_hat^-1 [0; I] and the minimum-norm solution is
-    A_hat^-1 [rhs; 0] with its null component removed.  A tall system, an
-    exactly singular LU or a failed bound give None.
+    Every square or wide A is completed to a square A_hat = [A; G] by a
+    fixed seeded Gaussian block G of c - r rows (none when A is square),
+    each of norm ||A||_F / sqrt(c).  Then sigma_max(A) <= ||A||_F and, by
+    interlacing, sigma_r(A) >= sigma_min(A_hat) >= 1 / ||A_hat^-1||_F, so
+    the bound rtol ||A||_F ||A_hat^-1||_F < 1/2 proves that all r singular
+    values lie above twice the cut rtol * sigma_max: the rank is r, the
+    SVD's verdict.  The inverse is summed in column blocks and never held
+    whole.  The null space is spanned by A_hat^-1 [0; I] and the
+    minimum-norm solution is A_hat^-1 [rhs; 0] with its null component
+    removed.  An empty or tall system, an exactly singular LU or a failed
+    bound give None.
     """
     r, c = A.shape
     if not 0 < r <= c:
         return None
     norm = float(np.linalg.norm(A.data))
-    A_hat = A
-    if r < c:
-        G = np.random.default_rng(0).standard_normal((c - r, c))
-        G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
-        A_hat = sparse_vstack([A, csc_matrix(G)], format="csc")
+    G = np.random.default_rng(0).standard_normal((c - r, c))
+    G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
+    A_hat = sparse_vstack([A, csc_matrix(G)], format="csc")
     try:
         lu = splu(A_hat)
     except RuntimeError:  # exactly singular
@@ -413,7 +411,7 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
     return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
 
 
-def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = 1e-8) -> LinearSystem:
+def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = DEFAULT_RTOL) -> LinearSystem:
     """Stacked linear system on the 2m stacked edge bearings.
 
     Rows: distance-scaled cycle closure (kron of the weighted cycle basis
@@ -481,7 +479,7 @@ def _closure_entries(net: SensorNetwork, bearings: np.ndarray, distances: np.nda
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, axis=-1)
 
 
-def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
+def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSystem:
     """Cycle closure C (d * b) = 0 as one sparse linear system in the free references of propagation.
 
     Columns: the kw bearing references w, then the ky distance references
@@ -493,10 +491,13 @@ def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
 
     The matrix is the closure Jacobian (``_closure_entries``) at the
     propagated offsets (b0, d0), as ``scipy.sparse`` CSC, and the
-    right-hand side is -C (d0 * b0).  One sparse LU decides the rank when
-    its certificate proves full row rank (``_lu_solved``); otherwise (a
-    tall or rank-deficient closure, or a bound too weak to decide) the
-    dense SVD of ``_solved`` does, and ``factorization`` says which.
+    right-hand side is -C (d0 * b0).  Only cycles with a free edge are
+    factored: the others, such as the anchor clique's own, give empty rows.
+    One sparse LU decides their rank when its certificate proves full row
+    rank (``_lu_solved``); otherwise (a tall or rank-deficient closure, or
+    a bound too weak to decide) the dense SVD of ``_solved`` does, and
+    ``factorization`` says which.  ``matrix`` and ``rhs`` keep every cycle,
+    so residuals on them count the dropped ones too.
     """
     bear, dist = net.bearing_param, net.distance_param
     if np.any(~bear.resolved & ~dist.resolved):
@@ -506,7 +507,9 @@ def closure_system(net: SensorNetwork, rtol: float = 1e-8) -> LinearSystem:
     shape = (2 * (net.graph.m - net.graph.n + 1), bear.dim + dist.dim)
     A = csc_matrix((vals, (rows, cols)), shape=shape)
     rhs = -_cycle_sums(net, d0, b0).ravel()
-    return _lu_solved(A, rhs, rtol) or replace(_solved(A.toarray(), rhs, rtol), matrix=A)
+    rows = np.unique(rows)  # the cycles with at least one free column
+    system = _lu_solved(A[rows], rhs[rows], rtol) or _solved(A[rows].toarray(), rhs[rows], rtol)
+    return replace(system, matrix=A, rhs=rhs)
 
 
 # --- solvers ----------------------------------------------------------------
@@ -650,9 +653,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
         return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
 
     starts = np.zeros((config.starts, L))
-    if config.starts > 1:
-        pts = _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L)
-        starts[1:] = (2.0 * pts - 1.0) * config.box_half_width
+    starts[1:] = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L) - 1.0) * config.box_half_width
     z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)
     return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, method, info)
 

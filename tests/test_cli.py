@@ -190,6 +190,30 @@ def test_cli_localize_unlocalizable_exit_code(tmp_path):
     assert main(["localize", "--net", str(net)]) == 2
 
 
+def test_cli_refuses_a_single_anchor(tmp_path, capsys):
+    net = tmp_path / "one.json"
+    save_network(net, generate("quad2v", 12, 0).framework, anchors=(1,))
+    for command in ("localize", "analyze"):
+        assert main([command, "--net", str(net)]) == 1
+        assert "error: need n_a >= 2 anchors" in capsys.readouterr().err
+
+
+def test_cli_analyze_prints_json_for_three_anchors(tmp_path):
+    # The anchor triangle's cycle gives empty closure rows; factored with
+    # them, this closure is square and singular, and SuperLU's BLAS error
+    # handler writes "On entry to ..." lines from C to the process's stdout,
+    # ahead of the report.  Only a child process's output shows them.
+    net = tmp_path / "mix3.json"
+    save_network(net, generate("mix-D2A1", 70, 0).framework, anchors=(1, 2, 3))
+    src = str(Path(sarod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "sarod.cli", "analyze", "--net", str(net)], env=env, capture_output=True, text=True, check=True)
+    assert "On entry to" not in run.stdout + run.stderr
+    report = json.loads(run.stdout)
+    assert report["anchors"] == [1, 2, 3]
+    assert (report["localizability"], report["evidence"]["factorization"], report["evidence"]["null_dim"]) == ("heuristic-unique", "sparse-lu", 2)
+
+
 def test_cli_localize_has_no_method_flag(tmp_path, capsys):
     # The regime is an output: the report names it, and no flag forces one.
     from sarod import generate_two_step

@@ -290,6 +290,26 @@ def test_propagation_detects_inconsistent_measurements(rng):
         propagate_distances(bad2)
 
 
+def test_propagation_detects_anchors_that_disagree():
+    # Three anchors pin the three edges of triangle 1-2-3, which one
+    # component holds.  Triple (1, 2, 3) lies on no index cycle, so a wrong
+    # measurement there passes the closure check and contradicts the
+    # anchors only.
+    g = Graph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+    points = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 1.0], [1.3, 1.2]])
+    for a_set, side in (([2, 4], "RoD"), ([1, 4], "SA")):
+        fw = Framework(g, Bipartition.from_a_set(4, a_set), points)
+        net = build_network(fw, (1, 2, 3))
+        sa, rod = dict(net.sa), dict(net.rod)
+        if side == "RoD":
+            rod[(1, 2, 3)] *= 1.5
+        else:
+            sa[(1, 2, 3)] += 0.3
+        bad = build_network(fw, (1, 2, 3), MeasurementSet(sa, rod))
+        with pytest.raises(InfeasibleMeasurementsError, match=f"infeasible {side} data: anchor values disagree within a component"):
+            localize_network(bad)
+
+
 def test_distance_system_ground_truth(rng):
     for seed in range(4):
         net = build_network(generate_quadrilateralized(14, seed).framework, [1, 2])
@@ -1077,8 +1097,12 @@ def _assert_matches_dense_svd(system, case):
 def test_closure_factorization_matches_dense_svd():
     # Every recipe's closure is square and nonsingular or wide with full row
     # rank, so its certified sparse LU decides it, with the verdict, null
-    # space and solution of the dense SVD, at every scale.
-    for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
+    # space and solution of the dense SVD, at every scale.  With three or
+    # more anchors, the anchor clique's own cycles give empty rows; without
+    # them the closure is square or wide again and takes the same LU, except
+    # type2D1 with three or six anchors, which keeps one row more than it has
+    # unknowns and is left to the SVD.  Either way it localizes exactly.
+    for recipe in RECIPES:
         for n in (12, 70, 140):
             for seed in range(3):
                 fw = generate(recipe, n, seed).framework
@@ -1088,6 +1112,17 @@ def test_closure_factorization_matches_dense_svd():
                     assert scipy.sparse.issparse(system.matrix) and system.matrix.format == "csc", case
                     assert system.factorization == "sparse-lu", case
                     _assert_matches_dense_svd(system, case)
+                for k in (3, 4, 6) if n == 70 else ():
+                    case = (recipe, n, seed, k)
+                    net = build_network(fw, range(1, k + 1))
+                    system = closure_system(net)
+                    tall = np.count_nonzero(system.matrix.getnnz(axis=1)) > system.matrix.shape[1]
+                    assert tall == (recipe == "type2D1" and k in (3, 6)), case
+                    assert system.factorization == ("dense-svd" if tall else "sparse-lu"), case
+                    _assert_matches_dense_svd(system, case)
+                    result = localize_network(net)
+                    assert result.solution.ok and result.solution.info["null_dim"] == system.null_dim, case
+                    assert np.sqrt(result.mse) <= 1e-9 * net.unit, case
 
 
 def test_closure_falls_back_to_dense_svd():
@@ -1096,14 +1131,18 @@ def test_closure_falls_back_to_dense_svd():
     # is unlocalizable, the quadrilateral anchored across a diagonal is
     # localizable.  The wide closure of a defective quadrilateralization has
     # full row rank and one null direction, which the certificate decides.
+    # An angle-only path has no cycle: its closure has no row for the LU,
+    # and the SVD of the empty system leaves both free distances open.
     slider = Framework(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]), Bipartition.from_a_set(4, [1, 3, 4]),
                        np.array([[0.0, 0], [1, 1], [2, 0], [0.7, 0]]))
     quad = Framework(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))), Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]]))
     defect = generate_quadrilateralized(12, 3, defect_quads=1).framework
+    path = Framework(Graph(4, ((1, 2), (2, 3), (3, 4))), Bipartition.from_a_set(4, [1, 2, 3, 4]), np.array([[0.0, 0], [1, 0.2], [1.5, 1], [2.5, 1.2]]))
     for fw, anchors, shape, factorization, status in (
         (slider, [1, 2], (4, 3), "dense-svd", "unlocalizable"),
         (quad, [1, 3], (4, 3), "dense-svd", "localizable"),
         (defect, [1, 2], (10, 11), "sparse-lu", "unlocalizable"),
+        (path, [1, 2], (0, 2), "dense-svd", "unlocalizable"),
     ):
         net = build_network(fw, anchors)
         system = closure_system(net)
