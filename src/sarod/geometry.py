@@ -74,7 +74,7 @@ def check_distinct(points: np.ndarray):
 
 @dataclass(frozen=True)
 class Framework:
-    """Graph + bipartition + planar configuration."""
+    """Graph + bipartition + planar configuration of pairwise-distinct positions (Assumption 1, checked here)."""
 
     graph: Graph
     bipartition: Bipartition
@@ -86,6 +86,7 @@ class Framework:
             raise ValueError("configuration size does not match graph")
         if not np.isfinite(p).all():
             raise ValueError(f"vertex {int(np.argmin(np.isfinite(p).all(axis=1))) + 1}: position is not finite")
+        check_distinct(p)
         if self.bipartition.n != self.graph.n:
             raise ValueError("bipartition size does not match graph")
         p = p.copy()

@@ -60,7 +60,6 @@ from scipy.linalg import blas, lapack
 from .geometry import (
     Framework,
     as_points,
-    check_distinct,
     fit_similarity,
     measurement_map,
     rigidity_function,
@@ -138,7 +137,6 @@ def _scatter(grads: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
 
 def _sparse_rigidity_matrix(fw: Framework, mode: str):
     """(CSR rigidity matrix, SA triples, RoD triples): each row holds its triple's six gradient entries."""
-    check_distinct(fw.points)
     sa, rod = enumerate_triples(fw.graph, fw.bipartition, mode)
     t = np.concatenate([sa.vertex_index, rod.vertex_index])
     _, grads = measurement_map(fw.points, t, len(sa), gradients=True)
@@ -401,7 +399,6 @@ def quad_global_rigidity(fw: Framework) -> QuadVerdict:
     """
     if fw.n != 4 or set(fw.graph.edges) != _QUAD_EDGES:
         raise ValueError("expects 4-cycle on vertices 1..4")
-    check_distinct(fw.points)
     a_set = set(fw.bipartition.a_vertices())
     if len(a_set) in (0, 4):
         raise ValueError("quadrilateral criterion needs a nontrivial bipartition")
@@ -718,7 +715,6 @@ def equivalent_shape_search(fw: Framework, trials: int = 50, seed: int = 0, resi
     """
     if fw.n > 8:
         raise ValueError("oracle is desk-scale only (n <= 8)")
-    check_distinct(fw.points)
     shapes = None
     if fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial():
         shapes = _quad_shapes(fw, residual_tol)

@@ -2,7 +2,10 @@
 
 The network couples an anchor-augmented framework (every anchor pair gains
 an edge whose bearing and distance are known) with exact per-triple
-measurements.  Localization runs edge-based: unknowns are the m canonical
+measurements.  Each datum is stored once, as an array in solver order
+(angles and ratios in triple order, anchor pairs ascending); a
+``MeasurementSet``, keyed by triple, is gathered into them once by
+``build_network``.  Localization runs edge-based: unknowns are the m canonical
 edge bearings and distances, constrained by
 
 - rotation relations within each SA triple,
@@ -48,6 +51,7 @@ vertex tree (``SpanningTree.root_paths``); neither is held dense.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -59,7 +63,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse import vstack as sparse_vstack
 from scipy.sparse.linalg import splu
 
-from .geometry import Framework, MeasurementSet, check_distinct, rotation, synthesize_measurements, wrap_angle
+from .geometry import Framework, MeasurementSet, rigidity_function, rotation, wrap_angle
 from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components
 from .rigidity import DEFAULT_RTOL, _batched_lm, _svd_factor
 
@@ -110,16 +114,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SensorNetwork:
-    """Anchor-augmented framework plus exact measurements and anchor targets."""
+    """Anchor-augmented framework plus measurements and anchor targets, as read-only arrays (propagation is cached from them)."""
 
     framework: Framework  # graph already carries the anchor clique
     anchors: tuple[int, ...]
     sa_triples: TripleIndexSet
     rod_triples: TripleIndexSet
-    sa: dict
-    rod: dict
-    anchor_bearings: dict  # canonical edge -> unit 2-vector, anchor pairs (i, j) in ascending order
-    anchor_distances: dict  # canonical edge -> float, in the same order
+    sa: np.ndarray  # (len(sa_triples),) signed angles in [0, 2*pi)
+    rod: np.ndarray  # (len(rod_triples),) distance ratios > 0
+    anchor_edges: np.ndarray  # (pairs,) canonical edge of each anchor pair (i, j), pairs in ascending order
+    anchor_bearings: np.ndarray  # (pairs, 2) unit bearing from i to j, in the same order
+    anchor_distances: np.ndarray  # (pairs,) distance from i to j, in the same order
+
+    def __post_init__(self):
+        for name in ("sa", "rod", "anchor_edges", "anchor_bearings", "anchor_distances"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def graph(self) -> Graph:
@@ -130,15 +141,9 @@ class SensorNetwork:
         return self.framework.points
 
     @cached_property
-    def anchor_edges(self) -> np.ndarray:
-        """Canonical indices of the anchor-pair edges, in ``anchor_distances`` order."""
-        eidx = self.graph.edge_index()
-        return np.array([eidx[e] for e in self.anchor_distances], dtype=int)
-
-    @cached_property
     def unit(self) -> float:
         """The length unit of localization: the largest anchor distance."""
-        return max(self.anchor_distances.values())
+        return float(self.anchor_distances.max())
 
     @cached_property
     def cycle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,22 +165,21 @@ class SensorNetwork:
 def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = None) -> SensorNetwork:
     """Assemble the localization problem instance.
 
-    Adds the anchor clique, synthesizes exact measurements over the
-    augmented triple sets (or validates user-supplied ones for coverage),
-    and precomputes anchor-pair bearings and distances.  Anchors are integer
-    vertex ids (a float, bool or string is refused); ``augment_anchor_clique``
-    refuses fewer than two.
+    Adds the anchor clique and takes exact measurements over the augmented
+    triple sets from ``rigidity_function``, or checks a supplied
+    ``MeasurementSet`` (no triple missing or unknown, values finite, ratios
+    positive) and gathers it in triple order, angles wrapped.  Anchors are
+    integer vertex ids (a float, bool or string is refused);
+    ``augment_anchor_clique`` refuses fewer than two.
     """
     bad = [a for a in anchors if not isinstance(a, (int, np.integer)) or isinstance(a, bool)]
     if bad:
         raise ValueError(f"anchor ids must be integers, got {bad[0]!r}")
     anchor_list = tuple(sorted(set(int(a) for a in anchors)))
-    check_distinct(fw.points)
     g_hat = augment_anchor_clique(fw.graph, anchor_list)
-    fw_hat = Framework(g_hat, fw.bipartition, fw.points)
     sa_t, rod_t = enumerate_triples(g_hat, fw.bipartition, "full")
     if measurements is None:
-        ms = synthesize_measurements(fw.points, sa_t, rod_t)
+        sa, rod = np.split(rigidity_function(fw.points, sa_t, rod_t), [len(sa_t)])
     else:
         missing = [t for t in sa_t.triples if t not in measurements.sa]
         missing += [t for t in rod_t.triples if t not in measurements.rod]
@@ -192,18 +196,15 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
         bad = [t for t, v in measurements.rod.items() if not v > 0]
         if bad:
             raise ValueError(f"distance ratios must be positive, got {measurements.rod[bad[0]]} at {bad[0]}")
-        ms = MeasurementSet({t: float(wrap_angle(v)) for t, v in measurements.sa.items()}, dict(measurements.rod))
-    anchor_b = {}
-    anchor_d = {}
-    p = fw.points
-    for x in range(len(anchor_list)):
-        for y in range(x + 1, len(anchor_list)):
-            i, j = anchor_list[x], anchor_list[y]
-            e = p[j - 1] - p[i - 1]
-            d = float(np.linalg.norm(e))
-            anchor_b[(i, j)] = e / d
-            anchor_d[(i, j)] = d
-    return SensorNetwork(fw_hat, anchor_list, sa_t, rod_t, ms.sa, ms.rod, anchor_b, anchor_d)
+        sa = wrap_angle(np.array([measurements.sa[t] for t in sa_t.triples], dtype=float))
+        rod = np.array([measurements.rod[t] for t in rod_t.triples], dtype=float)
+    pairs = list(itertools.combinations(anchor_list, 2))  # (i, j) with i < j, ascending
+    tail, head = np.array(pairs).T
+    e = fw.points[head - 1] - fw.points[tail - 1]
+    # Row norms through matmul, which rounds as the 1-D ``np.linalg.norm`` does (its ``axis`` form does not).
+    d = np.sqrt((e[:, None, :] @ e[:, :, None]).ravel())
+    edges = [g_hat.edges.index(pair) for pair in pairs]
+    return SensorNetwork(Framework(g_hat, fw.bipartition, fw.points), anchor_list, sa_t, rod_t, sa, rod, edges, e / d[:, None], d)
 
 
 # --- propagation over triple index components ------------------------------
@@ -238,20 +239,13 @@ class EdgeParameterization:
         return bool(self.resolved.all())
 
 
-def _sa_relations(net: SensorNetwork):
-    """Per SA triple (u, v, w): signs of edges (u, v) and (u, w), and the measured angle.
+def _sa_signs(net: SensorNetwork):
+    """Per SA triple (u, v, w): signs of edges (u, v) and (u, w).
 
     A sign is +1 when the apex is the canonical tail (apex bearing = edge bearing).
     """
     tri = net.sa_triples.vertex_index
-    s1 = np.where(tri[:, 0] < tri[:, 1], 1.0, -1.0)
-    s2 = np.where(tri[:, 0] < tri[:, 2], 1.0, -1.0)
-    theta = np.array([net.sa[t] for t in net.sa_triples.triples], dtype=float)
-    return s1, s2, theta
-
-
-def _rod_ratios(net: SensorNetwork) -> np.ndarray:
-    return np.array([net.rod[t] for t in net.rod_triples.triples], dtype=float)
+    return np.where(tri[:, 0] < tri[:, 1], 1.0, -1.0), np.where(tri[:, 0] < tri[:, 2], 1.0, -1.0)
 
 
 def _centered(x: np.ndarray, period: float | None) -> np.ndarray:
@@ -299,18 +293,17 @@ def propagate_bearings(net: SensorNetwork) -> EdgeParameterization:
     components contribute a free 2-vector each.  Inconsistent rotations
     around an index cycle raise ``InfeasibleMeasurementsError``.
     """
-    s1, s2, theta = _sa_relations(net)
-    steps = np.where(s1 * s2 < 0, theta + np.pi, theta)
-    b = np.array(list(net.anchor_bearings.values()))
-    labels, n_comp, phi, angle, n_free, column, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[:, 1], b[:, 0]), 2.0 * np.pi, "SA")
+    s1, s2 = _sa_signs(net)
+    steps = np.where(s1 * s2 < 0, net.sa + np.pi, net.sa)
+    b = net.anchor_bearings.T
+    labels, n_comp, phi, angle, n_free, column, mismatch = _propagate(net, net.sa_triples, steps, np.arctan2(b[1], b[0]), 2.0 * np.pi, "SA")
     offset = np.nan_to_num(np.column_stack([np.cos(angle), np.sin(angle)]))
     return EdgeParameterization(labels, n_comp, offset, phi, column, 2 * n_free, mismatch)
 
 
 def propagate_distances(net: SensorNetwork) -> EdgeParameterization:
     """Resolve edge distances per RoD-index component (ratios transported as log-sums)."""
-    anchors = np.log(list(net.anchor_distances.values()))
-    labels, n_comp, log_rho, log_d, n_free, column, mismatch = _propagate(net, net.rod_triples, np.log(_rod_ratios(net)), anchors, None, "RoD")
+    labels, n_comp, log_rho, log_d, n_free, column, mismatch = _propagate(net, net.rod_triples, np.log(net.rod), np.log(net.anchor_distances), None, "RoD")
     return EdgeParameterization(labels, n_comp, np.nan_to_num(np.exp(log_d)), np.exp(log_rho), column, n_free, mismatch)
 
 
@@ -328,16 +321,16 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     g = net.graph
     C = fundamental_cycle_basis(g).toarray().astype(float)
     Cb = (C[:, None, :] * bearings.T).reshape(-1, g.m)
-    n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_distances)
+    n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_edges)
     A = np.zeros((n_rows, g.m))
     y = np.zeros(n_rows)
     A[: Cb.shape[0]] = Cb
     rows = Cb.shape[0] + np.arange(len(net.rod_triples))
-    A[rows, net.rod_triples.e1] = -_rod_ratios(net)
+    A[rows, net.rod_triples.e1] = -net.rod
     A[rows, net.rod_triples.e2] = 1.0
     rows = Cb.shape[0] + len(net.rod_triples) + np.arange(len(net.anchor_edges))
     A[rows, net.anchor_edges] = 1.0
-    y[rows] = list(net.anchor_distances.values())
+    y[rows] = net.anchor_distances
     return A, y
 
 
@@ -345,8 +338,10 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
 class LinearSystem:
     """A x = rhs with its rank, null basis and minimum-norm least-squares solution.
 
-    ``matrix`` is a dense array for the full distance and bearing systems
-    and a ``scipy.sparse`` CSC matrix for ``closure_system``.
+    ``matrix`` is a dense array for the full bearing system
+    (``assemble_bearing_system``) and a ``scipy.sparse`` CSC matrix for
+    ``closure_system``; the full distance system is a plain ``(A, y)``
+    pair (``assemble_distance_system``).
     ``factorization`` names what decided the rank: ``"dense-svd"`` (one
     SVD, rank = #{sigma_i > rtol * sigma_max}) or ``"sparse-lu"`` (one
     sparse LU with a bound proving that this cut gives full row rank, so
@@ -426,20 +421,20 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     sa = net.sa_triples
     C = fundamental_cycle_basis(g).toarray().astype(float)
     C1 = np.kron(C * (distances / net.unit), np.eye(2))
-    n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_bearings)
+    n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_edges)
     A = np.zeros((n_rows, 2 * g.m))
     z = np.zeros(n_rows)
     A[: C1.shape[0]] = C1
     # One 2x2 block row per SA triple: s2 I on edge e2, -s1 R(theta) on edge e1.
-    s1, s2, theta = _sa_relations(net)
+    s1, s2 = _sa_signs(net)
     blocks = A[C1.shape[0] : C1.shape[0] + 2 * len(sa)].reshape(len(sa), 2, g.m, 2)
     k = np.arange(len(sa))
     blocks[k, :, sa.e2, :] = s2[:, None, None] * np.eye(2)
-    blocks[k, :, sa.e1, :] = -s1[:, None, None] * rotation(theta).transpose(2, 0, 1)
+    blocks[k, :, sa.e1, :] = -s1[:, None, None] * rotation(net.sa).transpose(2, 0, 1)
     # One 2x2 identity block row per anchor pair, on its edge.
     rows = C1.shape[0] + 2 * len(sa) + 2 * np.arange(len(net.anchor_edges))[:, None] + [0, 1]
     A[rows, 2 * net.anchor_edges[:, None] + [0, 1]] = 1.0
-    z[rows] = list(net.anchor_bearings.values())
+    z[rows] = net.anchor_bearings
     return _solved(A, z, rtol)
 
 
@@ -522,7 +517,7 @@ class EdgeSolution:
     bearings: np.ndarray  # (m, 2)
     distances: np.ndarray  # (m,)
     method: str
-    status: str  # localizable | unlocalizable | heuristic-unique | ambiguous | solver-failed | infeasible
+    status: str  # localizable | unlocalizable | heuristic-unique | heuristic-ambiguous | solver-failed | infeasible
     info: dict = field(default_factory=dict)
 
     @property
@@ -579,7 +574,7 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     then join clusters in start order, each cluster represented by its
     best zero.  The first cluster answers: exact zeros' objectives are
     rounding noise, so which cluster they favour is not evidence.  One
-    cluster is ``heuristic-unique``.
+    cluster is ``heuristic-unique``, more are ``heuristic-ambiguous``.
     """
     xs, objectives = np.asarray(xs), np.asarray(objectives)
     zero = objectives < config.zero_tol
@@ -598,7 +593,7 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     if not reps:
         b, d = _edges_at(net, xs[0])
         return EdgeSolution(b, d * net.unit, method, "infeasible" if np.any(zero) else "solver-failed", info)
-    return EdgeSolution(b[reps[0]], d[reps[0]], method, "heuristic-unique" if len(reps) == 1 else "ambiguous", info)
+    return EdgeSolution(b[reps[0]], d[reps[0]], method, "heuristic-unique" if len(reps) == 1 else "heuristic-ambiguous", info)
 
 
 def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
@@ -687,7 +682,7 @@ def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info:
         J[:, hinge_rows, hinge_cols] = -rho * (d[:, free] < eps)
         return r, J
 
-    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / net.unit
+    scale_guess = float(np.mean(net.anchor_distances)) / net.unit
     starts = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts, kw + ky) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
@@ -736,17 +731,17 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     """
     b, d = solution.bearings, solution.distances
     sa, rod = net.sa_triples, net.rod_triples
-    s1, s2, theta = _sa_relations(net)
-    rotated = np.einsum("ijk,kj->ki", rotation(theta), s1[:, None] * b[sa.e1])
+    s1, s2 = _sa_signs(net)
+    rotated = np.einsum("ijk,kj->ki", rotation(net.sa), s1[:, None] * b[sa.e1])
     rot_res = np.max(np.linalg.norm(s2[:, None] * b[sa.e2] - rotated, axis=1), initial=0.0)
     d2 = d[rod.e2]
-    ratio_res = np.max(np.abs(d2 - _rod_ratios(net) * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
+    ratio_res = np.max(np.abs(d2 - net.rod * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
     cyc_res = float(np.max(np.abs(_cycle_sums(net, d, b)), initial=0.0))
     E = net.anchor_edges
-    miss = b[E] - np.array(list(net.anchor_bearings.values()))
+    miss = b[E] - net.anchor_bearings
     # Row norms through matmul, which rounds as the 1-D ``np.linalg.norm`` does (its ``axis`` form does not).
     miss_b = np.sqrt((miss[:, None, :] @ miss[:, :, None]).ravel())
-    anchor_res = float(max(0.0, *miss_b, *np.abs(d[E] - list(net.anchor_distances.values()))))
+    anchor_res = float(max(0.0, *miss_b, *np.abs(d[E] - net.anchor_distances)))
     return {
         "rotation": float(rot_res),
         "ratio": float(ratio_res),
@@ -797,15 +792,17 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
     if len({net.framework.bipartition.attr(a) for a in net.anchors}) < 2:
         warnings.warn("anchors all share one sensing attribute; the exact localizability criteria assume both kinds", stacklevel=2)
     sol = _solve(net, config)
-    return ("heuristic-ambiguous" if sol.status == "ambiguous" else sol.status), sol.info
+    return sol.status, sol.info
 
 
 # --- names benchmarks/tracing.py wraps by attribute -------------------------
 # Nothing in the package calls these: localization factors through
 # _lu_solved or _svd_factor and solves in _solve, recovery multiplies by the
-# sparse root paths, and rigidity's least_squares imports scipy.optimize lazily.
+# sparse root paths, build_network takes exact measurements straight from
+# rigidity_function, and rigidity's least_squares imports scipy.optimize lazily.
 from scipy.linalg import lstsq  # noqa: E402, F401
 
+from .geometry import synthesize_measurements  # noqa: E402, F401
 from .graph import path_matrix  # noqa: E402, F401
 from .rigidity import least_squares, null_space, numerical_rank  # noqa: E402, F401
 

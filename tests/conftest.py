@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarod import Bipartition, Framework, Graph
+from sarod import Bipartition, Framework, Graph, MeasurementSet
 
 
 def random_connected_graph(n, rng, p=0.5):
@@ -37,6 +37,11 @@ def relabelled(fw, perm):
     attrs, points = np.empty(fw.n, dtype=object), np.empty_like(fw.points)
     attrs[perm], points[perm] = fw.bipartition.attrs, fw.points
     return Framework(relabelled_graph(fw.graph, perm), Bipartition(tuple(attrs)), points)
+
+
+def measurement_set(net):
+    """The network's measurement arrays keyed by triple, as a ``MeasurementSet`` (the file and API format)."""
+    return MeasurementSet(dict(zip(net.sa_triples.triples, net.sa.tolist())), dict(zip(net.rod_triples.triples, net.rod.tolist())))
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ from sarod.netio import (
     write_report,
 )
 
+from conftest import measurement_set
+
 
 def test_network_schema_roundtrip(tmp_path, rng):
     fw = generate_quadrilateralized(10, 3).framework
@@ -236,10 +238,7 @@ def test_cli_localize_external_measurements(tmp_path):
     con = generate_quadrilateralized(10, 6)
     net_path = tmp_path / "n.json"
     save_network(net_path, con.framework, anchors=(1, 2))
-    net = build_network(con.framework, (1, 2))
-    from sarod import MeasurementSet
-
-    ms = MeasurementSet(dict(net.sa), dict(net.rod))
+    ms = measurement_set(build_network(con.framework, (1, 2)))
     meas_path = tmp_path / "m.json"
     save_measurements(meas_path, ms)
     assert main(["localize", "--net", str(net_path), "--measurements", str(meas_path)]) == 0
@@ -251,13 +250,14 @@ def test_cli_localize_rejects_inconsistent_ratio_on_sa_connected_network(tmp_pat
     con = generate_quadrilateralized(12, 0)
     net = build_network(con.framework, (1, 2))
     assert net.bearing_param.fully_resolved
-    rod = dict(net.rod)
+    ms = measurement_set(net)
+    rod = dict(ms.rod)
     # Triples at an apex of degree >= 3 close a cycle in the RoD index graph.
     key = next(t for t in rod if sum(u == t[0] for u, _, _ in rod) >= 3)
     rod[key] *= 1.01
     net_path, meas_path = tmp_path / "n.json", tmp_path / "m.json"
     save_network(net_path, con.framework, anchors=(1, 2))
-    save_measurements(meas_path, MeasurementSet(dict(net.sa), rod))
+    save_measurements(meas_path, MeasurementSet(dict(ms.sa), rod))
     assert main(["localize", "--net", str(net_path), "--measurements", str(meas_path)]) == 1
     assert "infeasible RoD data" in capsys.readouterr().err
 
@@ -295,11 +295,14 @@ def test_cli_analyze_malformed_json(tmp_path, capsys):
     assert main(["analyze", "--net", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
     # Collocated vertices, a non-finite position and a non-integer edge end
-    # are data errors, not tracebacks.
-    g = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
-    save_network(bad, Framework(g, Bipartition.from_a_set(4, [1]), np.array([[0.0, 0], [1, 0], [0, 0], [0, 1]])), anchors=(1, 2))
-    assert main(["analyze", "--net", str(bad)]) == 1
-    assert "error: collocated nodes" in capsys.readouterr().err
+    # are data errors, not tracebacks.  A framework refuses collocated
+    # vertices as it is built, so every command names the file.
+    points = ([0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0])
+    vertices = [{"id": v, "attr": "A" if v == 1 else "D", "pos": pos, "anchor": v <= 2} for v, pos in enumerate(points, start=1)]
+    bad.write_text(json.dumps({"vertices": vertices, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
+    for command in ("analyze", "localize", "check-quad"):
+        assert main([command, "--net", str(bad)]) == 1
+        assert f"error: {bad}: collocated nodes (Assumption 1): vertices 1 and 3" in capsys.readouterr().err
     data = json.loads(bad.read_text())
     data["vertices"][2]["pos"] = [float("nan"), 1.0]
     bad.write_text(json.dumps(data))
@@ -345,7 +348,7 @@ def test_cli_localize_rejects_duplicate_measurements(tmp_path, capsys):
     net, meas = tmp_path / "n.json", tmp_path / "m.json"
     save_network(net, con.framework, anchors=(1, 2))
     exact = build_network(con.framework, (1, 2))
-    records = measurements_to_dict(MeasurementSet(exact.sa, exact.rod))
+    records = measurements_to_dict(measurement_set(exact))
     records["sa"].append(dict(records["sa"][0], value=records["sa"][0]["value"] + 0.5))
     meas.write_text(json.dumps(records))
     assert main(["localize", "--net", str(net), "--measurements", str(meas)]) == 1

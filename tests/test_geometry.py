@@ -113,6 +113,10 @@ def test_check_distinct_names_the_lowest_vertex_and_its_lowest_twin():
         check_distinct([[0.0, -0.0], [1.0, 0.0], [-0.0, 0.0]])
     with pytest.raises(CollocationError, match="vertices 2 and 3$"):
         check_distinct([[5.0, 5.0], [-0.0, 2.0], [0.0, 2.0]])
+    # A framework checks Assumption 1 as it is built.
+    path = Graph(6, tuple((v, v + 1) for v in range(1, 6)))
+    with pytest.raises(CollocationError, match="vertices 2 and 4$"):
+        Framework(path, Bipartition.from_a_set(6, [1]), np.array(three))
 
 
 def test_rigidity_function_triangle_order():

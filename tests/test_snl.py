@@ -7,6 +7,7 @@ reproduce the configuration under either spanning tree.
 """
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -56,7 +57,7 @@ from sarod.snl import (
     solution_residuals,
 )
 
-from conftest import random_framework, relabelled
+from conftest import measurement_set, random_framework, relabelled
 
 
 def truth_edges(net):
@@ -99,6 +100,9 @@ def test_build_network_idempotent_clique(rng):
     net3 = build_network(fw, [1, 2, 3])
     assert net3.graph.m == 5  # (1,3) added, (1,2)/(2,3) already present
     assert len(net3.anchor_distances) == 3
+    # Propagation is cached from the measurement and anchor arrays, so they are read-only copies.
+    for name in ("sa", "rod", "anchor_edges", "anchor_bearings", "anchor_distances"):
+        assert not getattr(net3, name).flags.writeable, name
     with pytest.raises(ValueError, match="n_a >= 2"):
         build_network(fw, [2])
 
@@ -135,9 +139,9 @@ def test_measurement_ingestion_roundtrip(rng):
     g = Graph(3, ((1, 2), (1, 3), (2, 3)))
     fw = Framework(g, Bipartition.from_a_set(3, [1]), rng.uniform(0, 1, (3, 2)))
     net = build_network(fw, [1, 2])
-    ms = MeasurementSet(dict(net.sa), dict(net.rod))
+    ms = measurement_set(net)
     net2 = build_network(fw, [1, 2], ms)
-    assert net2.sa == net.sa and net2.rod == net.rod
+    assert net2.sa.tobytes() == net.sa.tobytes() and net2.rod.tobytes() == net.rod.tobytes()
     missing = MeasurementSet(dict(list(ms.sa.items())[1:]), dict(ms.rod))
     with pytest.raises(ValueError, match="missing"):
         build_network(fw, [1, 2], missing)
@@ -147,29 +151,56 @@ def test_measurement_ingestion_roundtrip(rng):
 
     fw = generate("mix-D2A1", 30, 1).framework
     net = build_network(fw, [1, 2])
-    rod_key = next(iter(net.rod))
+    ms = measurement_set(net)
+    rod_key = next(iter(ms.rod))
     apex, v, _ = rod_key
     far = min(w for w in range(v + 1, fw.n + 1) if w not in net.graph.neighbors()[apex])
     cases = (
-        ({t: r for t, r in net.rod.items() if t != rod_key}, f"missing for 1 triples, e.g. {rod_key}"),
-        ({**net.rod, (apex, v, far): 1.0}, f"unknown triples, e.g. {(apex, v, far)}"),
-        ({**net.rod, rod_key: 0.0}, "ratios must be positive, got 0.0"),
-        ({**net.rod, rod_key: -2.0}, "ratios must be positive, got -2.0"),
+        ({t: r for t, r in ms.rod.items() if t != rod_key}, f"missing for 1 triples, e.g. {rod_key}"),
+        ({**ms.rod, (apex, v, far): 1.0}, f"unknown triples, e.g. {(apex, v, far)}"),
+        ({**ms.rod, rod_key: 0.0}, "ratios must be positive, got 0.0"),
+        ({**ms.rod, rod_key: -2.0}, "ratios must be positive, got -2.0"),
     )
     for rod, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            build_network(fw, [1, 2], MeasurementSet(dict(net.sa), rod))
-    sa_key = next(iter(net.sa))
+            build_network(fw, [1, 2], MeasurementSet(dict(ms.sa), rod))
+    sa_key = next(iter(ms.sa))
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=re.escape(f"SA measurement at {sa_key} is not finite: {value}")):
-            build_network(fw, [1, 2], MeasurementSet({**net.sa, sa_key: value}, dict(net.rod)))
+            build_network(fw, [1, 2], MeasurementSet({**ms.sa, sa_key: value}, dict(ms.rod)))
         with pytest.raises(ValueError, match=re.escape(f"RoD measurement at {rod_key} is not finite: {value}")):
-            build_network(fw, [1, 2], MeasurementSet(dict(net.sa), {**net.rod, rod_key: value}))
+            build_network(fw, [1, 2], MeasurementSet(dict(ms.sa), {**ms.rod, rod_key: value}))
     # A NaN that reaches propagation fails its closure bound instead of
     # passing as a NaN mismatch.
-    for key in net.sa:
+    for k in range(len(net.sa)):
+        sa = net.sa.copy()
+        sa[k] = np.nan
         with pytest.raises(InfeasibleMeasurementsError, match="closure mismatch nan"):
-            propagate_bearings(dataclasses.replace(net, sa={**net.sa, key: float("nan")}))
+            propagate_bearings(dataclasses.replace(net, sa=sa))
+
+    # A supplied set is gathered into triple order whatever its key order:
+    # reversed keys give the synthesized arrays byte for byte, and the same
+    # localization.  Angles are wrapped: v - 2 pi is exact for v >= pi and
+    # wraps back to v exactly, while v + 2 pi rounds, by at most the
+    # spacing of floats at 2 pi.
+    reference = localize_network(net)
+    shift = np.where(net.sa >= np.pi, -2.0 * np.pi, 2.0 * np.pi)
+    shifted = dict(zip(net.sa_triples.triples, (net.sa + shift).tolist()))
+    for sa in (dict(reversed(ms.sa.items())), shifted):
+        net2 = build_network(fw, [1, 2], MeasurementSet(sa, dict(reversed(ms.rod.items()))))
+        assert net2.rod.tobytes() == net.rod.tobytes()
+        result = localize_network(net2)
+        assert (result.solution.status, result.solution.info["zero_clusters"]) == (reference.solution.status, 1)
+        if sa is shifted:
+            exact = shift < 0
+            assert exact.any() and (~exact).any()
+            assert net2.sa[exact].tobytes() == net.sa[exact].tobytes()
+            assert np.max(np.abs(net2.sa - net.sa)) <= np.spacing(2.0 * np.pi)
+            assert np.allclose(result.positions, reference.positions, rtol=0, atol=1e-9)
+        else:
+            assert net2.sa.tobytes() == net.sa.tobytes()
+            assert repr(result.solution.info) == repr(reference.solution.info)
+            assert result.positions.tobytes() == reference.positions.tobytes()
 
 
 def test_cycle_bearing_matrix_shapes_and_compatibility(rng):
@@ -243,27 +274,24 @@ def test_propagation_matches_loop_reference():
     for recipe in ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"):
         net = build_network(generate(recipe, 40, 1).framework, [1, 2])
         m, eidx = net.graph.m, net.graph.edge_index()
-        rod = [net.rod[t] for t in net.rod_triples.triples]
-        labels, count, rho = _walk_reference(m, net.rod_triples, rod, lambda r, k, f: r * k if f else r / k, 1.0)
+        labels, count, rho = _walk_reference(m, net.rod_triples, net.rod, lambda r, k, f: r * k if f else r / k, 1.0)
         dist = propagate_distances(net)
         assert np.array_equal(dist.labels, labels) and dist.n_components == count
         free = ~dist.resolved
         assert np.allclose(dense_basis(dist)[free].sum(axis=1), rho[free], rtol=1e-13, atol=0)
-        (i, j), d_star = next(iter(net.anchor_distances.items()))
-        pinned = dist.resolved & (labels == labels[eidx[(i, j)]])
-        assert np.allclose(dist.offset[pinned], rho[pinned] * d_star / rho[eidx[(i, j)]], rtol=1e-13, atol=0)
+        a, d_star = eidx[(1, 2)], net.anchor_distances[0]  # anchor pair (1, 2)
+        pinned = dist.resolved & (labels == labels[a])
+        assert np.allclose(dist.offset[pinned], rho[pinned] * d_star / rho[a], rtol=1e-13, atol=0)
 
         tri = np.array(net.sa_triples.triples).reshape(-1, 3)
-        theta = np.array([net.sa[t] for t in net.sa_triples.triples])
-        steps = theta + np.pi * ((tri[:, 0] < tri[:, 1]) != (tri[:, 0] < tri[:, 2]))
+        steps = net.sa + np.pi * ((tri[:, 0] < tri[:, 1]) != (tri[:, 0] < tri[:, 2]))
         labels, count, phi = _walk_reference(m, net.sa_triples, steps, lambda a, t, f: a + t if f else a - t, 0.0)
         bear = propagate_bearings(net)
         assert np.array_equal(bear.labels, labels) and bear.n_components == count
         e = np.flatnonzero(~bear.resolved)
         first = dense_basis(bear)[:, 0::2]  # R(phi) e_x column of each free component
         assert np.allclose((first[2 * e].sum(axis=1), first[2 * e + 1].sum(axis=1)), (np.cos(phi[e]), np.sin(phi[e])), rtol=0, atol=1e-12)
-        (i, j), b_star = next(iter(net.anchor_bearings.items()))
-        a = eidx[(i, j)]
+        a, b_star = eidx[(1, 2)], net.anchor_bearings[0]
         pinned = np.flatnonzero(bear.resolved & (labels == labels[a]))
         ref = np.stack([rotation(x - phi[a]) @ b_star for x in phi[pinned]])
         assert np.allclose(bear.offset[pinned], ref, rtol=0, atol=1e-12)
@@ -274,18 +302,18 @@ def test_propagation_detects_inconsistent_measurements(rng):
     # single perturbed measurement contradicts the other two.
     k4 = Graph(4, tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
     fw = Framework(k4, Bipartition.from_a_set(4, [1, 2]), rng.uniform(0, 1, (4, 2)))
-    net = build_network(fw, [1, 2])
-    sa_bad = dict(net.sa)
-    key = next(iter(t for t in net.sa if t[0] == 1))
+    ms = measurement_set(build_network(fw, [1, 2]))
+    sa_bad = dict(ms.sa)
+    key = next(iter(t for t in ms.sa if t[0] == 1))
     sa_bad[key] += 0.3
-    bad = build_network(fw, [1, 2], MeasurementSet(sa_bad, dict(net.rod)))
+    bad = build_network(fw, [1, 2], MeasurementSet(sa_bad, dict(ms.rod)))
     with pytest.raises(InfeasibleMeasurementsError, match=r"SA data: worst closure mismatch 3\.000e-01"):
         propagate_bearings(bad)
 
-    rod_bad = dict(net.rod)
-    key = next(iter(t for t in net.rod if t[0] == 3))
+    rod_bad = dict(ms.rod)
+    key = next(iter(t for t in ms.rod if t[0] == 3))
     rod_bad[key] *= 1.5
-    bad2 = build_network(fw, [1, 2], MeasurementSet(dict(net.sa), rod_bad))
+    bad2 = build_network(fw, [1, 2], MeasurementSet(dict(ms.sa), rod_bad))
     with pytest.raises(InfeasibleMeasurementsError, match="RoD"):
         propagate_distances(bad2)
 
@@ -299,8 +327,8 @@ def test_propagation_detects_anchors_that_disagree():
     points = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 1.0], [1.3, 1.2]])
     for a_set, side in (([2, 4], "RoD"), ([1, 4], "SA")):
         fw = Framework(g, Bipartition.from_a_set(4, a_set), points)
-        net = build_network(fw, (1, 2, 3))
-        sa, rod = dict(net.sa), dict(net.rod)
+        ms = measurement_set(build_network(fw, (1, 2, 3)))
+        sa, rod = dict(ms.sa), dict(ms.rod)
         if side == "RoD":
             rod[(1, 2, 3)] *= 1.5
         else:
@@ -532,10 +560,11 @@ def test_localize_and_localizability_agree_per_regime():
 def test_localize_rejects_inconsistent_ratio_on_sa_connected_network():
     net = build_network(generate_quadrilateralized(12, 0).framework, [1, 2])
     assert localize_network(net).method == "sa"
-    rod = dict(net.rod)
+    ms = measurement_set(net)
+    rod = dict(ms.rod)
     key = next(t for t in rod if sum(u == t[0] for u, _, _ in rod) >= 3)
     rod[key] *= 1.01
-    bad = build_network(net.framework, [1, 2], MeasurementSet(dict(net.sa), rod))
+    bad = build_network(net.framework, [1, 2], MeasurementSet(dict(ms.sa), rod))
     with pytest.raises(InfeasibleMeasurementsError, match="RoD"):
         localize_network(bad)
     with pytest.raises(InfeasibleMeasurementsError, match="RoD"):
@@ -640,7 +669,7 @@ def test_equal_ratio_star_resolves_to_anchor_distance(rng):
     pts = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(angles), r * np.sin(angles)])])
     fw = Framework(g, Bipartition.from_a_set(5, [2]), pts)
     net = build_network(fw, [1, 2])
-    assert all(v == pytest.approx(1.0) for v in net.rod.values())
+    assert all(v == pytest.approx(1.0) for v in net.rod)
     dist = propagate_distances(net)
     assert dist.fully_resolved
     assert np.allclose(dist.offset, r, atol=1e-12)
@@ -660,10 +689,10 @@ def test_problem_equivalence_at_recovered_positions(rng):
         res = localize_network(net)
         assert res.solution.ok
         x = res.positions
-        for t, val in net.sa.items():
+        for t, val in zip(net.sa_triples.triples, net.sa):
             diff = np.mod(signed_angle(x, t) - val + np.pi, 2 * np.pi) - np.pi
             assert abs(diff) < 1e-8
-        for t, val in net.rod.items():
+        for t, val in zip(net.rod_triples.triples, net.rod):
             assert abs(ratio_of_distance(x, t) / val - 1.0) < 1e-8
         for a in net.anchors:
             assert np.linalg.norm(x[a - 1] - net.truth[a - 1]) < 1e-9
@@ -746,8 +775,7 @@ def _loop_reference_systems(net, b, d):
     sa_rows = np.zeros((2 * len(net.sa_triples), 2 * m))
     rot_res = 0.0
     for k, (u, v, w) in enumerate(net.sa_triples.triples):
-        R = np.array([[np.cos(net.sa[(u, v, w)]), -np.sin(net.sa[(u, v, w)])],
-                      [np.sin(net.sa[(u, v, w)]), np.cos(net.sa[(u, v, w)])]])
+        R = np.array([[np.cos(net.sa[k]), -np.sin(net.sa[k])], [np.sin(net.sa[k]), np.cos(net.sa[k])]])
         e1, e2 = eid(u, v), eid(u, w)
         sa_rows[2 * k : 2 * k + 2, 2 * e2 : 2 * e2 + 2] = sign(u, w) * np.eye(2)
         sa_rows[2 * k : 2 * k + 2, 2 * e1 : 2 * e1 + 2] = -sign(u, v) * R
@@ -755,18 +783,23 @@ def _loop_reference_systems(net, b, d):
     rod_rows = np.zeros((len(net.rod_triples), m))
     ratio_res = 0.0
     for k, (u, v, w) in enumerate(net.rod_triples.triples):
-        rod_rows[k, eid(u, v)] = -net.rod[(u, v, w)]
+        rod_rows[k, eid(u, v)] = -net.rod[k]
         rod_rows[k, eid(u, w)] = 1.0
-        ratio_res = max(ratio_res, abs(d[eid(u, w)] - net.rod[(u, v, w)] * d[eid(u, v)]) / d[eid(u, w)])
+        ratio_res = max(ratio_res, abs(d[eid(u, w)] - net.rod[k] * d[eid(u, v)]) / d[eid(u, w)])
     return sa_rows, rod_rows, rot_res, ratio_res
 
 
 def _loop_reference_anchor_rows(net, b, d):
-    """Anchor rows of the bearing and distance systems, and the worst anchor residual, one pair at a time."""
+    """Anchor rows of the bearing and distance systems, and the worst anchor residual, one pair at a time.
+
+    Each pair's distance is the 1-D ``np.linalg.norm`` of its true displacement.
+    """
     eidx, m = net.graph.edge_index(), net.graph.m
     bear_rows, bear_rhs, dist_rows, dist_rhs, res = [], [], [], [], 0.0
-    for (i, j), b_star in sorted(net.anchor_bearings.items()):
-        e, d_star = eidx[(i, j)], net.anchor_distances[(i, j)]
+    for i, j in itertools.combinations(net.anchors, 2):
+        e, step = eidx[(i, j)], net.truth[j - 1] - net.truth[i - 1]
+        d_star = float(np.linalg.norm(step))
+        b_star = step / d_star
         block = np.zeros((2, 2 * m))
         block[:, 2 * e : 2 * e + 2] = np.eye(2)
         bear_rows.append(block)
@@ -778,13 +811,16 @@ def _loop_reference_anchor_rows(net, b, d):
 
 
 def test_vectorized_assembly_matches_loop_reference():
-    for recipe, anchors in (("bilat-D1A1", [1, 2]), ("mix-D2A1", [1, 2]), ("type2D1", [1, 2]), ("bilat-D1A1", [9, 2, 17, 5])):
+    cases = (("bilat-D1A1", [1, 2]), ("mix-D2A1", [1, 2]), ("type2D1", [1, 2]), ("bilat-D1A1", [9, 2, 17, 5]), ("mix-D2A1", [3, 1, 2]), ("quad2v", [1, 2, 3, 4, 5, 6]))
+    for recipe, anchors in cases:
         net = build_network(generate(recipe, 30, 4).framework, anchors)
         b, d = truth_edges(net)
         noise = np.random.default_rng(4).standard_normal((net.graph.m, 3))  # nonzero residuals
         b, d = b + 1e-3 * noise[:, :2], d * (1.0 + 1e-3 * noise[:, 2])
         sa_rows, rod_rows, rot_res, ratio_res = _loop_reference_systems(net, b, d)
         bear_rows, bear_rhs, dist_rows, dist_rhs, anchor_res = _loop_reference_anchor_rows(net, b, d)
+        # The vectorized anchor pass gives every pair's 1-D norm and bearing bit for bit.
+        assert net.anchor_distances.tobytes() == dist_rhs.tobytes() and net.anchor_bearings.tobytes() == bear_rhs.tobytes()
         n_cyc = net.graph.m - net.graph.n + 1
         bearing = assemble_bearing_system(net, d)
         assert np.array_equal(bearing.matrix[2 * n_cyc : 2 * n_cyc + len(sa_rows)], sa_rows)
@@ -877,7 +913,7 @@ def reference_bilinear_solve(net, config=None):
         J[2 * len(C) + len(comp) :, kw:] = -ND * (d < eps)[:, None]
         return J
 
-    scale_guess = float(np.mean(list(net.anchor_distances.values()))) / max(net.anchor_distances.values())
+    scale_guess = float(np.mean(net.anchor_distances)) / net.anchor_distances.max()
     starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     sols = [least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15) for x0 in starts]
@@ -995,13 +1031,13 @@ def test_ambiguous_answer_ignores_the_zeros_objectives(monkeypatch):
         monkeypatch.setattr(sarod.snl, "_cluster_zeros", lambda *args: calls.append(args) or _cluster_zeros(*args))
         result = localize_network(net)
         monkeypatch.undo()
-        assert result.solution.status == "ambiguous" and result.solution.info["zero_clusters"] >= 2, k
+        assert result.solution.status == "heuristic-ambiguous" and result.solution.info["zero_clusters"] >= 2, k
         _, xs, objectives, config, method, info = calls[0]
         zero = objectives < config.zero_tol
         ramp = np.linspace(1e-3, 0.5, len(objectives)) * config.zero_tol
         for rescaled in (np.where(zero, ramp, objectives), np.where(zero, ramp[::-1], objectives)):
             sol = _cluster_zeros(net, xs, rescaled, config, method, dict(info))
-            assert (sol.status, sol.info["zero_clusters"]) == ("ambiguous", result.solution.info["zero_clusters"]), k
+            assert (sol.status, sol.info["zero_clusters"]) == ("heuristic-ambiguous", result.solution.info["zero_clusters"]), k
             x = recover_positions(net, sol.bearings, sol.distances, warn=False)
             assert np.max(np.linalg.norm(x - result.positions, axis=1)) < config.cluster_tol * net.unit, k
 
@@ -1014,7 +1050,7 @@ def test_closure_system_shape():
         assert system.matrix.shape == (2 * (g.m - g.n + 1), net.bearing_param.dim + net.distance_param.dim)
         b, d = truth_edges(net)
         NB, ND = dense_basis(net.bearing_param), dense_basis(net.distance_param)
-        x = np.concatenate([NB.T @ (b.ravel() - net.bearing_param.offset.ravel()), ND.T @ (d - net.distance_param.offset) / max(net.anchor_distances.values())])
+        x = np.concatenate([NB.T @ (b.ravel() - net.bearing_param.offset.ravel()), ND.T @ (d - net.distance_param.offset) / net.anchor_distances.max()])
         # Each basis column lives on one component's edges, so the columns are
         # orthogonal and projecting the truth recovers its free references.
         x /= np.concatenate([np.diag(NB.T @ NB), np.diag(ND.T @ ND)])
