@@ -6,6 +6,10 @@ Subcommands: ``generate`` (build a network from a seeded recipe),
 ``check-quad`` (quadrilateral global-rigidity criterion and shape count), and ``report``
 (batch sweeps to an aggregate CSV).  Exit codes: 0 success/localizable,
 2 unlocalizable (or not rigid for check-quad), 1 usage or data errors.
+``main`` is the one place that turns an ``OSError`` or ``ValueError`` into
+``error: <message>`` and exit 1: an unreadable or malformed input file (its
+message starts with the file's path), an invalid flag, a network the
+analysis or the solver refuses, or an output file that cannot be written.
 All flags are long-form and all randomness is seeded, so identical inputs
 produce identical output files.
 """
@@ -18,25 +22,25 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .construction import RECIPES, generate
 from .graph import enumerate_triples, triple_index_components
 from .netio import _json_default, load_measurements, load_network, save_network, write_report, write_result_csv
-from .rigidity import _QUAD_EDGES, duality_check, equivalent_shape_search, infinitesimal_rigidity_test, quad_global_rigidity
+from .rigidity import duality_check, equivalent_shape_search, infinitesimal_rigidity_test, quad_criterion_applies, quad_global_rigidity
 from .snl import SolverConfig, build_network, localizability_check, localize_network, solution_residuals
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+def _read(path, load):
+    """``load(path)``; an ``OSError`` or ``ValueError`` on the way is re-raised naming ``path``."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
-    try:
-        con = generate(args.recipe, args.n, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
+    con = generate(args.recipe, args.n, args.seed)
     save_network(args.out, con.framework, anchors=(1, 2), construction=con.steps)
     print(f"wrote {args.out}: n={con.framework.n} m={con.framework.m} recipe={con.recipe} seed={con.seed}")
     return 0
@@ -45,16 +49,16 @@ def cmd_generate(args) -> int:
 def _analysis_report(fw, anchors, config: SolverConfig) -> dict:
     report: dict = {"n": fw.n, "m": fw.m}
     rigidity = infinitesimal_rigidity_test(fw, config.rtol)
-    report["rigidity"] = rigidity.to_dict()
+    report["rigidity"] = asdict(rigidity)
     dual = duality_check(fw, config.rtol)
-    report["duality"] = {"rank": dual.rank, "rank_swapped": dual.rank_swapped, "equal": dual.equal}
+    report["duality"] = {**asdict(dual), "equal": dual.equal}
     sa_t, rod_t = enumerate_triples(fw.graph, fw.bipartition, "full")
     _, c_a = triple_index_components(sa_t, fw.graph)
     _, c_d = triple_index_components(rod_t, fw.graph)
     report["sa_components"] = c_a
     report["rod_components"] = c_d
-    if fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial():
-        report["quadrilateral"] = quad_global_rigidity(fw).to_dict()
+    if quad_criterion_applies(fw):
+        report["quadrilateral"] = asdict(quad_global_rigidity(fw))
     if anchors:
         net = build_network(fw, anchors)
         verdict, evidence = localizability_check(net, config)
@@ -65,14 +69,8 @@ def _analysis_report(fw, anchors, config: SolverConfig) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        fw, anchors = load_network(args.net)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"{args.net}: {exc}")
-    try:
-        report = _analysis_report(fw, anchors, SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol))
-    except ValueError as exc:
-        return _fail(str(exc))
+    fw, anchors = _read(args.net, load_network)
+    report = _analysis_report(fw, anchors, SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol))
     if args.out:
         write_report(args.out, report)
     else:
@@ -81,24 +79,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    try:
-        fw, anchors = load_network(args.net)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"{args.net}: {exc}")
-    measurements = None
-    if args.measurements:
-        try:
-            measurements = load_measurements(args.measurements)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            return _fail(f"{args.measurements}: {exc}")
-    try:
-        config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
-        net = build_network(fw, anchors, measurements)
-        t0 = time.perf_counter()
-        result = localize_network(net, config)
-        elapsed = time.perf_counter() - t0
-    except ValueError as exc:
-        return _fail(str(exc))
+    fw, anchors = _read(args.net, load_network)
+    measurements = _read(args.measurements, load_measurements) if args.measurements else None
+    config = SolverConfig(seed=args.seed, starts=args.starts, rtol=args.rtol)
+    net = build_network(fw, anchors, measurements)
+    t0 = time.perf_counter()
+    result = localize_network(net, config)
+    elapsed = time.perf_counter() - t0
     report = {
         "method": result.method,
         "status": result.solution.status,
@@ -117,18 +104,19 @@ def cmd_localize(args) -> int:
 
 
 def cmd_check_quad(args) -> int:
-    try:
-        fw, _ = load_network(args.net)
-        verdict = quad_global_rigidity(fw)
-        shape_count = len(equivalent_shape_search(fw))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"{args.net}: {exc}")
-    print(json.dumps({**verdict.to_dict(), "shape_count": shape_count}, indent=1))
+    def judge(path):  # the criterion's errors name the file too
+        fw, _ = load_network(path)
+        return quad_global_rigidity(fw), len(equivalent_shape_search(fw))
+
+    verdict, shape_count = _read(args.net, judge)
+    print(json.dumps({**asdict(verdict), "shape_count": shape_count}, indent=1, default=_json_default))
     return 0 if verdict.rigid else 2
 
 
-def _spec_runs(spec) -> list:
-    """The runs of a batch spec; raises ValueError naming the first malformed part."""
+def _spec_runs(path) -> list:
+    """The runs of the batch spec at ``path``; raises ValueError naming the first malformed part."""
+    with open(path) as fh:
+        spec = json.load(fh)
     runs = spec.get("runs") if isinstance(spec, dict) else spec
     if not isinstance(runs, list):
         raise ValueError('"runs" must be a list of {"recipe", "n", "seeds"} objects')
@@ -144,19 +132,8 @@ def _spec_runs(spec) -> list:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"{args.spec}: {exc}")
-    try:
-        runs = _spec_runs(spec)
-    except ValueError as exc:
-        return _fail(f"{args.spec}: {exc}")
-    try:
-        base_config = SolverConfig(starts=args.starts, rtol=args.rtol)
-    except ValueError as exc:
-        return _fail(str(exc))
+    runs = _read(args.spec, _spec_runs)
+    base_config = SolverConfig(starts=args.starts, rtol=args.rtol)
     evidence = [
         "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim", "sa_closure_mismatch",
         "rod_closure_mismatch", "rank_distance_system", "rank_bearing_system", "null_dim", "variables",
@@ -241,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Framework
+from .geometry import Framework, collinearity
 from .graph import Bipartition, Graph
 
 __all__ = [
@@ -71,12 +71,7 @@ class Construction:
 
 
 def _noncollinear(a, b, c) -> bool:
-    u = b - a
-    v = c - a
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return False
-    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv) > COLLINEARITY_TOL
+    return collinearity(a, b, c) > COLLINEARITY_TOL
 
 
 def _separated(p: np.ndarray, q: np.ndarray) -> bool:

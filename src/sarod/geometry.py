@@ -25,6 +25,7 @@ __all__ = [
     "SimilarityTransform",
     "rotation",
     "wrap_angle",
+    "collinearity",
     "signed_angle",
     "ratio_of_distance",
     "measurement_map",
@@ -151,6 +152,19 @@ def ratio_of_distance(points, triple: tuple[int, int, int]) -> float:
     _, dij = _bearing(p, i, j)
     _, dik = _bearing(p, i, k)
     return dik / dij
+
+
+def collinearity(apex, b, c) -> float:
+    """|u x v| / (|u| |v|) of the legs u = b - apex, v = c - apex: zero iff the three points are collinear.
+
+    A leg of zero length gives 0.0.
+    """
+    u = b - apex
+    v = c - apex
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv)
 
 
 def measurement_map(q, t: np.ndarray, n_sa: int, gradients: bool = False):

@@ -121,9 +121,10 @@ class Bipartition:
     attrs: tuple[str, ...]
 
     def __post_init__(self):
-        for a in self.attrs:
-            if a not in ("A", "D"):
-                raise GraphError(f"attribute must be 'A' or 'D', got {a!r}")
+        # Two counts test the whole tuple (a set would refuse unhashable JSON values); only a failure finds the vertex.
+        if self.attrs.count("A") + self.attrs.count("D") != len(self.attrs):
+            v, a = next((v, a) for v, a in enumerate(self.attrs, start=1) if a not in ("A", "D"))
+            raise GraphError(f"vertex {v}: attr must be 'A' or 'D', got {a!r}")
 
     @staticmethod
     def from_a_set(n: int, a_vertices: Iterable[int]) -> "Bipartition":

@@ -93,24 +93,22 @@ def network_from_dict(data: dict):
     anchors = []
     for v in range(1, n + 1):
         rec = by_id[v]
-        attr = rec.get("attr")
-        if attr not in ("A", "D"):
-            raise ValueError(f"vertex {v}: attr must be 'A' or 'D', got {attr!r}")
         pos = rec.get("pos")
         if not isinstance(pos, (list, tuple)) or len(pos) != 2:
             raise ValueError(f"vertex {v}: pos must be [x, y], got {pos!r}")
-        attrs.append(attr)
+        attrs.append(rec.get("attr"))
         coords.append((_number(pos[0], f"vertex {v}: pos x"), _number(pos[1], f"vertex {v}: pos y")))
         anchor = rec.get("anchor", False)
         if type(anchor) is not bool:  # JSON "false" and 0 are not flags
             raise ValueError(f"vertex {v}: anchor must be true or false, got {anchor!r}")
         if anchor:
             anchors.append(v)
+    bipartition = Bipartition(tuple(attrs))
     try:
         graph = Graph.from_edges(n, edges)
     except TypeError as exc:  # an edge that is not a pair, or a vertex id that does not compare with ints
         raise ValueError(f"edges must be [i, j] pairs of integer vertex ids: {exc}") from exc
-    return Framework(graph, Bipartition(tuple(attrs)), np.array(coords, dtype=float).reshape(n, 2)), tuple(anchors)
+    return Framework(graph, bipartition, np.array(coords, dtype=float).reshape(n, 2)), tuple(anchors)
 
 
 def _write_json(path, obj):
@@ -180,10 +178,13 @@ def write_report(path, report: dict):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
+    """The JSON value of a numpy scalar or array, for every report record and file ``sarod`` writes."""
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -60,6 +60,7 @@ from scipy.linalg import blas, lapack
 from .geometry import (
     Framework,
     as_points,
+    collinearity,
     fit_similarity,
     measurement_map,
     rigidity_function,
@@ -82,6 +83,7 @@ __all__ = [
     "null_space",
     "infinitesimal_rigidity_test",
     "duality_check",
+    "quad_criterion_applies",
     "quad_global_rigidity",
     "equivalent_shape_search",
 ]
@@ -104,6 +106,8 @@ class RigidityMatrix:
 
 @dataclass(frozen=True)
 class RankReport:
+    """The rank test's verdict and evidence; ``dataclasses.asdict`` and ``netio``'s encoder make it JSON."""
+
     rank: int
     required: int
     verdict: str  # "rigid" | "flexible"
@@ -115,17 +119,6 @@ class RankReport:
     @property
     def rigid(self) -> bool:
         return self.verdict == "rigid"
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": int(self.rank),
-            "required": int(self.required),
-            "verdict": self.verdict,
-            "factorization": self.factorization,
-            "sigma_bounds": [float(b) for b in self.sigma_bounds],
-            "rtol": float(self.rtol),
-            "trivial_motion_residual": float(self.trivial_motion_residual),
-        }
 
 
 def _scatter(grads: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
@@ -356,30 +349,20 @@ def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
 _QUAD_EDGES = {(1, 2), (2, 3), (3, 4), (1, 4)}
 
 
+def quad_criterion_applies(fw: Framework) -> bool:
+    """True for a 4-cycle on the edges (1, 2), (2, 3), (3, 4), (1, 4) with both kinds of sensor."""
+    return fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial()
+
+
 @dataclass(frozen=True)
 class QuadVerdict:
+    """The 4-cycle criterion's verdict (numpy scalars allowed); ``dataclasses.asdict`` and ``netio``'s encoder make it JSON."""
+
     rigid: bool
     case: int  # 1: |A|=3, 2: |A|=1, 3: adjacent A-pair, 4: opposite A-pair
     margin: float  # distance of the deciding quantity from its threshold (scale-normalized)
     boundary: bool
     details: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "rigid": bool(self.rigid),
-            "case": int(self.case),
-            "margin": float(self.margin),
-            "boundary": bool(self.boundary),
-            "details": {k: float(v) for k, v in self.details.items()},
-        }
-
-
-def _collinearity(p, a, b, c) -> float:
-    """Normalized |cross| of the two legs at b; zero iff a, b, c collinear."""
-    u = p[a - 1] - p[b - 1]
-    v = p[c - 1] - p[b - 1]
-    cross = abs(u[0] * v[1] - u[1] * v[0])
-    return cross / (np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def _relabel_rotation(points, shift: int) -> np.ndarray:
@@ -414,13 +397,13 @@ def quad_global_rigidity(fw: Framework) -> QuadVerdict:
 
     if len(a_set) == 3:
         a0, a1, a2 = sorted(a_set)
-        coll = _collinearity(p, a1, a0, a2)
+        coll = collinearity(p[a0 - 1], p[a1 - 1], p[a2 - 1])
         return QuadVerdict(coll > QUAD_TOL, 1, coll, coll <= QUAD_TOL, {"a_collinearity": coll})
 
     if len(a_set) == 1:
         apex = next(iter(a_set))
         q = _relabel_rotation(p, apex - 1)  # apex becomes vertex 1
-        d_coll = _collinearity(q, 2, 3, 4)
+        d_coll = collinearity(q[2], q[1], q[3])
         kite = max(abs(dist(q, 1, 4) - dist(q, 3, 4)), abs(dist(q, 1, 2) - dist(q, 3, 2))) / side
         resid = min(d_coll, kite)
         return QuadVerdict(resid <= QUAD_TOL, 2, resid, resid <= QUAD_TOL, {"d_collinearity": d_coll, "kite_residual": kite})
@@ -716,6 +699,6 @@ def equivalent_shape_search(fw: Framework, trials: int = 50, seed: int = 0, resi
     if fw.n > 8:
         raise ValueError("oracle is desk-scale only (n <= 8)")
     shapes = None
-    if fw.n == 4 and set(fw.graph.edges) == _QUAD_EDGES and fw.bipartition.is_nontrivial():
+    if quad_criterion_applies(fw):
         shapes = _quad_shapes(fw, residual_tol)
     return _random_shape_search(fw, trials, seed, residual_tol) if shapes is None else shapes

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from sarod.netio import (
     save_network,
     write_report,
 )
+from sarod.rigidity import QuadVerdict, quad_global_rigidity
 
 from conftest import measurement_set
 
@@ -275,7 +277,7 @@ def test_cli_report_reads_solution_evidence(tmp_path):
     assert row["rank_bearing_system"] == str(4 * 9 - 6)
 
 
-def test_cli_analyze_report_fields(tmp_path):
+def test_cli_analyze_report_fields(tmp_path, capsys):
     net = tmp_path / "n.json"
     out = tmp_path / "report.json"
     main(["generate", "--recipe", "bilat-D1A1", "--n", "9", "--seed", "2", "--out", str(net)])
@@ -287,6 +289,36 @@ def test_cli_analyze_report_fields(tmp_path):
     assert report["rod_components"] == 1
     assert report["localizability"] == "localizable"
     assert report["evidence"]["rank_bearing_system"] == 4 * 9 - 6
+    # Standard output and --out go through one encoder: both load to the same JSON.
+    mix = tmp_path / "mix.json"
+    save_network(mix, generate("mix-D2A1", 12, 0).framework, anchors=(1, 2))
+    for path in (net, mix):
+        capsys.readouterr()
+        assert main(["analyze", "--net", str(path), "--out", str(out)]) == 0
+        assert main(["analyze", "--net", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(out.read_text())
+        assert {"rigidity", "duality", "evidence"} <= set(printed)
+
+
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys):
+    # An output path in a missing directory is a one-line error naming it, not a traceback.
+    net, spec = tmp_path / "n.json", tmp_path / "batch.json"
+    assert main(["generate", "--recipe", "quad2v", "--n", "12", "--seed", "0", "--out", str(net)]) == 0
+    spec.write_text(json.dumps({"runs": [{"recipe": "quad2v", "n": 10, "seeds": [0]}]}))
+    missing = tmp_path / "missing"
+    for argv in (
+        ["generate", "--recipe", "quad2v", "--n", "12", "--out"],
+        ["analyze", "--net", str(net), "--out"],
+        ["localize", "--net", str(net), "--out-csv"],
+        ["localize", "--net", str(net), "--out-report"],
+        ["report", "--spec", str(spec), "--out"],
+    ):
+        path = missing / "out"
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "Traceback" not in err and len(err.splitlines()) == 1, (argv, err)
 
 
 def test_cli_analyze_malformed_json(tmp_path, capsys):
@@ -386,7 +418,9 @@ def test_cli_analyze_quadrilateral_section(tmp_path, capsys):
     assert main(["analyze", "--net", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["quadrilateral"]["case"] == 1
-    assert report["quadrilateral"]["rigid"]
+    assert report["quadrilateral"]["rigid"] is True and report["quadrilateral"]["boundary"] is False
+    assert main(["analyze", "--net", str(path), "--out", str(tmp_path / "q_report.json")]) == 0
+    assert json.loads((tmp_path / "q_report.json").read_text()) == report
     # Pure-RoD 4-cycle: no quadrilateral section, flexible verdict.
     fw2 = Framework(g, Bipartition(("D",) * 4), np.array([[0.0, 0], [1, 0.1], [1.2, 1], [0, 1.1]]))
     path2 = tmp_path / "q2.json"
@@ -406,6 +440,10 @@ def test_cli_check_quad_exit_codes(tmp_path, capsys):
     assert main(["check-quad", "--net", str(p1)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["rigid"], out["case"], out["shape_count"]) == (True, 1, 1)
+    # Every field of the verdict is printed, numpy scalars as JSON numbers and booleans.
+    assert list(out) == [f.name for f in fields(QuadVerdict)] + ["shape_count"]
+    assert out == {**asdict(quad_global_rigidity(load_network(p1)[0])), "shape_count": 1}
+    assert out["boundary"] is False
     floppy = Framework(g, Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]]))
     p2 = tmp_path / "floppy.json"
     save_network(p2, floppy)

@@ -313,7 +313,7 @@ def test_duality_ranks_do_not_depend_on_call_order(rng):
         after = duality_check(other)
         assert (first.rank, first.rank_swapped) == (after.rank, after.rank_swapped)
         assert rep.rank == rep_fresh.rank == first.rank
-        assert rep.to_dict() == rep_fresh.to_dict()
+        assert rep == rep_fresh
 
 
 def test_rank_cuts_on_one_instance_match_fresh_instances():
@@ -323,7 +323,7 @@ def test_rank_cuts_on_one_instance_match_fresh_instances():
     loose = float(np.sqrt(s[k] * s[k + 1]) / s[0])  # cuts the spectrum after index k
     for rtol in (1e-8, loose, 1e-8):
         shared, fresh = infinitesimal_rigidity_test(fw, rtol), infinitesimal_rigidity_test(_fresh(fw), rtol)
-        assert shared.to_dict() == fresh.to_dict()
+        assert shared == fresh
         assert duality_check(fw, rtol) == duality_check(_fresh(fw), rtol)
     assert infinitesimal_rigidity_test(fw, loose).rank == k + 1
     assert infinitesimal_rigidity_test(fw, loose).factorization == "dense-svd"
