@@ -21,14 +21,19 @@ signatures drive the localization solvers:
 
 A recipe grows one construction state in place (points, attributes, edges
 and the step log) and builds and validates its ``Framework`` once, at the
-end.  Every addition goes through one placement-and-append primitive.
-All randomness flows from the explicit seed; positions are drawn from the
-unit box and resampled until collinearity/collocation guards pass.
+end.  Every addition goes through one placement-and-append primitive and
+costs O(1): the points sit in one append-only store, each attribute keeps
+its vertices in a list appended in id order, and the collocation guard
+looks only at the 3 x 3 cells of a uniform grid around each draw.  All
+randomness flows from the explicit seed; positions are drawn from the unit
+box and resampled until the collinearity and collocation guards pass (a
+rejected attempt's points leave the store and the grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
@@ -52,8 +57,12 @@ __all__ = [
 ]
 
 COLLINEARITY_TOL = 1e-6
+SEPARATION = 1e-6
 PLACEMENT_RETRIES = 100
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
+# Grid cell of the separation guard: twice the separation, so a point within
+# SEPARATION of a draw is in one of the 3 x 3 cells around the draw's cell.
+_CELL = 2 * SEPARATION
 
 
 class ConstructionError(ValueError):
@@ -74,21 +83,6 @@ def _noncollinear(a, b, c) -> bool:
     return collinearity(a, b, c) > COLLINEARITY_TOL
 
 
-def _separated(p: np.ndarray, q: np.ndarray) -> bool:
-    if p.shape[0] == 0:
-        return True
-    return bool(np.min(np.linalg.norm(p - q, axis=1)) > 1e-6)
-
-
-def _draw_point(rng, existing):
-    (x0, y0), (x1, y1) = UNIT_BOX
-    for _ in range(PLACEMENT_RETRIES):
-        q = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        if _separated(existing, q):
-            return q
-    raise ConstructionError("placement failed after retries (collocation guard)")
-
-
 def _pick(rng, seq):
     """One uniformly drawn element of ``seq``."""
     return seq[rng.integers(len(seq))]
@@ -103,19 +97,33 @@ def _check_vertices(fw: Framework, label: str, *ids):
 class _Growth:
     """A network under construction: points, attributes, edges and step log.
 
-    Additions append to it in place; ``framework`` builds and validates the
-    ``Framework`` once, when the network is complete.
+    Additions append to it in place, each in O(1): the points sit in one
+    append-only list of (x, y) pairs, indexed by a uniform grid for the
+    separation guard, and each attribute keeps its vertices in ascending id
+    order.  ``framework`` builds and validates the ``Framework`` once, when
+    the network is complete.
     """
 
     def __init__(self, rng, attrs, edges, points=None, noncollinear=()):
         """Vertices 1..len(attrs) joined by ``edges``, at ``points`` or placed under ``noncollinear``."""
-        self.rng, self.steps = rng, []
-        self.attrs, self.edges, self.points = list(attrs), list(edges), np.empty((0, 2))
-        self.points = self._place(len(attrs), noncollinear) if points is None else points
+        self.rng, self.steps, self.edges = rng, [], list(edges)
+        self.attrs, self.by_attr = [], {"A": [], "D": []}
+        self.xy, self.grid = [], {}
+        for a in attrs:
+            self._append_attr(a)
+        if points is None:
+            self._place(len(attrs), noncollinear)
+        else:
+            for x, y in points.tolist():
+                self._put(x, y)
 
     @property
     def n(self) -> int:
         return len(self.attrs)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.array(self.xy)
 
     def _attachments(self, attach) -> tuple[int, int]:
         i, j = attach
@@ -123,21 +131,69 @@ class _Growth:
             raise ConstructionError(f"bad attachments {attach}")
         return i, j
 
-    def vertices(self, attr: str) -> list[int]:
-        return [v for v, a in enumerate(self.attrs, 1) if a == attr]
+    def _append_attr(self, attr: str):
+        self.attrs.append(attr)
+        self.by_attr.setdefault(attr, []).append(len(self.attrs))
 
-    def _place(self, count: int, noncollinear=()) -> np.ndarray:
-        """The points plus ``count`` new ones, each drawn apart from all before it.
+    def vertices(self, attr: str) -> list[int]:
+        """The vertices with attribute ``attr`` in ascending order; the live list, which callers must not change."""
+        return self.by_attr[attr]
+
+    def _at(self, ids) -> np.ndarray:
+        return np.array([self.xy[v - 1] for v in ids])
+
+    def _put(self, x: float, y: float):
+        self.xy.append((x, y))
+        self.grid.setdefault((x // _CELL, y // _CELL), []).append((x, y))
+
+    def _truncate(self, count: int):
+        """Drop the points after the first ``count`` from the store and the grid (last in, first out)."""
+        while len(self.xy) > count:
+            x, y = self.xy.pop()
+            self.grid[x // _CELL, y // _CELL].pop()
+
+    def _separated(self, x: float, y: float) -> bool:
+        """Whether every stored point lies more than ``SEPARATION`` from (x, y).
+
+        A point within ``SEPARATION`` lies at most half a cell away in each
+        coordinate, so in one of the 3 x 3 cells around (x, y), even after
+        rounding in the cell index.
+        """
+        cx, cy = x // _CELL, y // _CELL
+        grid = self.grid
+        for gx in (cx - 1.0, cx, cx + 1.0):
+            for gy in (cy - 1.0, cy, cy + 1.0):
+                for px, py in grid.get((gx, gy), ()):
+                    dx, dy = px - x, py - y
+                    if sqrt(dx * dx + dy * dy) <= SEPARATION:
+                        return False
+        return True
+
+    def _draw(self) -> tuple[float, float]:
+        """A uniform draw from ``UNIT_BOX`` apart from every stored point (x first, then y)."""
+        (x0, y0), (x1, y1) = UNIT_BOX
+        rng = self.rng
+        for _ in range(PLACEMENT_RETRIES):
+            x, y = x0 + (x1 - x0) * rng.random(), y0 + (y1 - y0) * rng.random()
+            if self._separated(x, y):
+                return x, y
+        raise ConstructionError("placement failed after retries (collocation guard)")
+
+    def _place(self, count: int, noncollinear=()):
+        """Append ``count`` new points, each drawn apart from all before it.
 
         All new points are redrawn together until every vertex-id triple in
-        ``noncollinear`` has non-collinear positions.
+        ``noncollinear`` has non-collinear positions; a rejected attempt's
+        points leave the store and the grid before the next one.  A failed
+        placement leaves the state partial; every caller then drops it.
         """
+        start = len(self.xy)
         for _ in range(PLACEMENT_RETRIES):
-            points = self.points
             for _ in range(count):
-                points = np.vstack([points, _draw_point(self.rng, points)])
-            if all(_noncollinear(*points[[v - 1 for v in trio]]) for trio in noncollinear):
-                return points
+                self._put(*self._draw())
+            if all(_noncollinear(*self._at(trio)) for trio in noncollinear):
+                return
+            self._truncate(start)
         raise ConstructionError("placement failed after retries (collinearity guard)")
 
     def add(self, kind: str, attach, new_attrs, third: int | None = None, noncollinear=()):
@@ -149,19 +205,20 @@ class _Growth:
         """
         i, j = self._attachments(attach)
         new = list(range(self.n + 1, self.n + 1 + len(new_attrs)))
-        self.points = self._place(len(new), noncollinear)
+        self._place(len(new), noncollinear)
         if len(new) == 1:
             self.edges += [(i, new[0]), (j, new[0])] + ([] if third is None else [(third, new[0])])
         else:
             self.edges += [(j, new[0]), (new[0], new[1]), (i, new[1])]
-        self.attrs += new_attrs
+        for a in new_attrs:
+            self._append_attr(a)
         step = {"kind": kind, "attach": [int(i), int(j)]}
         if third is not None:
             step["third"] = int(third)
         step["new"] = new
         if len(new) == 2:
             step["attrs"] = list(new_attrs)
-        step["pos"] = self.points[-len(new):].tolist()
+        step["pos"] = [[x, y] for x, y in self.xy[-len(new):]]
         self.steps.append(step)
 
     def vertex_addition(self, kind: str, attach, third: int | None = None):
@@ -186,7 +243,7 @@ class _Growth:
                 raise ConstructionError("Type D2 needs a distinct third vertex")
             if self.attrs[third - 1] != "D":
                 raise ConstructionError("Type D2 third vertex must be in V_D")
-            if not _noncollinear(*self.points[[i - 1, j - 1, third - 1]]):
+            if not _noncollinear(*self._at((i, j, third))):
                 raise ConstructionError("Type D2 attachment positions are collinear")
         else:
             raise ConstructionError(f"unknown addition kind {kind!r}")
@@ -319,12 +376,12 @@ def generate_mixed(n: int, seed: int = 0) -> Construction:
     growth.steps.append({"kind": "pure_d_quadrilateral", "new": [1, 2, 3, 4], "pos": growth.points.tolist()})
     while growth.n < n:
         # A1 from an even vertex count, three-edge D from an odd one; the first D (at n = 5) on corners 3, 4.
-        if growth.n % 2 == 0:
-            pool = [v for v in growth.vertices("D") if v not in (3, 4)]
-            picks = rng.choice(len(pool), size=2, replace=False)
-            growth.vertex_addition("A1", (pool[picks[0]], pool[picks[1]]))
-            continue
         d_set = growth.vertices("D")
+        if growth.n % 2 == 0:
+            # The pool is the D-list without corners 3 and 4, which sit at D-slots 2 and 3.
+            picks = rng.choice(len(d_set) - 2, size=2, replace=False)
+            growth.vertex_addition("A1", tuple(d_set[k if k < 2 else k + 2] for k in picks))
+            continue
         if growth.n == 5:
             i, j = 3, 4
         else:

@@ -60,7 +60,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.sparse import vstack as sparse_vstack
 from scipy.sparse.linalg import splu
 
 from .geometry import Framework, MeasurementSet, rigidity_function, rotation, wrap_angle
@@ -366,6 +365,19 @@ def _solved(A: np.ndarray, rhs: np.ndarray, rtol: float) -> LinearSystem:
     return LinearSystem(A, rhs, rank, vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank]))
 
 
+def _completed(A: csc_matrix, G: np.ndarray) -> csc_matrix:
+    """[A; G] as CSC, each column listing A's entries and then G's, as ``vstack`` gives them."""
+    (r, c), k = A.shape, G.shape[0]
+    indptr = A.indptr + k * np.arange(c + 1)
+    own = np.arange(A.nnz) + k * np.repeat(np.arange(c), np.diff(A.indptr))
+    stacked = np.ones(indptr[-1], dtype=bool)
+    stacked[own] = False
+    indices, data = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
+    indices[own], data[own] = A.indices, A.data
+    indices[stacked], data[stacked] = np.tile(np.arange(r, r + k), c), G.T.ravel()
+    return csc_matrix((data, indices, indptr), shape=(r + k, c))
+
+
 _LU_BLOCK = 256  # columns of the inverse held at once by the certificate
 
 
@@ -390,7 +402,7 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
     norm = float(np.linalg.norm(A.data))
     G = np.random.default_rng(0).standard_normal((c - r, c))
     G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
-    A_hat = sparse_vstack([A, csc_matrix(G)], format="csc")
+    A_hat = _completed(A, G)
     try:
         lu = splu(A_hat)
     except RuntimeError:  # exactly singular

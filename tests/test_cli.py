@@ -45,6 +45,27 @@ def test_network_schema_roundtrip(tmp_path, rng):
     assert [tuple(e) for e in data["edges"]] == list(fw.graph.edges)
 
 
+def test_coordinate_checks_keep_their_messages(tmp_path):
+    # JSON reals and integers load as floats; true, null, strings and
+    # integers beyond float range are refused with the field and the value.
+    path = tmp_path / "net.json"
+    tri = {"vertices": [{"id": v, "attr": "A", "pos": [float(v), float(v * v)]} for v in (1, 2, 3)], "edges": [[1, 2], [2, 3]]}
+    tri["vertices"][1]["pos"] = [3, 0.5]
+    path.write_text(json.dumps(tri))
+    fw, _ = load_network(path)
+    assert fw.points[1].tolist() == [3.0, 0.5]
+    for x, message in (
+        ("true", "vertex 2: pos x must be a number, got True"),
+        ("null", "vertex 2: pos x must be a number, got None"),
+        ('"1"', "vertex 2: pos x must be a number, got '1'"),
+        ("1" + "0" * 400, "vertex 2: pos x is out of range: int too large to convert to float"),
+    ):
+        path.write_text(json.dumps(tri).replace("[3, 0.5]", f"[{x}, 0.5]"))
+        with pytest.raises(ValueError) as info:
+            load_network(path)
+        assert str(info.value) == message
+
+
 def test_network_schema_validation():
     with pytest.raises(ValueError, match="missing"):
         network_from_dict({"vertices": []})

@@ -4,6 +4,7 @@ minimality, the two merge operations, and the generated networks
 themselves (pinned by digest)."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -27,7 +28,7 @@ from sarod import (
     merge_contract,
     triple_index_components,
 )
-from sarod.construction import ConstructionError
+from sarod.construction import PLACEMENT_RETRIES, ConstructionError
 from sarod.geometry import rotation
 
 
@@ -133,6 +134,18 @@ STABLE_DIGESTS = {
     ("minimal", 13, 1): "941a8b26676dabae06f544004d55d6c9df2577ca9c268d9fabaf939968e72b90",
     ("minimal", 70, 2): "8ada7dc908fa2c4d54a8734947bbcc840db9d9eacd383bbf16fa7156cce0d846",
     ("quad2v-defect", 30, 3): "8a1a55b04522e447fbbea83072414d91fe2cdd21b50abc174fb1d5dde040506b",
+    ("quad2v", 300, 0): "43209ed5825918910ddd9e0245ca58270e7457f7ea3933116b5789599408207e",
+    ("bilat-D1A1", 300, 0): "b54cf00cbd8b9771a499c3ab87cd869d3c1b7c508f589808dbd1eb7732f38138",
+    ("mix-D2A1", 300, 0): "1a93f43d139d01c4bcd35681dabf6930aea9f0e792bfde1670de6982456b204a",
+    ("type2D1", 300, 0): "1505a09a1d6bf23dacffe7de7f80ee815207851b666c0e8e838a21051162e8ed",
+    ("minimal", 300, 0): "43209ed5825918910ddd9e0245ca58270e7457f7ea3933116b5789599408207e",
+    ("quad2v", 2000, 0): "1bc9e3fe59704257faf774f447168dcbaad9c3fe8aabb00b1b8dd89621695172",
+    ("bilat-D1A1", 2000, 0): "f6b50759ad155c3995eae68275cd4dc3fe08d0709d14ee35ee4b4b5c0ef10568",
+    ("mix-D2A1", 2000, 0): "5c842432ab635d687bc4d688d1d9ce5e2172387969ecb4916551c7704039c431",
+    ("type2D1", 2000, 0): "e5c4a6e74a8b2368b8cb60cd19f4aa2d626060c1ecb1a44732acb701e84975ad",
+    ("minimal", 2000, 0): "1bc9e3fe59704257faf774f447168dcbaad9c3fe8aabb00b1b8dd89621695172",
+    ("minimal", 301, 0): "e6bb897dfd9917c47e24480fdb6833a35799ff7cb6c9c278d560790803064876",
+    ("minimal", 2001, 0): "315c3781beac87041569f8164102aec3f6220e46fad172d47c895e59cc943d14",
 }
 
 
@@ -174,6 +187,53 @@ def test_generate_builds_one_graph_and_one_framework(monkeypatch, recipe, n):
     con = generate(recipe, n, seed=4)
     assert sorted(built) == ["Framework", "Graph"]
     assert con.framework.n == n
+
+
+class StubRng:
+    """An rng whose ``random()`` returns the given values in order; positions in the unit box are drawn x first."""
+
+    def __init__(self, values):
+        self.values, self.drawn = iter(values), 0
+
+    def random(self):
+        self.drawn += 1
+        return next(self.values)
+
+
+def guard_framework():
+    # Vertices 1 and 3 sit next to grid-cell borders (cells are 2e-6 wide), so draws near them fall in two cells.
+    pts = np.array([[1.8e-6, 0.75], [0.5, 0.5], [0.0, 0.25]])
+    return Framework(Graph(3, ((1, 2), (2, 3), (1, 3))), Bipartition.from_a_set(3, (2,)), pts)
+
+
+def test_collocation_guard_redraws_within_and_at_the_separation():
+    # A draw closer than 1e-6 to a point, in its cell or the next one in x or
+    # y, is redrawn; one at exactly 1e-6 is too; the next double above 1e-6 is kept.
+    just_over = float(np.nextafter(1e-6, 1.0))
+    draws = [2.2e-6, 0.75, 5e-7, 0.25 + 5e-7, 1e-6, 0.25, 0.0, 0.25 - 9e-7, just_over, 0.25]
+    rng = StubRng(draws)
+    fw, step = apply_vertex_addition(guard_framework(), "A1", (1, 2), rng)
+    assert rng.drawn == len(draws)
+    assert step["pos"] == [[just_over, 0.25]] and fw.point(4).tolist() == [just_over, 0.25]
+
+
+def test_collocation_guard_gives_up_after_the_retries():
+    rng = StubRng(itertools.repeat(0.5))  # every draw lands on vertex 2
+    with pytest.raises(ConstructionError, match="collocation guard"):
+        apply_vertex_addition(guard_framework(), "A1", (1, 2), rng)
+    assert rng.drawn == 2 * PLACEMENT_RETRIES
+
+
+def test_collinearity_retry_discards_its_points():
+    # The first attempt puts vertices 4 and 5 on a line through vertex 2 and
+    # is redrawn whole.  Its points are gone: the second attempt draws vertex
+    # 4 where vertex 5 was, and that draw is kept, not redrawn.
+    draws = [0.25, 0.25, 0.75, 0.75, 0.75, 0.75, 0.25, 0.75]
+    rng = StubRng(draws)
+    fw, step = apply_two_vertex_addition(guard_framework(), (1, 2), ("A", "A"), rng)
+    assert rng.drawn == len(draws)
+    assert fw.n == 5 and step["pos"] == [[0.75, 0.75], [0.25, 0.75]]
+    assert fw.points[3:].tolist() == step["pos"]
 
 
 def test_quad2v_requires_even_n():
@@ -254,8 +314,6 @@ def _merge_inputs(seed):
 
 
 def _find_pairs(fw1, fw2, want_a):
-    import itertools
-
     for i, m in itertools.permutations(range(1, fw1.n + 1), 2):
         for j, k in itertools.permutations(range(1, fw2.n + 1), 2):
             attrs = [fw1.bipartition.attr(i), fw1.bipartition.attr(m), fw2.bipartition.attr(j), fw2.bipartition.attr(k)]
@@ -299,8 +357,6 @@ def test_merge_three_edges_all_a():
 
 
 def test_merge_contract():
-    import itertools
-
     fw1, fw2 = _merge_inputs(4)
     found = None
     for i, m in itertools.permutations(range(1, fw1.n + 1), 2):

@@ -49,6 +49,7 @@ from sarod.snl import (
     _cycle_sums,
     _edges_at,
     _latin_hypercube,
+    _completed,
     _lu_solved,
     _solved,
     assemble_bearing_system,
@@ -1186,6 +1187,23 @@ def test_closure_falls_back_to_dense_svd():
         _assert_matches_dense_svd(system, shape)
         sol = localize_network(net).solution
         assert (sol.status, sol.info["factorization"], sol.info["null_dim"]) == (status, factorization, system.null_dim)
+
+
+def test_completion_equals_the_stacked_matrix():
+    # The LU factors [A; G] built straight in CSC; its data, indices and
+    # indptr are those of scipy's vstack, so the factorization is unchanged
+    # bit for bit.  The closures are square (quad2v) or wide (mix-D2A1 and
+    # a defective quadrilateralization); the small matrix has an empty column.
+    closures = [closure_system(build_network(fw, [1, 2])).matrix for fw in (
+        generate("quad2v", 70, 0).framework, generate("mix-D2A1", 70, 0).framework, generate_quadrilateralized(12, 3, defect_quads=1).framework)]
+    closures = [A[np.flatnonzero(A.getnnz(axis=1))] for A in closures]
+    rng = np.random.default_rng(3)
+    for A in closures + [scipy.sparse.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))]:
+        G = rng.standard_normal((A.shape[1] - A.shape[0], A.shape[1]))
+        hat, stacked = _completed(A, G), scipy.sparse.vstack([A, scipy.sparse.csc_matrix(G)], format="csc")
+        assert hat.format == "csc" and hat.shape == stacked.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(hat, part), getattr(stacked, part)), (A.shape, part)
 
 
 def test_lu_certificate_is_scale_free_and_one_sided():
