@@ -11,9 +11,11 @@ integer-valued, so identities like C @ H == 0 hold exactly.  Every
 breadth-first forest is one walk, ``tree_sums``, over a ``signed_graph``
 (the vertex graph or a triple index graph).  Each ``Graph`` builds its one
 vertex spanning tree at most once, and that tree keeps its root paths as
-one sparse signed matrix R (``SpanningTree.root_paths``): the cycle basis
-and the path matrices are read off R's rows, and nothing holds a dense
-(n, m) copy.
+one sparse signed matrix R (``SpanningTree.root_paths``), gathered one
+tree level at a time: the cycle basis and the path matrices are read off
+R's rows, and nothing holds a dense (n, m) copy.  Each ``Graph`` also
+pairs its incident edges into measurement triples once per mode; a
+bipartition only splits that list into SA and RoD triples.
 """
 
 from __future__ import annotations
@@ -229,20 +231,61 @@ def path_matrix(g: Graph, base: int) -> np.ndarray:
 
 
 def _spanning_tree(g: Graph) -> SpanningTree:
-    """BFS tree from vertex 1 over ascending neighbours, and its root paths by sparse pointer doubling."""
+    """BFS tree from vertex 1 over ascending neighbours, and its root paths gathered one tree level per step."""
     parent, entry, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
     if np.count_nonzero(parent < 0) > 1:
         raise GraphError("graph not connected")
-    child = np.flatnonzero(parent >= 0)
-    # R[v] holds the signed tree edges from up[v] down to v; once every up[v] is the root, they are v's root path.
-    R = csr_matrix((np.sign(entry[child]), (child, np.abs(entry[child]) - 1)), shape=(g.n, g.m))
-    up = csr_matrix((np.ones(len(child), dtype=int), (child, parent[child])), shape=(g.n, g.n))
-    while up.nnz:
-        R, up = R + up @ R, up @ up
+    # Depth by pointer doubling: depth[v] counts the tree edges from up[v] down to v.
+    up, depth = np.maximum(parent, 0), (parent >= 0).astype(np.intp)
+    while up.any():
+        depth, up = depth + depth[up], up[up]
+    by_level = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[by_level], np.arange(depth.max() + 2))
+    # The root path of every vertex on level d is its parent's path and then its own entry:
+    # one (count, d) array of signed entries per level, each row kept at its vertex's CSR slots.
+    indptr = np.concatenate([[0], np.cumsum(depth)])
+    codes = np.empty(indptr[-1], dtype=entry.dtype)
+    row, paths = np.zeros(g.n, dtype=np.intp), np.zeros((1, 0), dtype=entry.dtype)
+    for d in range(1, len(bounds) - 1):
+        level = by_level[bounds[d] : bounds[d + 1]]
+        row[level] = np.arange(len(level))
+        paths = np.column_stack([paths[row[parent[level]]], entry[level]])
+        codes[indptr[level][:, None] + np.arange(d)] = paths
+    R = csr_matrix((np.sign(codes), np.abs(codes) - 1, indptr), shape=(g.n, g.m))
     R.sort_indices()
     for a in (R.data, R.indices, R.indptr):
         a.flags.writeable = False
     return SpanningTree((0, *(parent + 1).tolist()), (-1, *(np.abs(entry) - 1).tolist()), R)
+
+
+def _pairing(g: Graph, mode: str):
+    """(t, e1, e2): every triple (apex, v, w) of ``mode`` as a (T, 3) array, and the indices of edges (apex, v), (apex, w).
+
+    Only the graph enters, so each ``Graph`` builds it once per mode, kept
+    read-only in its instance dict (the graph is frozen); a framework and
+    its swap share it.
+    """
+    cache = g.__dict__
+    key = f"_pairing_{mode}"
+    if key not in cache:
+        # Half-edges (apex, neighbour) sorted by apex, then neighbour, list each apex's ascending
+        # adjacency in turn; ``slot`` is a half-edge's position in its apex's list.
+        ends = np.array(g.edges, dtype=int).reshape(-1, 2)
+        half = np.concatenate([ends, ends[:, ::-1]])
+        order = np.lexsort((half[:, 1], half[:, 0]))
+        apex, nbr, edge = half[order, 0], half[order, 1], order % max(g.m, 1)
+        deg = np.bincount(apex, minlength=g.n + 1)
+        slot = np.arange(len(apex)) - (np.cumsum(deg) - deg)[apex]
+        # Slot a pairs with every later slot b of its apex (full), or only slot 0 does (reduced).
+        later = deg[apex] - 1 - slot
+        count = later if mode == "full" else np.where(slot == 0, later, 0)
+        first = np.repeat(np.arange(len(apex)), count)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        arrays = np.column_stack([apex[first], nbr[first], nbr[second]]), edge[first], edge[second]
+        for a in arrays:
+            a.flags.writeable = False
+        cache[key] = arrays
+    return cache[key]
 
 
 def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
@@ -251,31 +294,18 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
     ``full`` emits every pair of incident edges at each apex; ``reduced``
     emits only the pairs anchored at the apex's minimum neighbor (a spanning
     subset, deg(u)-1 triples per vertex), useful as a rigidity-matrix
-    row reduction.
+    row reduction.  Each set keeps the order of ``_pairing``.
     """
     if mode not in ("full", "reduced"):
         raise GraphError(f"unknown triple mode {mode!r}")
     if bip.n != g.n:
         raise GraphError("bipartition size does not match graph")
-    # Half-edges (apex, neighbour) sorted by apex, then neighbour, list each apex's ascending
-    # adjacency in turn; ``slot`` is a half-edge's position in its apex's list.
-    ends = np.array(g.edges, dtype=int).reshape(-1, 2)
-    half = np.concatenate([ends, ends[:, ::-1]])
-    order = np.lexsort((half[:, 1], half[:, 0]))
-    apex, nbr, edge = half[order, 0], half[order, 1], order % max(g.m, 1)
-    deg = np.bincount(apex, minlength=g.n + 1)
-    slot = np.arange(len(apex)) - (np.cumsum(deg) - deg)[apex]
-    # Slot a pairs with every later slot b of its apex (full), or only slot 0 does (reduced).
-    later = deg[apex] - 1 - slot
-    count = later if mode == "full" else np.where(slot == 0, later, 0)
-    first = np.repeat(np.arange(len(apex)), count)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    t = np.column_stack([apex[first], nbr[first], nbr[second]])
+    t, e1, e2 = _pairing(g, mode)
     is_sa = (np.array(bip.attrs) == "A")[t[:, 0] - 1]
 
     def index_set(kind, keep):
         tk = t[keep]
-        return TripleIndexSet(kind, tuple(map(tuple, tk.tolist())), edge[first[keep]], edge[second[keep]], tk - 1)
+        return TripleIndexSet(kind, tuple(map(tuple, tk.tolist())), e1[keep], e2[keep], tk - 1)
 
     return index_set("sa", is_sa), index_set("rod", ~is_sa)
 

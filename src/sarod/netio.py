@@ -9,7 +9,6 @@ list order defining the canonical edge index.  Measurement schema:
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 
@@ -168,11 +167,11 @@ def load_measurements(path) -> MeasurementSet:
 
 
 def write_result_csv(path, truth: np.ndarray, estimate: np.ndarray):
+    """One CSV row per vertex, written at once: the bytes of ``csv.writer``, which writes a float as its ``repr``."""
+    err = np.linalg.norm(estimate - truth, axis=1)
+    rows = np.column_stack([np.arange(1, len(err) + 1), truth, estimate, err])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_id", "true_x", "true_y", "est_x", "est_y", "err"])
-        err = np.linalg.norm(estimate - truth, axis=1)
-        writer.writerows([v, *row] for v, row in enumerate(np.column_stack([truth, estimate, err]).tolist(), start=1))
+        fh.write("vertex_id,true_x,true_y,est_x,est_y,err\r\n" + "%d,%r,%r,%r,%r,%r\r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_report(path, report: dict):

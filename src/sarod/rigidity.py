@@ -12,9 +12,11 @@ The rank test and the duality check use the ``reduced`` rows (2m - n of
 them, spanning the same row space as the full set) scaled to unit norm,
 as a sparse matrix M (R x N, N = 2n, six entries per row).  A diagonal row
 scaling leaves the exact rank unchanged.  With unit rows an SA row is the
-RoD row of the same triple times blockdiag(R(pi/2)), up to sign, so
-swapping the bipartition gives an orthogonal transform of the matrix and
-the relative rank cut sees one spectrum for both.
+RoD row of the same triple with each vertex's pair of entries rotated by
+pi/2, up to sign, so swapping the bipartition gives an orthogonal
+transform of the matrix, M_s = P S M K (K rotates every vertex's pair of
+columns by pi/2, S flips the signs of the SA rows, P puts the former RoD
+rows first), and the relative rank cut sees one spectrum for both.
 
 The verdict at a cut ``rtol`` is the one the dense singular values would
 give, rank = #{sigma_i > rtol * sigma_1}, but it is first decided by a
@@ -33,6 +35,18 @@ flexible or ill-conditioned framework, or a bound that does not decide)
 falls back to the dense singular values.  Each framework's certificates
 (one per cut) and its spectrum (once a fallback needed it) are cached on
 the framework and shared by the rank test and the duality check.
+
+The duality check proves the swapped rank from the framework's own
+certificate, with no second Cholesky.  It assembles M_s from the swapped
+bipartition and measures E = M_s - P S M K exactly (sign flips and the
+coordinate swap of K round nothing).  For any 4-column border, here K^T Q,
+Courant-Fischer gives sigma_{N-4}(M_s) >= sigma_min([M_s; Q^T K]); and
+[P S M K; Q^T K] is an orthogonal transform of B, so by Weyl
+sigma_min([M_s; Q^T K]) >= l - ||E||_F.  With ||M_s||_F bounding its
+sigma_1 and the swapped framework's own measured bound on sigma_{N-3},
+the swapped rank is N - 4 under the same two margins.  A framework that
+did not certify, or a defect too large for the margin, sends the swapped
+framework through its own certificate and spectrum instead.
 
 The equivalent-shape oracle pins vertices 1 and 2 and returns one
 configuration per shape.  On a 4-cycle with one to three A-vertices it
@@ -187,13 +201,6 @@ def trivial_motions(points) -> np.ndarray:
     return np.column_stack([t1, t2, rot, scale])
 
 
-def _rank_test_matrix(fw: Framework) -> sp.csr_matrix:
-    """Reduced rigidity matrix with every row scaled to unit norm (same exact rank and null space), as CSR."""
-    M, _, _ = _sparse_rigidity_matrix(fw, "reduced")
-    M.data /= np.repeat(np.linalg.norm(M.data.reshape(-1, 6), axis=1), 6)
-    return M
-
-
 _U = float(np.finfo(float).eps) / 2  # unit roundoff
 
 
@@ -210,19 +217,23 @@ def _up(x: float, terms: int = 16) -> float:
 class _RankTest:
     """One framework's rank-test state: its matrix, certificates and (on fallback) spectrum.
 
-    ``matrix`` is M, the reduced unit-row matrix (R x N), and ``fro`` an upper
-    bound on ||M||_F >= sigma_1.  ``trivial`` is an upper bound on
-    sigma_{N-3}(M) / sigma_1, namely ||M Q||_F / sigma_min(Q) with Q the
-    orthonormal QR basis of the trivial motions (and sigma_1 >= 1).
-    ``certified(rtol)`` is a lower bound on sigma_{N-4}(M) / sigma_1 from one
-    shifted Cholesky per cut (0.0 when it fails); ``spectrum()`` the dense
-    singular values, computed at most once.  See the module docstring.
+    ``matrix`` is M, the reduced rigidity matrix with every row scaled to
+    unit norm (same exact rank and null space), R x N, its first ``n_sa``
+    rows the SA rows; ``fro`` is an upper bound on ||M||_F >= sigma_1.
+    ``trivial`` is an upper bound on sigma_{N-3}(M) / sigma_1, namely
+    ||M Q||_F / sigma_min(Q) with Q the orthonormal QR basis of the trivial
+    motions (and sigma_1 >= 1).  ``certified(rtol)`` is a lower bound l on
+    sigma_min([M; Q^T]) from one shifted Cholesky per cut (0.0 when it
+    fails); ``spectrum()`` the dense singular values, computed at most
+    once.  See the module docstring.
     """
 
     def __init__(self, fw: Framework):
-        M = _rank_test_matrix(fw)
+        M, sa, _ = _sparse_rigidity_matrix(fw, "reduced")
+        M.data /= np.repeat(np.linalg.norm(M.data.reshape(-1, 6), axis=1), 6)
         T = trivial_motions(fw.points)
         self.matrix = M
+        self.n_sa = len(sa)
         self.residual = float(np.max(np.linalg.norm(M @ T, axis=0) / np.linalg.norm(T, axis=0)))
         self.fro = math.sqrt(_up(float(M.data @ M.data), M.nnz + 1))
         Q = np.linalg.qr(T)[0]
@@ -242,7 +253,7 @@ class _RankTest:
         return self._certified[rtol]
 
     def _certify(self, rtol: float) -> float:
-        """Lower bound on sigma_{N-4}(M) / ||M||_F from one Cholesky of H - s I, H = fl(M^T M + Q Q^T); 0.0 if it fails.
+        """Lower bound l on sigma_min([M; Q^T]) from one Cholesky of H - s I, H = fl(M^T M + Q Q^T); 0.0 if it fails.
 
         The shift s = 2 (tau + gamma_{N+1} tr H + e_H + u max h_ii), with
         tau = (2 rtol ||M||_F)^2 and e_H = gamma_{k+1} ||B||_F^2 (k the largest
@@ -266,7 +277,39 @@ class _RankTest:
         if lapack.dpotrf(H, lower=0, clean=0, overwrite_a=1)[1]:
             return 0.0
         ell2 = s - _up(g * trace / (1.0 - g) + _U * (hmax + s) + e_h)
-        return math.sqrt(ell2) / self.fro * (1.0 - _gamma(4)) if ell2 > 0.0 else 0.0
+        return math.sqrt(ell2) * (1.0 - _gamma(4)) if ell2 > 0.0 else 0.0
+
+    def defect(self, source: "_RankTest") -> tuple[float, float]:
+        """(upper bound on ||E||_F, measured ||E||_F / ||M||_F) for E = M - P S M' K, M' the matrix of this framework's swap ``source``.
+
+        Both matrices list each triple's six entries in the same vertex
+        order, and the swap keeps the triple order within each block, so E
+        is formed on the stored entries; other column indices give inf.
+        """
+        sa = 6 * source.n_sa
+        data, indices = source.matrix.data, source.matrix.indices
+        if not np.array_equal(self.matrix.indices, np.concatenate([indices[sa:], indices[:sa]])):
+            return math.inf, math.inf
+        moved = np.concatenate([data[sa:], -data[:sa]]).reshape(-1, 2)[:, ::-1] * [-1.0, 1.0]  # P S M' K: (x, y) -> (-y, x)
+        e = self.matrix.data - moved.ravel()
+        ee = float(e @ e)
+        # Each fl(a - b) is within u of a - b: the +2 terms cover that on the squares.
+        return _up(math.sqrt(_up(ee, e.size + 3))), math.sqrt(ee) / float(np.linalg.norm(self.matrix.data))
+
+    def decide_swapped(self, source: "_RankTest", rtol: float):
+        """(rank, factorization, defect) of this framework, the swap of ``source``, at the cut ``rtol``.
+
+        ``"transfer"``: source's certificate l, less the bound on ||E||_F,
+        exceeds 2 rtol ||M||_F, and this framework's own ``trivial`` is below
+        rtol / 2, so the rank is N - 4 (module docstring).  Otherwise its own
+        ``decide``.
+        """
+        bound, defect = self.defect(source)
+        ell = source.certified(rtol) if source.trivial < 0.5 * rtol else 0.0
+        if ell > bound and self.trivial < 0.5 * rtol and (ell - bound) / self.fro * (1.0 - _gamma(3)) > 2.0 * rtol:
+            return self.matrix.shape[1] - 4, "transfer", defect
+        rank, factorization, _ = self.decide(rtol)
+        return rank, factorization, defect
 
     def spectrum(self) -> np.ndarray:
         """Dense singular values of M, computed once and read-only."""
@@ -279,7 +322,7 @@ class _RankTest:
     def decide(self, rtol: float):
         """(rank, factorization, sigma_bounds) at the cut rank = #{sigma_i > rtol * sigma_1}."""
         N = self.matrix.shape[1]
-        if self.trivial < 0.5 * rtol and (lower := self.certified(rtol)) > 2.0 * rtol:
+        if self.trivial < 0.5 * rtol and (ell := self.certified(rtol)) and (lower := ell / self.fro) > 2.0 * rtol:
             return N - 4, "cholesky", (lower, self.trivial)
         s = self.spectrum()
         rank = _rank(s, rtol)
@@ -325,8 +368,12 @@ def infinitesimal_rigidity_test(fw: Framework, rtol: float = DEFAULT_RTOL) -> Ra
 
 @dataclass(frozen=True)
 class DualityResult:
+    """Both ranks and how the swapped one was decided; ``dataclasses.asdict`` makes it JSON."""
+
     rank: int
     rank_swapped: int
+    swapped_factorization: str  # "transfer" (from the framework's certificate) | "cholesky" | "dense-svd"
+    defect: float  # measured ||M_s - P S M K||_F / ||M_s||_F
 
     @property
     def equal(self) -> bool:
@@ -336,12 +383,20 @@ class DualityResult:
 def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
     """Rank comparison after swapping the A/D parts of the bipartition.
 
-    Both ranks are decided as in ``infinitesimal_rigidity_test``, each by its
-    own certificate or spectrum.  The framework's own state is the one the
-    rank test cached, if it ran first; the swapped framework is always
-    assembled and decided anew, so the swapped rank is measured, not derived.
+    The framework's rank is decided as in ``infinitesimal_rigidity_test``,
+    from the state the rank test cached if it ran first.  The swapped
+    framework is always assembled anew: its matrix M_s and its trivial
+    motion bound are measured, and so is ``defect``, the distance of M_s
+    from the rotated, re-signed and re-ordered framework matrix P S M K.
+    Its rank is then proved from the framework's certificate
+    (``swapped_factorization == "transfer"``: Courant-Fischer, then Weyl
+    with ||M_s - P S M K||_F, see the module docstring) or, when that
+    certificate is missing or the defect too large, decided by its own
+    Cholesky certificate or spectrum (``"cholesky"`` or ``"dense-svd"``).
     """
-    return DualityResult(_rank_test(fw).decide(rtol)[0], _rank_test(fw.swapped()).decide(rtol)[0])
+    test = _rank_test(fw)
+    rank = test.decide(rtol)[0]
+    return DualityResult(rank, *_rank_test(fw.swapped()).decide_swapped(test, rtol))
 
 
 # --- quadrilateral global-rigidity criteria -------------------------------

@@ -390,11 +390,15 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
     interlacing, sigma_r(A) >= sigma_min(A_hat) >= 1 / ||A_hat^-1||_F, so
     the bound rtol ||A||_F ||A_hat^-1||_F < 1/2 proves that all r singular
     values lie above twice the cut rtol * sigma_max: the rank is r, the
-    SVD's verdict.  The inverse is summed in column blocks and never held
-    whole.  The null space is spanned by A_hat^-1 [0; I] and the
-    minimum-norm solution is A_hat^-1 [rhs; 0] with its null component
-    removed.  An empty or tall system, an exactly singular LU or a failed
-    bound give None.
+    SVD's verdict.  The inverse is solved for in blocks of identity
+    columns and never held whole; one pass over the blocks gives the
+    bound's sum and the null space, spanned by the last c - r columns
+    A_hat^-1 [0; I].  The minimum-norm solution is A_hat^-1 [rhs; 0], one
+    more solve, with its null component removed: summing the blocks times
+    [rhs; 0] would multiply by the explicit inverse, which is not backward
+    stable, and an extra column on a block would write all of its pages.
+    An empty or tall system, an exactly singular LU or a failed bound give
+    None.
     """
     r, c = A.shape
     if not 0 < r <= c:
@@ -408,12 +412,19 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
     except RuntimeError:  # exactly singular
         return None
     inverse_sq, bound_sq = 0.0, (0.5 / (rtol * norm)) ** 2
+    null = np.empty((c, c - r), order="F")
     for k in range(0, c, _LU_BLOCK):
-        inverse_sq += float(np.sum(lu.solve(np.eye(c, min(_LU_BLOCK, c - k), -k)) ** 2))
+        # Columns k.. of A_hat^-1.  A C-order identity block writes only the pages near its diagonal, so
+        # its memory stays mostly untouched; the solution comes back in Fortran order.
+        X = lu.solve(np.eye(c, min(_LU_BLOCK, c - k), -k))
+        inverse_sq += float(X.ravel(order="F") @ X.ravel(order="F"))
         if not inverse_sq < bound_sq:  # NaN fails too
             return None
+        if k + X.shape[1] > r:  # the block reaches the null columns r..c-1
+            null[:, max(k - r, 0) : k + X.shape[1] - r] = X[:, max(r - k, 0) :]
+        del X  # not held through the next block's solve
     # Fortran order, as the SVD's vt[rank:].T: the multi-start's contractions run fastest on it.
-    N = np.asfortranarray(np.linalg.qr(lu.solve(np.eye(c, c - r, -r)))[0])
+    N = np.asfortranarray(np.linalg.qr(null)[0])
     x = lu.solve(np.concatenate([rhs, np.zeros(c - r)]))
     return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
 

@@ -4,7 +4,9 @@ counts are structural invariants."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+import sarod.graph
 from sarod import (
     Bipartition,
     Framework,
@@ -18,7 +20,7 @@ from sarod import (
     triple_index_components,
 )
 from sarod.construction import generate
-from sarod.graph import GraphError
+from sarod.graph import GraphError, tree_sums, vertex_graph
 from sarod.snl import SolverConfig, build_network, localize_network, solution_residuals
 
 from conftest import random_connected_graph, random_framework, relabelled_graph
@@ -203,9 +205,52 @@ def test_spanning_tree_cached_read_only():
     assert Graph(4, g.edges).spanning_tree is not tree  # one cache per instance
 
 
-def test_localization_builds_the_vertex_tree_once(monkeypatch):
-    import sarod.graph
+def _doubling_root_paths(g):
+    """Root paths by sparse pointer doubling over the BFS tree (R + up @ R, up @ up): the reference for the level gather."""
+    parent, entry, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
+    child = np.flatnonzero(parent >= 0)
+    R = csr_matrix((np.sign(entry[child]), (child, np.abs(entry[child]) - 1)), shape=(g.n, g.m))
+    up = csr_matrix((np.ones(len(child), dtype=int), (child, parent[child])), shape=(g.n, g.n))
+    while up.nnz:
+        R, up = R + up @ R, up @ up
+    R.sort_indices()
+    return R
 
+
+@pytest.mark.parametrize("recipe", ["quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"])
+def test_root_paths_match_pointer_doubling(recipe):
+    # Gathered one tree level at a time, R has the doubling construction's
+    # CSR arrays exactly, dtypes included.
+    for n in (70, 2000):
+        g = generate(recipe, n, 0).framework.graph
+        for graph in (g, augment_anchor_clique(g, [1, 2, 3])):
+            R, ref = graph.spanning_tree.root_paths, _doubling_root_paths(graph)
+            for part in ("data", "indices", "indptr"):
+                got, want = getattr(R, part), getattr(ref, part)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (recipe, n, part)
+
+
+def test_triple_pairing_built_once_per_graph_and_mode():
+    # The graph-only part of the enumeration is built once per graph and
+    # mode and shared by a framework and its swap, whose SA and RoD sets
+    # trade places; a new graph instance builds its own, equal one.
+    fw = generate("mix-D2A1", 30, 0).framework
+    g = fw.graph
+    for mode in ("full", "reduced"):
+        sa, rod = enumerate_triples(g, fw.bipartition, mode)
+        pairing = sarod.graph._pairing(g, mode)
+        sa_s, rod_s = enumerate_triples(g, fw.swapped().bipartition, mode)
+        assert sarod.graph._pairing(g, mode) is pairing
+        assert (sa_s.triples, rod_s.triples) == (rod.triples, sa.triples)
+        assert np.array_equal(sa_s.e1, rod.e1) and np.array_equal(rod_s.e2, sa.e2)
+        with pytest.raises(ValueError):
+            pairing[0][0, 0] = 0
+        fresh = enumerate_triples(Graph(g.n, g.edges), fw.bipartition, mode)
+        assert [s.triples for s in fresh] == [sa.triples, rod.triples]
+    assert sarod.graph._pairing(g, "full") is not sarod.graph._pairing(g, "reduced")
+
+
+def test_localization_builds_the_vertex_tree_once(monkeypatch):
     builds = []
     original = sarod.graph._spanning_tree
 

@@ -151,8 +151,13 @@ def test_reduced_mode_has_same_rank(rng):
         assert full == red
 
 
+def _unit_matrix(fw):
+    """The rank test's matrix M (reduced rows at unit norm), from a fresh ``_RankTest``."""
+    return sarod.rigidity._RankTest(fw).matrix
+
+
 def _check_cached_rank(fw, rtol):
-    M = sarod.rigidity._rank_test_matrix(fw).toarray()
+    M = _unit_matrix(fw).toarray()
     rank = infinitesimal_rigidity_test(fw, rtol).rank
     assert rank == sarod.rigidity._svd_factor(M, rtol)[0]
     assert 2 * fw.n - rank == null_space(M, rtol).shape[1]
@@ -189,7 +194,7 @@ def test_rank_and_duality_on_recipe_instances(recipe, n, seed):
 
 
 def _dense_rank(fw, rtol):
-    return sarod.rigidity._rank(np.linalg.svd(sarod.rigidity._rank_test_matrix(fw).toarray(), compute_uv=False), rtol)
+    return sarod.rigidity._rank(np.linalg.svd(_unit_matrix(fw).toarray(), compute_uv=False), rtol)
 
 
 @pytest.mark.parametrize("recipe", ["quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal"])
@@ -238,7 +243,7 @@ def test_rank_test_is_sound_along_a_deformation_to_flexibility():
         q = p.copy()
         q[v - 1] = foot + t * (p[v - 1] - foot)
         moved = Framework(fw.graph, fw.bipartition, q)
-        s = np.linalg.svd(sarod.rigidity._rank_test_matrix(moved).toarray(), compute_uv=False)
+        s = np.linalg.svd(_unit_matrix(moved).toarray(), compute_uv=False)
         ratios.append(s[2 * fw.n - 5] / s[0])
         for rtol in (1e-6, 1e-8, 1e-10):
             rep = infinitesimal_rigidity_test(moved, rtol)
@@ -256,8 +261,8 @@ def test_swapped_bipartition_has_the_same_spectrum(rng):
     # original up to row signs, so the rank test sees one spectrum.
     for _ in range(15):
         fw = random_framework(int(rng.integers(4, 11)), rng)
-        s = numerical_rank(sarod.rigidity._rank_test_matrix(fw).toarray())[1]
-        s_swapped = numerical_rank(sarod.rigidity._rank_test_matrix(fw.swapped()).toarray())[1]
+        s = numerical_rank(_unit_matrix(fw).toarray())[1]
+        s_swapped = numerical_rank(_unit_matrix(fw.swapped()).toarray())[1]
         assert np.max(np.abs(s - s_swapped)) <= 1e-10 * s[0]
 
 
@@ -293,6 +298,71 @@ def test_rank_test_and_duality_factor_two_sigma_only_spectra(monkeypatch):
     assert calls == [False, False, False]  # only the new swapped framework is factored
 
 
+RECIPES = ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal")
+
+
+@pytest.mark.parametrize("recipe", RECIPES)
+def test_transferred_swapped_rank_is_the_swapped_frameworks_own(recipe):
+    # The swapped rank proved from the framework's certificate and the
+    # measured defect is the rank the swapped framework's own certificate or
+    # spectrum gives, at every scale; the defect is at the rounding level.
+    for n, scale in itertools.product((12, 70, 270), (1e-6, 1.0, 1e6)):
+        base = generate(recipe, n, 0).framework
+        fw = Framework(base.graph, base.bipartition, base.points * scale)
+        dual = duality_check(fw)
+        own = infinitesimal_rigidity_test(fw.swapped())
+        assert (dual.swapped_factorization, own.factorization) == ("transfer", "cholesky"), (recipe, n, scale)
+        assert dual.rank_swapped == own.rank == dual.rank == 2 * n - 4, (recipe, n, scale)
+        assert 0.0 <= dual.defect < 1e-15, (recipe, n, scale, dual.defect)
+
+
+def test_defect_too_large_refuses_the_transfer(monkeypatch):
+    # Turning one row of the swapped matrix within its triple's SA/RoD plane
+    # (so the trivial motions stay in its null space), by 1e-6 ||M_s||_F,
+    # makes the defect eat the certificate's margin: the swapped framework
+    # takes its own Cholesky, and the verdict is the unperturbed one.
+    fw = generate("quad2v", 70, 0).framework
+    clean = duality_check(fw)
+    swapped_attrs = fw.swapped().bipartition
+    build = sarod.rigidity._sparse_rigidity_matrix
+
+    def perturbed(framework, mode):
+        matrix, sa, rod = build(framework, mode)
+        if framework.bipartition == swapped_attrs and mode == "reduced":
+            row = matrix.data[60:66].reshape(3, 2)  # rows are scaled to unit norm after this
+            row += 1e-6 * np.sqrt(matrix.shape[0]) * row[:, ::-1] * [-1.0, 1.0]  # + t R(pi/2) row, per vertex
+        return matrix, sa, rod
+
+    monkeypatch.setattr(sarod.rigidity, "_sparse_rigidity_matrix", perturbed)
+    dual = duality_check(_fresh(fw))
+    assert clean.swapped_factorization == "transfer" and dual.swapped_factorization == "cholesky"
+    assert clean.defect < 1e-15 and dual.defect == pytest.approx(1e-6, rel=1e-6)
+    assert (dual.rank, dual.rank_swapped) == (clean.rank, clean.rank_swapped) == (136, 136)
+
+
+def test_duality_after_the_rank_test_factors_nothing(monkeypatch):
+    # The swapped rank of a certified framework comes from the rank test's
+    # cached certificate: no Cholesky after it, one when the duality check
+    # runs first.  A framework that does not certify leaves its swap to its
+    # own spectrum.
+    potrf, calls = sarod.rigidity.lapack.dpotrf, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(sarod.rigidity.lapack, "dpotrf", counting)
+    for recipe in RECIPES:
+        fw = generate(recipe, 70, 1).framework
+        assert infinitesimal_rigidity_test(fw).factorization == "cholesky"
+        calls.clear()
+        assert duality_check(fw).swapped_factorization == "transfer"
+        assert calls == [], recipe
+        assert duality_check(_fresh(fw)).equal and len(calls) == 1, recipe
+    uncertified = duality_check(generate("type2D1", 250, 59182745).framework)
+    assert uncertified.equal and uncertified.swapped_factorization == "dense-svd"
+
+
 def test_cached_spectrum_rank_matches_full_factorization(rng):
     flexible = 0
     for _ in range(20):
@@ -318,7 +388,7 @@ def test_duality_ranks_do_not_depend_on_call_order(rng):
 
 def test_rank_cuts_on_one_instance_match_fresh_instances():
     fw = generate("mix-D2A1", 31, 4).framework
-    s = numerical_rank(sarod.rigidity._rank_test_matrix(fw).toarray())[1]
+    s = numerical_rank(_unit_matrix(fw).toarray())[1]
     k = len(s) // 2
     loose = float(np.sqrt(s[k] * s[k + 1]) / s[0])  # cuts the spectrum after index k
     for rtol in (1e-8, loose, 1e-8):

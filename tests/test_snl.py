@@ -15,10 +15,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.linalg import lstsq, null_space
 from scipy.optimize import least_squares
 from scipy.stats import qmc
 
+import sarod.snl
 from sarod import (
     Bipartition,
     EdgeSolution,
@@ -44,6 +46,7 @@ from sarod.geometry import rotation
 from sarod.graph import fundamental_cycle_basis, path_matrix
 from sarod.rigidity import _svd_factor, numerical_rank
 from sarod.snl import (
+    LinearSystem,
     _closure_entries,
     _cluster_zeros,
     _cycle_sums,
@@ -1225,3 +1228,88 @@ def test_lu_certificate_is_scale_free_and_one_sided():
             assert _lu_solved(scipy.sparse.csc_matrix(near * scale), rhs, rtol) is None, (scale, wide)
             assert _solved(near * scale, rhs, rtol).rank == 1
     assert _lu_solved(scipy.sparse.csc_matrix(np.ones((2, 2))), np.ones(2), rtol) is None
+
+
+def _three_solve_closure(A, rhs, rtol):
+    """``_lu_solved`` as three separate LU solves (the whole inverse, the null columns, [rhs; 0]): the reference."""
+    r, c = A.shape
+    if not 0 < r <= c:
+        return None
+    norm = float(np.linalg.norm(A.data))
+    G = np.random.default_rng(0).standard_normal((c - r, c))
+    G *= norm / np.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
+    lu = scipy.sparse.linalg.splu(_completed(A, G))
+    if not np.sum(lu.solve(np.eye(c)) ** 2) < (0.5 / (rtol * norm)) ** 2:
+        return None
+    N = np.asfortranarray(np.linalg.qr(lu.solve(np.eye(c, c - r, -r)))[0])
+    x = lu.solve(np.concatenate([rhs, np.zeros(c - r)]))
+    return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
+
+
+@pytest.mark.parametrize("block", [7, 256])
+def test_lu_closure_solves_each_block_once(monkeypatch, block):
+    # One pass over blocks of identity columns gives the bound's sum and the
+    # null basis, and one more solve the minimum-norm solution:
+    # ceil(c / block) + 1 LU solves per closure.  Status, null_dim and
+    # positions are those of the separate inverse, null-column and
+    # right-hand-side solves, on every recipe at three scales; a 7-column
+    # block puts block edges on both sides of the closure's row count.
+    real_splu, counts = sarod.snl.splu, []
+
+    class CountingLU:
+        def __init__(self, A):
+            self.lu = real_splu(A)
+            counts.append([A.shape[1], 0])
+
+        def solve(self, b):
+            counts[-1][1] += 1
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(sarod.snl, "_LU_BLOCK", block)
+    for recipe, n, scale in itertools.product(RECIPES, (70, 140), (1e-6, 1.0, 1e6)):
+        base = generate(recipe, n, 0).framework
+        net = build_network(Framework(base.graph, base.bipartition, base.points * scale), [1, 2])
+        with monkeypatch.context() as m:
+            m.setattr(sarod.snl, "splu", CountingLU)
+            counts.clear()
+            got = localize_network(net)
+        assert counts and all(solves == -(-c // block) + 1 for c, solves in counts), (recipe, n, scale, counts)
+        with monkeypatch.context() as m:
+            m.setattr(sarod.snl, "_lu_solved", _three_solve_closure)
+            want = localize_network(net)
+        assert got.solution.status == want.solution.status, (recipe, n, scale)
+        assert got.solution.info["null_dim"] == want.solution.info["null_dim"], (recipe, n, scale)
+        assert got.solution.info["factorization"] == want.solution.info["factorization"] == "sparse-lu", (recipe, n, scale)
+        assert np.max(np.abs(got.positions - want.positions)) <= 1e-12 * np.max(np.abs(want.positions)), (recipe, n, scale)
+
+
+def test_lu_closure_holds_one_block_at_a_time():
+    # quad2v n = 2000: a block of identity columns and its solution take
+    # 3.9 MiB each.  The closure solve holds one solution at a time (one
+    # kept alive through the next block's solve makes the peak three).
+    net = build_network(generate("quad2v", 2000, 0).framework, [1, 2])
+    tracemalloc.start()
+    try:
+        system = closure_system(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * system.matrix.shape[1] * sarod.snl._LU_BLOCK
+    assert system.factorization == "sparse-lu" and peak < 3 * block, (peak, block)
+
+
+@pytest.mark.parametrize("block, r, c", [(7, 15, 20), (7, 14, 20), (7, 13, 20), (7, 3, 30), (7, 21, 21), (256, 260, 270)])
+def test_lu_closure_null_columns_across_block_edges(monkeypatch, block, r, c):
+    # The null columns r..c-1 of A_hat^-1 start inside a block, at its edge
+    # or after a block that ends before row r (15 = 2 * 7 + 1 rows with a
+    # 5-column null space; 260 = 256 + 4 rows with 10).  The one-pass basis
+    # and solution equal the separate solves'.
+    monkeypatch.setattr(sarod.snl, "_LU_BLOCK", block)
+    rng = np.random.default_rng(r * c)
+    A = scipy.sparse.csc_matrix(rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.5) + np.eye(r, c))
+    rhs = rng.standard_normal(r)
+    got, want = _lu_solved(A, rhs, 1e-9), _three_solve_closure(A, rhs, 1e-9)
+    assert got is not None and want is not None
+    assert got.null_basis.shape == want.null_basis.shape == (c, c - r)
+    assert np.allclose(got.null_basis, want.null_basis, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.min_norm_solution, want.min_norm_solution, rtol=0.0, atol=1e-12 * np.max(np.abs(want.min_norm_solution)))
