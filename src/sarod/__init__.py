@@ -31,7 +31,6 @@ from .graph import (
     Graph,
     TripleIndexSet,
     augment_anchor_clique,
-    edge_code,
     enumerate_triples,
     fundamental_cycle_basis,
     incidence_matrix,

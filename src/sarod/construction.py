@@ -455,23 +455,22 @@ def _require_rigid(fw: Framework, label: str):
         raise ConstructionError(f"{label} framework fails the rank test (rank {report.rank} != {report.required})")
 
 
-def merge_add_edges(fw1: Framework, fw2: Framework, pair1, pair2, three_edges: bool = False, check: bool = True) -> Framework:
+def merge_add_edges(fw1: Framework, fw2: Framework, pair1, pair2, three_edges: bool = False) -> Framework:
     """Merge two rigid frameworks by adding cross edges.
 
     With vertices (i, m) of the first framework and (j, k) of the second,
     adds edges (m, k) and (i, j); exactly three of the four must be
     A-vertices with non-collinear positions.  With ``three_edges`` all four
     must be A-vertices (no three collinear) and edges (i, j), (i, k), (m, k)
-    are added.  ``check`` runs the rank test on both inputs, standing in
-    for the global-rigidity precondition of ordering-generated inputs.
+    are added.  Both inputs must pass the rank test, standing in for the
+    global-rigidity precondition of ordering-generated inputs.
     """
     i, m = pair1
     j, k = pair2
     _check_vertices(fw1, "first", i, m)
     _check_vertices(fw2, "second", j, k)
-    if check:
-        _require_rigid(fw1, "first")
-        _require_rigid(fw2, "second")
+    _require_rigid(fw1, "first")
+    _require_rigid(fw2, "second")
     n1 = fw1.n
     jj, kk = j + n1, k + n1
     attrs4 = [fw1.bipartition.attr(i), fw1.bipartition.attr(m), fw2.bipartition.attr(j), fw2.bipartition.attr(k)]
@@ -497,21 +496,21 @@ def merge_add_edges(fw1: Framework, fw2: Framework, pair1, pair2, three_edges: b
     return Framework(Graph.from_edges(n1 + fw2.n, edges), Bipartition(attrs), points)
 
 
-def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b, check: bool = True):
+def merge_contract(fw1: Framework, fw2: Framework, pair_a, pair_b):
     """Merge two rigid frameworks by contracting two coincident vertex pairs.
 
     Pairs (i, j) and (m, k) with i, m in the first framework and j, k in the
     second must have equal positions (within 1e-9) and equal attributes.
-    Returns (framework, vertex_map) where vertex_map sends each vertex of
-    the second framework to its id in the merged one.
+    Both inputs must pass the rank test.  Returns (framework, vertex_map)
+    where vertex_map sends each vertex of the second framework to its id in
+    the merged one.
     """
     i, j = pair_a
     m, k = pair_b
     _check_vertices(fw1, "first", i, m)
     _check_vertices(fw2, "second", j, k)
-    if check:
-        _require_rigid(fw1, "first")
-        _require_rigid(fw2, "second")
+    _require_rigid(fw1, "first")
+    _require_rigid(fw2, "second")
     if j == k or i == m:
         raise ConstructionError("contraction pairs must use distinct vertices")
     for (u, v) in ((i, j), (m, k)):

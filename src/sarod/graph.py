@@ -9,19 +9,22 @@ incidence matrix row of edge (i, j) has -1 at column i and +1 at column j.
 All matrices produced here (incidence, cycle basis, path matrices) are
 integer-valued, so identities like C @ H == 0 hold exactly.  Every
 breadth-first forest is one walk, ``tree_sums``, over a ``signed_graph``
-(the vertex graph or a triple index graph).  Each ``Graph`` builds its one
+(the vertex graph or a triple index graph); its one pointer-doubling loop
+gives each node's summed steps and depth.  Each ``Graph`` builds its one
 vertex spanning tree at most once, and that tree keeps its root paths as
 one sparse signed matrix R (``SpanningTree.root_paths``), gathered one
-tree level at a time: the cycle basis and the path matrices are read off
-R's rows, and nothing holds a dense (n, m) copy.  Each ``Graph`` also
-pairs its incident edges into measurement triples once per mode; a
-bipartition only splits that list into SA and RoD triples.
+tree level at a time from those depths: the cycle basis and the path
+matrices are read off R's rows, and nothing holds a dense (n, m) copy.
+Each ``Graph`` also pairs its incident edges into measurement triples once
+per mode, as 0-based arrays; a bipartition only slices them into the SA
+and RoD ``TripleIndexSet``s, which are those three arrays and nothing else
+(the 1-based tuples that key a ``MeasurementSet`` are derived on demand).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -33,7 +36,6 @@ __all__ = [
     "Graph",
     "Bipartition",
     "TripleIndexSet",
-    "edge_code",
     "incidence_matrix",
     "SpanningTree",
     "fundamental_cycle_basis",
@@ -153,31 +155,32 @@ class Bipartition:
         return bool(self.a_vertices()) and bool(self.d_vertices())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleIndexSet:
-    """Measurement triples (apex, v, w) with v < w and (apex,v), (apex,w) edges."""
+    """Measurement triples (apex, v, w) with v < w and (apex, v), (apex, w) edges, as three arrays.
 
-    kind: str  # "sa" | "rod"
-    triples: tuple[tuple[int, int, int], ...]
-    # Canonical indices of edges (apex, v) and (apex, w), per triple.
-    e1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
-    e2: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), compare=False, repr=False)
-    # The triples as a (T, 3) array of 0-based vertex indices (apex, v, w); built from
-    # ``triples`` unless given.
-    vertex_index: np.ndarray | None = field(default=None, compare=False, repr=False)
+    Compared by identity: array fields define no ``==``.
+    """
+
+    vertex_index: np.ndarray  # (T, 3) 0-based vertex indices (apex, v, w), one row per triple
+    e1: np.ndarray  # (T,) canonical index of edge (apex, v)
+    e2: np.ndarray  # (T,) canonical index of edge (apex, w)
 
     def __post_init__(self):
-        if not len(self.e1) == len(self.e2) == len(self.triples):
+        if not len(self.e1) == len(self.e2) == len(self.vertex_index):
             raise GraphError("need one (e1, e2) edge-index pair per triple")
-        if self.vertex_index is None:
-            object.__setattr__(self, "vertex_index", np.array(self.triples, dtype=int).reshape(-1, 3) - 1)
         t = self.vertex_index
         repeated = (t[:, 0] == t[:, 1]) | (t[:, 0] == t[:, 2]) | (t[:, 1] == t[:, 2])
         if repeated.any():
-            raise GraphError(f"triple {self.triples[int(repeated.argmax())]} must have three distinct vertices")
+            raise GraphError(f"triple {tuple((t[repeated.argmax()] + 1).tolist())} must have three distinct vertices")
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The triples as 1-based vertex-id tuples, the keys of a ``MeasurementSet``; derived on each read."""
+        return tuple(map(tuple, (self.vertex_index + 1).tolist()))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.vertex_index)
 
 
 @dataclass(frozen=True)
@@ -187,12 +190,6 @@ class SpanningTree:
     parent: tuple[int, ...]  # parent id per vertex (0 for the root), 1-based slots
     parent_edge: tuple[int, ...]  # canonical index of the edge to the parent (-1 for the root)
     root_paths: csr_matrix  # R, (n, m) read-only sparse ints: row v - 1 is the signed edge indicator of the path 1 -> v
-
-
-def edge_code(i: int, j: int, n: int) -> int:
-    """Scalar code of edge {i,j} in a graph on n vertices: (min-1)*n + max."""
-    lo, hi = (i, j) if i < j else (j, i)
-    return (lo - 1) * n + hi
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -232,13 +229,9 @@ def path_matrix(g: Graph, base: int) -> np.ndarray:
 
 def _spanning_tree(g: Graph) -> SpanningTree:
     """BFS tree from vertex 1 over ascending neighbours, and its root paths gathered one tree level per step."""
-    parent, entry, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
+    parent, entry, _, depth = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
     if np.count_nonzero(parent < 0) > 1:
         raise GraphError("graph not connected")
-    # Depth by pointer doubling: depth[v] counts the tree edges from up[v] down to v.
-    up, depth = np.maximum(parent, 0), (parent >= 0).astype(np.intp)
-    while up.any():
-        depth, up = depth + depth[up], up[up]
     by_level = np.argsort(depth, kind="stable")
     bounds = np.searchsorted(depth[by_level], np.arange(depth.max() + 2))
     # The root path of every vertex on level d is its parent's path and then its own entry:
@@ -259,7 +252,7 @@ def _spanning_tree(g: Graph) -> SpanningTree:
 
 
 def _pairing(g: Graph, mode: str):
-    """(t, e1, e2): every triple (apex, v, w) of ``mode`` as a (T, 3) array, and the indices of edges (apex, v), (apex, w).
+    """(t, e1, e2): every triple (apex, v, w) of ``mode`` as a (T, 3) array of 0-based vertex indices, and the indices of edges (apex, v), (apex, w).
 
     Only the graph enters, so each ``Graph`` builds it once per mode, kept
     read-only in its instance dict (the graph is frozen); a framework and
@@ -270,11 +263,11 @@ def _pairing(g: Graph, mode: str):
     if key not in cache:
         # Half-edges (apex, neighbour) sorted by apex, then neighbour, list each apex's ascending
         # adjacency in turn; ``slot`` is a half-edge's position in its apex's list.
-        ends = np.array(g.edges, dtype=int).reshape(-1, 2)
+        ends = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
         half = np.concatenate([ends, ends[:, ::-1]])
         order = np.lexsort((half[:, 1], half[:, 0]))
         apex, nbr, edge = half[order, 0], half[order, 1], order % max(g.m, 1)
-        deg = np.bincount(apex, minlength=g.n + 1)
+        deg = np.bincount(apex, minlength=g.n)
         slot = np.arange(len(apex)) - (np.cumsum(deg) - deg)[apex]
         # Slot a pairs with every later slot b of its apex (full), or only slot 0 does (reduced).
         later = deg[apex] - 1 - slot
@@ -294,20 +287,16 @@ def enumerate_triples(g: Graph, bip: Bipartition, mode: str = "full"):
     ``full`` emits every pair of incident edges at each apex; ``reduced``
     emits only the pairs anchored at the apex's minimum neighbor (a spanning
     subset, deg(u)-1 triples per vertex), useful as a rigidity-matrix
-    row reduction.  Each set keeps the order of ``_pairing``.
+    row reduction.  Each set keeps the order of ``_pairing`` and slices its
+    arrays; no tuple of triples is built.
     """
     if mode not in ("full", "reduced"):
         raise GraphError(f"unknown triple mode {mode!r}")
     if bip.n != g.n:
         raise GraphError("bipartition size does not match graph")
     t, e1, e2 = _pairing(g, mode)
-    is_sa = (np.array(bip.attrs) == "A")[t[:, 0] - 1]
-
-    def index_set(kind, keep):
-        tk = t[keep]
-        return TripleIndexSet(kind, tuple(map(tuple, tk.tolist())), e1[keep], e2[keep], tk - 1)
-
-    return index_set("sa", is_sa), index_set("rod", ~is_sa)
+    is_sa = (np.array(bip.attrs) == "A")[t[:, 0]]
+    return TripleIndexSet(t[is_sa], e1[is_sa], e2[is_sa]), TripleIndexSet(t[~is_sa], e1[~is_sa], e2[~is_sa])
 
 
 def signed_graph(a: np.ndarray, b: np.ndarray, size: int) -> csr_matrix:
@@ -332,12 +321,13 @@ def vertex_graph(g: Graph) -> csr_matrix:
 
 
 def tree_sums(graph: csr_matrix, roots, steps: np.ndarray):
-    """Breadth-first forest of a signed graph from ``roots``, and each node's summed steps.
+    """Breadth-first forest of a signed graph from ``roots``, and each node's summed steps and depth.
 
     Walking entry +-(k + 1) adds +-``steps[k]``.  A hub node joined to every
     root makes one traversal (ascending neighbours) span the forest.  Returns
     per node the tree parent (-1 at roots and unreached nodes), the entry
-    walked into it (0 there) and the steps summed along the path from its root.
+    walked into it (0 there), the steps summed along the path from its root
+    and that path's edge count (0 there), both from one pointer-doubling loop.
     """
     size = graph.shape[0]
     # The hub is row ``size``, appended to the CSR arrays.  Their rows must be sorted, as ``signed_graph``
@@ -356,10 +346,12 @@ def tree_sums(graph: csr_matrix, roots, steps: np.ndarray):
     parent = np.where(up[:size] == size, -1, up[:size])
     sums = np.zeros((size + 1, *steps.shape[1:]), dtype=steps.dtype)
     sums[child] = (np.sign(k) * steps[np.abs(k) - 1].T).T
-    # Pointer doubling: sums[v] holds the steps from up[v] down to v.
+    depth = np.zeros(size + 1, dtype=np.intp)
+    depth[child] = 1
+    # Pointer doubling: sums[v] holds the steps, depth[v] the tree edges, from up[v] down to v.
     while np.any(up != size):
-        sums, up = sums + sums[up], up[up]
-    return parent, entry, sums[:size]
+        sums, depth, up = sums + sums[up], depth + depth[up], up[up]
+    return parent, entry, sums[:size], depth[:size]
 
 
 def triple_index_components(t: TripleIndexSet, g: Graph):

@@ -168,7 +168,7 @@ def load_measurements(path) -> MeasurementSet:
 
 def write_result_csv(path, truth: np.ndarray, estimate: np.ndarray):
     """One CSV row per vertex, written at once: the bytes of ``csv.writer``, which writes a float as its ``repr``."""
-    err = np.linalg.norm(estimate - truth, axis=1)
+    err = np.hypot(*(estimate - truth).T)
     rows = np.column_stack([np.arange(1, len(err) + 1), truth, estimate, err])
     with open(path, "w", newline="") as fh:
         fh.write("vertex_id,true_x,true_y,est_x,est_y,err\r\n" + "%d,%r,%r,%r,%r,%r\r\n" * len(rows) % tuple(rows.ravel().tolist()))

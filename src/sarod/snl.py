@@ -60,10 +60,11 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import csc_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .geometry import Framework, MeasurementSet, rigidity_function, rotation, wrap_angle
-from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums, triple_index_components
+from .graph import Graph, TripleIndexSet, augment_anchor_clique, enumerate_triples, fundamental_cycle_basis, index_graph, tree_sums
 from .rigidity import DEFAULT_RTOL, _batched_lm, _svd_factor
 
 __all__ = [
@@ -180,11 +181,12 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
     if measurements is None:
         sa, rod = np.split(rigidity_function(fw.points, sa_t, rod_t), [len(sa_t)])
     else:
-        missing = [t for t in sa_t.triples if t not in measurements.sa]
-        missing += [t for t in rod_t.triples if t not in measurements.rod]
+        sa_keys, rod_keys = sa_t.triples, rod_t.triples
+        missing = [t for t in sa_keys if t not in measurements.sa]
+        missing += [t for t in rod_keys if t not in measurements.rod]
         if missing:
             raise ValueError(f"measurements missing for {len(missing)} triples, e.g. {missing[0]}")
-        known_sa, known_rod = set(sa_t.triples), set(rod_t.triples)
+        known_sa, known_rod = set(sa_keys), set(rod_keys)
         extra = [t for t in measurements.sa if t not in known_sa] + [t for t in measurements.rod if t not in known_rod]
         if extra:
             raise ValueError(f"measurements reference unknown triples, e.g. {extra[0]}")
@@ -195,8 +197,8 @@ def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = 
         bad = [t for t, v in measurements.rod.items() if not v > 0]
         if bad:
             raise ValueError(f"distance ratios must be positive, got {measurements.rod[bad[0]]} at {bad[0]}")
-        sa = wrap_angle(np.array([measurements.sa[t] for t in sa_t.triples], dtype=float))
-        rod = np.array([measurements.rod[t] for t in rod_t.triples], dtype=float)
+        sa = wrap_angle(np.array([measurements.sa[t] for t in sa_keys], dtype=float))
+        rod = np.array([measurements.rod[t] for t in rod_keys], dtype=float)
     pairs = list(itertools.combinations(anchor_list, 2))  # (i, j) with i < j, ascending
     tail, head = np.array(pairs).T
     e = fw.points[head - 1] - fw.points[tail - 1]
@@ -255,8 +257,9 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     """Additive potentials over one triple index graph, pinned by the anchor edges.
 
     Triple k carries the potential of its edge e1 to its edge e2 by adding
-    ``steps[k]``.  Each component's smallest edge is its root, at potential
-    0; every other edge sums the steps along a breadth-first tree from it
+    ``steps[k]``.  The index graph is built once: its components come from
+    it, and each component's smallest edge is its root, at potential 0;
+    every other edge sums the steps along a breadth-first tree from it
     (``graph.tree_sums``, the walk the vertex spanning tree uses too).  A
     component holding an anchor edge is shifted to reproduce the anchor
     value there (``anchor_values``, one per ``net.anchor_edges``).  Returns
@@ -265,10 +268,10 @@ def _propagate(net: SensorNetwork, triples: TripleIndexSet, steps: np.ndarray, a
     worst closure mismatch); mismatches above the consistency tolerance
     raise ``InfeasibleMeasurementsError``.
     """
-    g = net.graph
-    labels, n_comp = triple_index_components(triples, g)
+    graph = index_graph(triples, net.graph.m)
+    n_comp, labels = connected_components(graph, directed=False)
     roots = np.unique(labels, return_index=True)[1]
-    pot = tree_sums(index_graph(triples, g.m), roots, steps)[2]
+    pot = tree_sums(graph, roots, steps)[2]
     tol = SolverConfig.consistency_tol
     mismatch = float(np.max(np.abs(_centered(pot[triples.e2] - pot[triples.e1] - steps, period)), initial=0.0))
     if not mismatch <= tol:  # NaN fails too
@@ -822,11 +825,12 @@ def localizability_check(net: SensorNetwork, config: SolverConfig | None = None)
 # Nothing in the package calls these: localization factors through
 # _lu_solved or _svd_factor and solves in _solve, recovery multiplies by the
 # sparse root paths, build_network takes exact measurements straight from
-# rigidity_function, and rigidity's least_squares imports scipy.optimize lazily.
+# rigidity_function, propagation labels components on the index graph it
+# walks, and rigidity's least_squares imports scipy.optimize lazily.
 from scipy.linalg import lstsq  # noqa: E402, F401
 
 from .geometry import synthesize_measurements  # noqa: E402, F401
-from .graph import path_matrix  # noqa: E402, F401
+from .graph import path_matrix, triple_index_components  # noqa: E402, F401
 from .rigidity import least_squares, null_space, numerical_rank  # noqa: E402, F401
 
 solve_sa_connected = solve_rod_connected = solve_disconnected = _solve

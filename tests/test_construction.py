@@ -390,7 +390,7 @@ def test_merges_reject_vertex_ids_out_of_range(pair1, pair2, bad):
     # An id of 0 would otherwise index the last vertex; fw1 has 6 vertices, fw2 has 4.
     fw1, fw2 = _merge_inputs(5)
     with pytest.raises(ConstructionError, match=f"vertex {bad} is not in"):
-        merge_add_edges(fw1, fw2, pair1, pair2, check=False)
+        merge_add_edges(fw1, fw2, pair1, pair2)
     (i, m), (j, k) = pair1, pair2
     with pytest.raises(ConstructionError, match=f"vertex {bad} is not in"):
-        merge_contract(fw1, fw2, (i, j), (m, k), check=False)
+        merge_contract(fw1, fw2, (i, j), (m, k))

@@ -12,7 +12,6 @@ from sarod import (
     Framework,
     Graph,
     augment_anchor_clique,
-    edge_code,
     enumerate_triples,
     fundamental_cycle_basis,
     incidence_matrix,
@@ -195,6 +194,14 @@ def test_spanning_tree_matches_loop_reference(rng):
             assert pm.dtype == rows.dtype and np.array_equal(pm, rows[1:] - rows[base])
 
 
+def test_tree_sums_depth_counts_root_path_edges(rng):
+    # The depth from the doubling loop is the edge count of each vertex's root path.
+    for g in _reference_graphs(rng):
+        rows = _loop_tree_reference(g)[2]
+        depth = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))[3]
+        assert np.array_equal(depth, np.count_nonzero(rows[1:], axis=1))
+
+
 def test_spanning_tree_cached_read_only():
     g = Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
     tree = g.spanning_tree
@@ -207,7 +214,7 @@ def test_spanning_tree_cached_read_only():
 
 def _doubling_root_paths(g):
     """Root paths by sparse pointer doubling over the BFS tree (R + up @ R, up @ up): the reference for the level gather."""
-    parent, entry, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
+    parent, entry, _, _ = tree_sums(vertex_graph(g), [0], np.zeros((g.m, 0)))
     child = np.flatnonzero(parent >= 0)
     R = csr_matrix((np.sign(entry[child]), (child, np.abs(entry[child]) - 1)), shape=(g.n, g.m))
     up = csr_matrix((np.ones(len(child), dtype=int), (child, parent[child])), shape=(g.n, g.n))
@@ -264,6 +271,23 @@ def test_localization_builds_the_vertex_tree_once(monkeypatch):
     solution_residuals(net, result.solution)
     assert result.solution.info["zero_clusters"] >= 1
     assert builds == [net.graph]
+
+
+def test_each_propagation_side_builds_one_index_graph(monkeypatch):
+    # Components and the potential walk share one index graph per side.
+    calls = []
+    original = sarod.graph.signed_graph
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    net = build_network(generate("mix-D2A1", 16, 2).framework, [1, 2])
+    monkeypatch.setattr(sarod.graph, "signed_graph", counted)
+    net.bearing_param
+    assert len(calls) == 1
+    net.distance_param
+    assert len(calls) == 2
 
 
 def test_enumerate_triples_star():
@@ -336,13 +360,6 @@ def test_degree_one_vertex_contributes_no_triples():
     assert len(sa) == 0 and len(rod) == 1
 
 
-def test_edge_code_examples():
-    # Codes used by the index-graph figure: 2=a12, 30=a56 on six vertices.
-    assert edge_code(1, 2, 6) == 2
-    assert edge_code(5, 6, 6) == 30
-    assert edge_code(6, 5, 6) == 30
-
-
 def test_index_components_reference_graph():
     # Six-vertex graph whose SA index graph has five components while the
     # RoD index graph is connected (V_A = {2}).
@@ -363,15 +380,16 @@ def test_index_components_empty_triples():
     g = Graph(4, ((1, 2), (2, 3), (3, 4)))
     from sarod.graph import TripleIndexSet
 
-    _, c = triple_index_components(TripleIndexSet("sa", ()), g)
+    none = np.zeros(0, dtype=int)
+    _, c = triple_index_components(TripleIndexSet(none.reshape(0, 3), none, none), g)
     assert c == g.m
 
 
 def test_triple_index_set_needs_one_edge_pair_per_triple():
     from sarod.graph import TripleIndexSet
 
-    with pytest.raises(GraphError):
-        TripleIndexSet("sa", ((1, 2, 3),))
+    with pytest.raises(GraphError, match="one \\(e1, e2\\) edge-index pair per triple"):
+        TripleIndexSet(np.array([[0, 1, 2]]), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
 def test_index_components_star_single():
