@@ -103,7 +103,11 @@ class Framework:
         return self.graph.m
 
     def swapped(self) -> "Framework":
-        return Framework(self.graph, self.bipartition.swapped(), self.points)
+        """The framework with the A/D parts exchanged; it shares the graph and the points, already checked and read-only, so nothing is validated again."""
+        fw = object.__new__(Framework)
+        for name, value in (("graph", self.graph), ("bipartition", self.bipartition.swapped()), ("points", self.points)):
+            object.__setattr__(fw, name, value)
+        return fw
 
     def point(self, v: int) -> np.ndarray:
         return self.points[v - 1]

@@ -66,6 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -225,27 +226,39 @@ class _RankTest:
     motions (and sigma_1 >= 1).  ``certified(rtol)`` is a lower bound l on
     sigma_min([M; Q^T]) from one shifted Cholesky per cut (0.0 when it
     fails); ``spectrum()`` the dense singular values, computed at most
-    once.  See the module docstring.
+    once.  See the module docstring.  ``motions``, a test on the same
+    points (the framework a swap came from), lends its Q, ||Q||_F^2 bound
+    and drift bound, which depend on the points only; M, ``fro`` and
+    ``trivial`` are always this framework's own.
     """
 
-    def __init__(self, fw: Framework):
+    def __init__(self, fw: Framework, motions: "_RankTest | None" = None):
         M, sa, _ = _sparse_rigidity_matrix(fw, "reduced")
         M.data /= np.repeat(np.linalg.norm(M.data.reshape(-1, 6), axis=1), 6)
-        T = trivial_motions(fw.points)
+        self.points = fw.points
         self.matrix = M
         self.n_sa = len(sa)
-        self.residual = float(np.max(np.linalg.norm(M @ T, axis=0) / np.linalg.norm(T, axis=0)))
         self.fro = math.sqrt(_up(float(M.data @ M.data), M.nnz + 1))
-        Q = np.linalg.qr(T)[0]
-        self.basis = Q
-        self.basis_fro2 = _up(float(np.sum(Q * Q)), Q.size + 1)
-        # ||Q^T Q - I||_2 <= ||fl(Q^T Q) - I||_F + gamma_N ||Q||_F^2, and sigma_min(Q)^2 >= 1 - that.
-        drift = _up(float(np.linalg.norm(Q.T @ Q - np.eye(4))) + _gamma(len(Q)) * self.basis_fro2)
+        if motions is None:
+            Q = np.linalg.qr(trivial_motions(fw.points))[0]
+            self.basis = Q
+            self.basis_fro2 = _up(float(np.sum(Q * Q)), Q.size + 1)
+            # ||Q^T Q - I||_2 <= ||fl(Q^T Q) - I||_F + gamma_N ||Q||_F^2, and sigma_min(Q)^2 >= 1 - that.
+            self.drift = _up(float(np.linalg.norm(Q.T @ Q - np.eye(4))) + _gamma(len(Q)) * self.basis_fro2)
+        else:
+            self.basis, self.basis_fro2, self.drift = motions.basis, motions.basis_fro2, motions.drift
+        Q = self.basis
         MQ = M @ Q
         mq = _up(math.sqrt(_up(float(np.sum(MQ * MQ)), MQ.size + 1)) + _gamma(6) * self.fro * math.sqrt(self.basis_fro2))
-        self.trivial = _up(mq / math.sqrt(1.0 - drift)) if drift < 1.0 else math.inf
+        self.trivial = _up(mq / math.sqrt(1.0 - self.drift)) if self.drift < 1.0 else math.inf
         self._certified: dict[float, float] = {}
         self._sigma: np.ndarray | None = None
+
+    @cached_property
+    def residual(self) -> float:
+        """max_j ||M t_j|| / ||t_j|| over the four trivial motions t_j, measured when first read."""
+        T = trivial_motions(self.points)
+        return float(np.max(np.linalg.norm(self.matrix @ T, axis=0) / np.linalg.norm(T, axis=0)))
 
     def certified(self, rtol: float) -> float:
         if rtol not in self._certified:
@@ -386,7 +399,9 @@ def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
     The framework's rank is decided as in ``infinitesimal_rigidity_test``,
     from the state the rank test cached if it ran first.  The swapped
     framework is always assembled anew: its matrix M_s and its trivial
-    motion bound are measured, and so is ``defect``, the distance of M_s
+    motion bound are measured (with the framework's own basis Q of the
+    trivial motions, which depends on the points only), and so is
+    ``defect``, the distance of M_s
     from the rotated, re-signed and re-ordered framework matrix P S M K.
     Its rank is then proved from the framework's certificate
     (``swapped_factorization == "transfer"``: Courant-Fischer, then Weyl
@@ -396,7 +411,7 @@ def duality_check(fw: Framework, rtol: float = DEFAULT_RTOL) -> DualityResult:
     """
     test = _rank_test(fw)
     rank = test.decide(rtol)[0]
-    return DualityResult(rank, *_rank_test(fw.swapped()).decide_swapped(test, rtol))
+    return DualityResult(rank, *_RankTest(fw.swapped(), test).decide_swapped(test, rtol))
 
 
 # --- quadrilateral global-rigidity criteria -------------------------------

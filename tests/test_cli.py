@@ -238,6 +238,19 @@ def test_cli_analyze_prints_json_for_three_anchors(tmp_path):
     report = json.loads(run.stdout)
     assert report["anchors"] == [1, 2, 3]
     assert (report["localizability"], report["evidence"]["factorization"], report["evidence"]["null_dim"]) == ("heuristic-unique", "sparse-lu", 2)
+    assert 0 < report["evidence"]["active_components"] <= report["evidence"]["free_bearing_dim"] // 2
+
+
+def test_cli_localize_reports_the_active_components(tmp_path):
+    # The multi-start's report counts the free angle references it moved:
+    # on mix-D2A1 a few of them, the ones the closure's null space touches.
+    net, rep_path = tmp_path / "mix.json", tmp_path / "rep.json"
+    save_network(net, generate("mix-D2A1", 70, 42).framework, anchors=(1, 2))
+    assert main(["localize", "--net", str(net), "--out-report", str(rep_path)]) == 0
+    report = json.loads(rep_path.read_text())
+    info = report["info"]
+    assert (report["status"], info["null_dim"]) == ("heuristic-unique", 4)
+    assert 0 < info["active_components"] < info["free_bearing_dim"] // 2
 
 
 def test_cli_localize_has_no_method_flag(tmp_path, capsys):

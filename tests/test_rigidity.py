@@ -363,6 +363,30 @@ def test_duality_after_the_rank_test_factors_nothing(monkeypatch):
     assert uncertified.equal and uncertified.swapped_factorization == "dense-svd"
 
 
+def test_duality_reuses_the_frameworks_trivial_motion_basis(monkeypatch):
+    # The swap shares the framework's checked, read-only points, so it is
+    # not validated again, and its rank test borrows the framework's QR
+    # basis of the trivial motions: no trivial motion is formed after the
+    # rank test.  The swapped matrix and its trivial bound are still
+    # measured, bit for bit what a rank test of its own gives.
+    import sarod.geometry
+
+    for recipe in RECIPES:
+        fw = generate(recipe, 70, 2).framework
+        infinitesimal_rigidity_test(fw)
+        with monkeypatch.context() as m:
+            calls = []
+            m.setattr(sarod.geometry, "check_distinct", lambda p: calls.append("check_distinct"))
+            m.setattr(sarod.rigidity, "trivial_motions", lambda p: calls.append("trivial_motions"))
+            swapped = fw.swapped()
+            dual = duality_check(fw)
+        assert calls == [] and dual.swapped_factorization == "transfer", recipe
+        assert swapped.graph is fw.graph and swapped.points is fw.points and swapped.bipartition == fw.bipartition.swapped()
+        own, lent = sarod.rigidity._RankTest(_fresh(swapped)), sarod.rigidity._RankTest(swapped, sarod.rigidity._rank_test(fw))
+        assert np.array_equal(own.basis, lent.basis) and (own.basis_fro2, own.drift) == (lent.basis_fro2, lent.drift), recipe
+        assert (own.fro, own.trivial, own.residual) == (lent.fro, lent.trivial, lent.residual), recipe
+
+
 def test_cached_spectrum_rank_matches_full_factorization(rng):
     flexible = 0
     for _ in range(20):

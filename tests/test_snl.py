@@ -44,7 +44,7 @@ from sarod import (
 from sarod.construction import generate
 from sarod.geometry import rotation
 from sarod.graph import fundamental_cycle_basis, path_matrix
-from sarod.rigidity import _svd_factor, numerical_rank
+from sarod.rigidity import _batched_lm, _svd_factor, numerical_rank
 from sarod.snl import (
     LinearSystem,
     _closure_entries,
@@ -925,6 +925,31 @@ def reference_bilinear_solve(net, config=None):
     return _cluster_zeros(net, [s.x for s in sols], [float(np.sum(s.fun**2)) for s in sols], config, "general", info)
 
 
+def reference_null_search(net, config=None):
+    """The null-space multi-start over every free SA component, as the linear-closure solve ran it before the active-component cut.
+
+    Same closure, starts, batched Levenberg-Marquardt and clustering as the
+    package's solve; only every component's unit-norm residual moves with
+    z, the inactive ones included.
+    """
+    config = config or SolverConfig()
+    kw = net.bearing_param.dim
+    system = sarod.snl.closure_system(net, config.rtol)
+    N, x0, L = system.null_basis, system.min_norm_solution, system.null_dim
+    assert L > 0 and kw > 0, "the reference covers the multi-start only"
+    Nw, w0 = N[:kw].reshape(-1, 2, L), x0[:kw].reshape(-1, 2)
+
+    def norms(z):
+        w = w0 + np.einsum("cjl,sl->scj", Nw, z)
+        return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
+
+    starts = np.zeros((config.starts, L))
+    starts[1:] = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L) - 1.0) * config.box_half_width
+    z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)
+    info = {"null_dim": L}
+    return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, "rod", info)
+
+
 def _has_bilinear_edge(net):
     return bool(np.any(~net.bearing_param.resolved & ~net.distance_param.resolved))
 
@@ -1044,6 +1069,79 @@ def test_ambiguous_answer_ignores_the_zeros_objectives(monkeypatch):
             assert (sol.status, sol.info["zero_clusters"]) == ("heuristic-ambiguous", result.solution.info["zero_clusters"]), k
             x = recover_positions(net, sol.bearings, sol.distances, warn=False)
             assert np.max(np.linalg.norm(x - result.positions, axis=1)) < config.cluster_tol * net.unit, k
+
+
+def test_null_search_over_active_components_matches_all_component_reference():
+    # The multi-start moves only the free SA components whose null-basis
+    # block is nonzero; the rest add their constant residual.  On mix-D2A1
+    # (null_dim 4) the verdict, cluster count and answer are those of the
+    # search over every component, at three scales.
+    for n, seed, scale in itertools.product((30, 70, 140, 300), range(5), (1e-6, 1.0, 1e6)):
+        base = generate("mix-D2A1", n, seed).framework
+        net = build_network(Framework(base.graph, base.bipartition, base.points * scale), [1, 2])
+        got, ref = localize_network(net), reference_null_search(net)
+        info, case = got.solution.info, (n, seed, scale)
+        assert (got.solution.status, info["zero_clusters"], info["null_dim"]) == (ref.status, ref.info["zero_clusters"], ref.info["null_dim"]), case
+        assert 0 < info["active_components"] <= info["free_bearing_dim"] // 2, case
+        x = recover_positions(net, ref.bearings, ref.distances, warn=False)
+        assert np.max(np.abs(got.positions - x)) <= 1e-12 * np.max(np.abs(x)), case
+
+
+def _pendant_network():
+    # Edge (4, 5) is a bridge in no triple: its distance is a RoD component
+    # of its own that no cycle constrains, so the closure's null space lies
+    # in that distance only, and the one free SA component is determined.
+    g = Graph(5, ((1, 3), (1, 4), (2, 3), (2, 4), (4, 5)))
+    points = np.array([[0.02, 0.21], [0.3, 0.16], [0.79, 0.17], [0.46, 0.13], [0.78, 0.67]])
+    return build_network(Framework(g, Bipartition.from_a_set(5, [2, 4]), points), [1, 2])
+
+
+def test_null_search_without_active_component_keeps_its_starts(monkeypatch):
+    # No free SA component touches the null space: no start moves, and each
+    # start is its own answer, as in the search over every component.
+    net, runs = _pendant_network(), []
+    real_lm = sarod.snl._batched_lm
+
+    def recording(x, fun, tiny):
+        before = x.copy()
+        z, r = real_lm(x, fun, tiny)
+        runs.append((before, z.copy(), r.shape))
+        return z, r
+
+    monkeypatch.setattr(sarod.snl, "_batched_lm", recording)
+    got = localize_network(net)
+    monkeypatch.undo()
+    info = got.solution.info
+    assert (info["null_dim"], info["free_bearing_dim"], info["active_components"]) == (1, 2, 0)
+    (before, after, shape), = runs
+    assert shape == (SolverConfig().starts, 0) and np.array_equal(before, after)
+    ref = reference_null_search(net)
+    assert (got.solution.status, info["zero_clusters"]) == (ref.status, ref.info["zero_clusters"]) == ("heuristic-ambiguous", 10)
+    x = recover_positions(net, ref.bearings, ref.distances, warn=False)
+    assert np.max(np.abs(got.positions - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_inactive_component_off_the_unit_circle_keeps_the_verdict_nonzero(monkeypatch):
+    # An inactive component's constant |w0|^2 - 1 stays in every start's
+    # objective: with one such reference scaled by 1.1 no start reaches a
+    # zero, though every active component does.
+    net = build_network(generate("mix-D2A1", 70, 0).framework, [1, 2])
+    real_closure, kw = sarod.snl.closure_system, net.bearing_param.dim
+
+    def off_circle(net, rtol):
+        system = real_closure(net, rtol)
+        blocks = np.max(np.abs(system.null_basis[:kw].reshape(-1, 2, system.null_dim)), axis=(1, 2))
+        c = int(np.argmin(blocks))
+        assert blocks[c] <= SolverConfig.active_tol
+        x0 = system.min_norm_solution.copy()
+        x0[2 * c : 2 * c + 2] *= 1.1
+        return dataclasses.replace(system, min_norm_solution=x0)
+
+    monkeypatch.setattr(sarod.snl, "closure_system", off_circle)
+    sol = localize_network(net).solution
+    ref = reference_null_search(net)
+    assert (sol.status, sol.info["zero_clusters"]) == (ref.status, ref.info["zero_clusters"]) == ("solver-failed", 0)
+    assert sol.info["objective_best"] >= (1.1**2 - 1.0) ** 2 * (1.0 - 1e-9)
 
 
 def test_closure_system_shape():
@@ -1246,14 +1344,16 @@ def _three_solve_closure(A, rhs, rtol):
     return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
 
 
-@pytest.mark.parametrize("block", [7, 256])
+@pytest.mark.parametrize("block", [7, 48, 256])
 def test_lu_closure_solves_each_block_once(monkeypatch, block):
     # One pass over blocks of identity columns gives the bound's sum and the
     # null basis, and one more solve the minimum-norm solution:
     # ceil(c / block) + 1 LU solves per closure.  Status, null_dim and
     # positions are those of the separate inverse, null-column and
     # right-hand-side solves, on every recipe at three scales; a 7-column
-    # block puts block edges on both sides of the closure's row count.
+    # block puts block edges on both sides of the closure's row count, 48
+    # is the default, and one 256-column block holds the smaller closures
+    # whole.
     real_splu, counts = sarod.snl.splu, []
 
     class CountingLU:
@@ -1283,10 +1383,14 @@ def test_lu_closure_solves_each_block_once(monkeypatch, block):
         assert np.max(np.abs(got.positions - want.positions)) <= 1e-12 * np.max(np.abs(want.positions)), (recipe, n, scale)
 
 
-def test_lu_closure_holds_one_block_at_a_time():
-    # quad2v n = 2000: a block of identity columns and its solution take
-    # 3.9 MiB each.  The closure solve holds one solution at a time (one
-    # kept alive through the next block's solve makes the peak three).
+def test_lu_closure_holds_one_block_at_a_time(monkeypatch):
+    # quad2v n = 2000 with 256-column blocks: a block of identity columns
+    # and its solution take 3.9 MiB each.  The closure solve holds one
+    # solution at a time (one kept alive through the next block's solve
+    # makes the peak three).  At the default block the solve's other
+    # allocations are a large share of the peak, so the block is set large
+    # here.
+    monkeypatch.setattr(sarod.snl, "_LU_BLOCK", 256)
     net = build_network(generate("quad2v", 2000, 0).framework, [1, 2])
     tracemalloc.start()
     try:
@@ -1298,12 +1402,12 @@ def test_lu_closure_holds_one_block_at_a_time():
     assert system.factorization == "sparse-lu" and peak < 3 * block, (peak, block)
 
 
-@pytest.mark.parametrize("block, r, c", [(7, 15, 20), (7, 14, 20), (7, 13, 20), (7, 3, 30), (7, 21, 21), (256, 260, 270)])
+@pytest.mark.parametrize("block, r, c", [(7, 15, 20), (7, 14, 20), (7, 13, 20), (7, 3, 30), (7, 21, 21), (48, 52, 62), (256, 260, 270)])
 def test_lu_closure_null_columns_across_block_edges(monkeypatch, block, r, c):
     # The null columns r..c-1 of A_hat^-1 start inside a block, at its edge
     # or after a block that ends before row r (15 = 2 * 7 + 1 rows with a
-    # 5-column null space; 260 = 256 + 4 rows with 10).  The one-pass basis
-    # and solution equal the separate solves'.
+    # 5-column null space; 52 = 48 + 4 and 260 = 256 + 4 rows with 10).
+    # The one-pass basis and solution equal the separate solves'.
     monkeypatch.setattr(sarod.snl, "_LU_BLOCK", block)
     rng = np.random.default_rng(r * c)
     A = scipy.sparse.csc_matrix(rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.5) + np.eye(r, c))
