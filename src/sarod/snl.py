@@ -31,18 +31,18 @@ system: the cycle closure C (d * b) = 0 in the free references x = (w, y)
 of propagation: a free edge's bearing is its SA reference rotated by
 R(phi_e), its distance its RoD reference scaled by rho_e, in units of the
 largest anchor distance (so verdicts and ranks do not depend on scale).
-Unless an edge is free on both sides it is linear (``closure_system``),
-and its null dimension gives the ranks of the full distance and bearing
-systems.  One certified sparse LU decides its rank, or one dense SVD when
-the certificate cannot; ``info["factorization"]`` names which.  A trivial
-null space is an exact answer, in every regime.  A nontrivial one with
-free SA components keeps a multi-start over the null coordinates only, one
-batched Levenberg-Marquardt run on the unit norms of the free references
-that the null space moves (the active components, counted in
-``info["active_components"]``); the others add their constant norm
-residual to every start's objective.
-Edges free on both sides make the closure bilinear; the same batched
-solver then runs a multi-start over all of (w, y).
+It is linear on every network (``closure_system``): each distinct product
+y_k w_c on an edge free on both sides gets its own 2-vector column z_ck
+(``info["lifted_pairs"]``).  Its null dimension gives the ranks of the
+full distance and bearing systems.  One certified sparse LU decides its
+rank, or one dense SVD when the certificate cannot;
+``info["factorization"]`` names which.  A trivial null space is an exact
+answer, in every regime.  A nontrivial one with free SA components keeps
+one multi-start over the null coordinates, one batched
+Levenberg-Marquardt run on the lifted products z_ck = y_k w_c and the
+unit norms of the free references that the null space moves (the active
+components, ``info["active_components"]``); the others add their
+constant norm residual to every start's objective.
 ``localizability_check`` reads its verdict off that same solve.
 ``assemble_distance_system`` and ``assemble_bearing_system`` build the
 full systems for analysis.  The cycle closure reads the signed entries of
@@ -63,7 +63,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, structural_rank
 from scipy.sparse.linalg import splu
 
 from .geometry import Framework, MeasurementSet, rigidity_function, rotation, wrap_angle
@@ -103,9 +103,7 @@ class SolverConfig:
     zero_tol: ClassVar[float] = 1e-16  # accept threshold on the squared-residual objective
     active_tol: ClassVar[float] = 1e-12  # a free SA component whose null-basis block exceeds this moves in the multi-start
     cluster_tol: ClassVar[float] = 1e-6
-    positivity_eps: ClassVar[float] = 1e-6
     consistency_tol: ClassVar[float] = 1e-8  # closure and anchor-agreement bound in propagation
-    box_half_width: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
@@ -164,6 +162,20 @@ class SensorNetwork:
     def distance_param(self) -> "EdgeParameterization":
         """Distances propagated over the RoD index graph, computed once per network."""
         return propagate_distances(self)
+
+    @cached_property
+    def lifted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lifted products z_ck = y_k w_c of ``closure_system``, computed once per network.
+
+        Per edge its product (-1 unless free on both sides), and per product
+        its free SA and RoD references (c, k), (P, 2) in ascending order.
+        """
+        bear, dist = self.bearing_param, self.distance_param
+        both = ~bear.resolved & ~dist.resolved
+        pairs, inverse = np.unique(np.column_stack([bear.column[both], dist.column[both]]), axis=0, return_inverse=True)
+        pair = np.full(self.graph.m, -1)
+        pair[both] = inverse.reshape(-1)
+        return pair, pairs
 
 
 def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = None) -> SensorNetwork:
@@ -406,11 +418,11 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
     more solve, with its null component removed: summing the blocks times
     [rhs; 0] would multiply by the explicit inverse, which is not backward
     stable, and an extra column on a block would write all of its pages.
-    An empty or tall system, an exactly singular LU or a failed bound give
-    None.
+    An empty, tall or structurally rank-deficient A (on which SuperLU
+    writes BLAS errors to stdout), a singular LU or a failed bound: None.
     """
     r, c = A.shape
-    if not 0 < r <= c:
+    if not 0 < r <= c or structural_rank(A) < r:
         return None
     norm = float(np.linalg.norm(A.data))
     G = np.random.default_rng(0).standard_normal((c - r, c))
@@ -471,50 +483,56 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
 
 
 def _cycle_sums(net: SensorNetwork, distances: np.ndarray, bearings: np.ndarray) -> np.ndarray:
-    """C (d * b) summed in edge order from the signed cycle entries, (..., m - n + 1, 2) for a batch of (d, b) or one."""
+    """C (d * b) summed in edge order from the signed cycle entries, (m - n + 1, 2)."""
     cycle, edge, sign = net.cycle_entries
-    n_cyc = net.graph.m - net.graph.n + 1
-    w = sign * distances[..., edge]
-    batch = w.shape[:-1]
-    bins = (n_cyc * np.arange(math.prod(batch))[:, None] + cycle).ravel()
-    sums = [np.bincount(bins, (w * bearings[..., edge, j]).ravel(), minlength=n_cyc * math.prod(batch)) for j in (0, 1)]
-    return np.stack(sums, axis=-1).reshape(batch + (n_cyc, 2))
+    w = sign * distances[edge]
+    return np.stack([np.bincount(cycle, w * bearings[edge, j], minlength=net.graph.m - net.graph.n + 1) for j in (0, 1)], axis=1)
 
 
-def _closure_entries(net: SensorNetwork, bearings: np.ndarray, distances: np.ndarray):
-    """The nonzeros (rows, cols, vals) of the closure Jacobian d(C (d * b))/dx at bearings b and distances d.
+def _closure_entries(net: SensorNetwork):
+    """The nonzeros (rows, cols, vals) of the closure matrix: d(C (d * b))/dx at the propagated offsets (b0, d0).
 
     Each signed cycle entry (cycle c, edge e, sign s) puts on rows 2c,
-    2c + 1 the block s d_e R(phi_e) on a free bearing's two columns and
-    s rho_e b_e on a free distance's column; repeated (row, col) pairs sum.
-    For a batch of (b, d), vals is (..., nnz) and rows and cols are shared.
+    2c + 1 the block s d0_e R(phi_e) on a free bearing's two columns when
+    its distance is resolved, s rho_e b0_e on a free distance's column when
+    its bearing is resolved, and s rho_e R(phi_e) on the two columns of its
+    lifted product when both are free; repeated (row, col) pairs sum.
     """
     bear, dist = net.bearing_param, net.distance_param
     cycle, edge, sign = net.cycle_entries
     r0, r1 = 2 * cycle, 2 * cycle + 1
-    k = np.flatnonzero(bear.column[edge] >= 0)
-    e, t = edge[k], 2 * bear.column[edge[k]]
-    sd = sign[k] * distances[..., e]
-    cos, sin = sd * np.cos(bear.transport[e]), sd * np.sin(bear.transport[e])
-    rows, cols, vals = [r0[k], r1[k], r0[k], r1[k]], [t, t, t + 1, t + 1], [cos, sin, -sin, cos]
-    k = np.flatnonzero(dist.column[edge] >= 0)
-    e, t = edge[k], bear.dim + dist.column[edge[k]]
-    scale = sign[k] * dist.transport[e]
+    lifted = net.lifted_pairs[0]
+    pair = lifted[edge]
+    rows, cols, vals = [], [], []
+    for k, t, scale in (
+        (np.flatnonzero(~bear.resolved[edge] & (pair < 0)), 2 * bear.column, dist.offset / net.unit),
+        (np.flatnonzero(pair >= 0), bear.dim + dist.dim + 2 * lifted, dist.transport),
+    ):
+        e = edge[k]
+        sd, t = sign[k] * scale[e], t[e]
+        cos, sin = sd * np.cos(bear.transport[e]), sd * np.sin(bear.transport[e])
+        rows += [r0[k], r1[k], r0[k], r1[k]]
+        cols += [t, t, t + 1, t + 1]
+        vals += [cos, sin, -sin, cos]
+    k = np.flatnonzero(~dist.resolved[edge] & (pair < 0))
+    e, t, scale = edge[k], bear.dim + dist.column[edge[k]], sign[k] * dist.transport[edge[k]]
     rows += [r0[k], r1[k]]
     cols += [t, t]
-    vals += [scale * bearings[..., e, 0], scale * bearings[..., e, 1]]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, axis=-1)
+    vals += [scale * bear.offset[e, 0], scale * bear.offset[e, 1]]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSystem:
     """Cycle closure C (d * b) = 0 as one sparse linear system in the free references of propagation.
 
-    Columns: the kw bearing references w, then the ky distance references
-    y (in units of the largest anchor distance).  Rows: both coordinates of
+    Columns: the kw bearing references w, the ky distance references y
+    (in units of the largest anchor distance), then one 2-vector z_ck per
+    distinct product y_k w_c on an edge free on both sides
+    (``SensorNetwork.lifted_pairs``), whose d_e b_e = rho_e R(phi_e) z_ck;
+    so the closure is linear on every network.  Rows: both coordinates of
     every fundamental cycle, 2(m - n + 1) in all.  The SA triples, RoD
-    triples and anchor pairs hold by construction.  ``d * b`` is bilinear
-    in (w, y) only on edges free on both sides, so without them the closure
-    is exactly linear; with them this raises ``ValueError``.
+    triples and anchor pairs hold by construction; z_ck = y_k w_c is left
+    to the multi-start.
 
     The matrix is the closure Jacobian (``_closure_entries``) at the
     propagated offsets (b0, d0), as ``scipy.sparse`` CSC, and the
@@ -527,13 +545,10 @@ def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSyst
     so residuals on them count the dropped ones too.
     """
     bear, dist = net.bearing_param, net.distance_param
-    if np.any(~bear.resolved & ~dist.resolved):
-        raise ValueError("an edge is free on both sides, so the closure is bilinear")
-    d0, b0 = dist.offset / net.unit, bear.offset
-    rows, cols, vals = _closure_entries(net, b0, d0)
-    shape = (2 * (net.graph.m - net.graph.n + 1), bear.dim + dist.dim)
+    rows, cols, vals = _closure_entries(net)
+    shape = (2 * (net.graph.m - net.graph.n + 1), bear.dim + dist.dim + 2 * len(net.lifted_pairs[1]))
     A = csc_matrix((vals, (rows, cols)), shape=shape)
-    rhs = -_cycle_sums(net, d0, b0).ravel()
+    rhs = -_cycle_sums(net, dist.offset / net.unit, bear.offset).ravel()
     rows = np.unique(rows)  # the cycles with at least one free column
     system = _lu_solved(A[rows], rhs[rows], rtol) or _solved(A[rows].toarray(), rhs[rows], rtol)
     return replace(system, matrix=A, rhs=rhs)
@@ -628,46 +643,58 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     return EdgeSolution(b[reps[0]], d[reps[0]], method, "heuristic-unique" if len(reps) == 1 else "heuristic-ambiguous", info)
 
 
+def _null_starts(net: SensorNetwork, system: LinearSystem, config: SolverConfig) -> np.ndarray:
+    """The multi-start's starts in the null coordinates t of ``system``, (starts, null_dim).
+
+    Start 0 is t = 0.  The others are a Latin hypercube over the constraint
+    set, projected by t = N^T (x - x0): a unit w_c per free SA reference, a
+    y_k per free RoD reference log-uniform in [1e-2, 1e2] anchor units, and
+    z_ck = y_k w_c.
+    """
+    kc, ky = net.bearing_param.dim // 2, net.distance_param.dim
+    c, k = net.lifted_pairs[1].T
+    u = _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, kc + ky)
+    angle, y = 2.0 * np.pi * u[:, :kc], 10.0 ** (4.0 * u[:, kc:] - 2.0)
+    w = np.stack([np.cos(angle), np.sin(angle)], axis=2)
+    x = np.concatenate([w.reshape(len(u), -1), y, (y[:, k, None] * w[:, c]).reshape(len(u), -1)], axis=1)
+    return np.concatenate([np.zeros((1, system.null_dim)), (x - system.min_norm_solution) @ system.null_basis])
+
+
 def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSolution:
     """The one localization solve: the regime read off propagation, then the cycle closure.
 
     The regime is ``"sa"`` when every bearing propagates, else ``"rod"``
-    when every distance does, else ``"general"``.  Without an edge free on
-    both sides the closure is linear.  A trivial null space gives the exact
-    answer (``localizable``, or ``infeasible`` if a distance is not
-    positive).  With no free SA component every null direction keeps the
-    closure, so a nontrivial null space is ``unlocalizable``.  Otherwise one
-    batched Levenberg-Marquardt run moves every start z (the zero vector,
-    then a Latin hypercube over +-``box_half_width``) to a zero of
-    r_c(z) = |w_c|^2 - 1, one residual per free SA component c, at
-    w = w0 + N z; distinct zeros are clustered by position.  The ranks of
-    the full distance and bearing systems follow from the null dimension
-    whenever the other side is fully propagated.  ``info["factorization"]``
-    names what decided the closure's rank (``closure_system``).
+    when every distance does, else ``"general"``.  Every network solves one
+    linear closure (``closure_system``, its lifted products counted in
+    ``info["lifted_pairs"]``).  A trivial null space gives the exact answer
+    (``localizable``, or ``infeasible`` if a distance is not positive), with
+    the worst unit-norm and, when lifted, product defect |z_ck - y_k w_c|.
+    With no free SA component every null direction keeps the closure, so a
+    nontrivial null space is ``unlocalizable``.  Otherwise one batched
+    Levenberg-Marquardt run moves every start t (``_null_starts``) to a zero
+    of r_c = |w_c|^2 - 1 per free SA component c and z_ck - y_k w_c per
+    lifted product, at x = x0 + N t; distinct zeros with positive distances
+    are clustered by position.  The full systems' ranks follow from the null
+    dimension whenever the other side is fully propagated.
 
-    Only the active components move in the search: those whose null-basis
-    block Nw_c (N's two rows of w_c, N orthonormal, so the test is
-    scale-free) has an entry above ``active_tol``; ``info["active_components"]``
-    counts them.  An inactive component keeps r_c(0) = |w0_c|^2 - 1, added
-    to every start's objective, so an inactive one off the unit circle
-    still fails the zero test.  What that neglects is small: every entry of
-    Nw_c is at most tau = ``active_tol``, so |Nw_c z| <= sqrt(2L) tau |z|
-    and |r_c(z) - r_c(0)| <= delta = 2 |w0_c| sqrt(2L) tau |z| + 2L tau^2 |z|^2.
-    The zero test reads |r| < sqrt(``zero_tol``) = 1e-8 in the 2-norm, so
-    dropping these variations over K inactive components moves |r| by at
-    most sqrt(K) delta.  In the start box (|z| <= 4 at L = 4) and near the
-    unit circle, delta <= 2.3e-11, so sqrt(K) delta <= 2.3e-9 even at
-    K = 10^4; the measured inactive blocks, at most 7e-13 on mix-D2A1 up to
-    n = 2000, leave it smaller still.  With no active component no start
-    moves.
+    Only the active components' unit norms move: those whose null-basis
+    block Nw_c (N orthonormal, so the test is scale-free) has an entry above
+    tau = ``active_tol``, counted in ``info["active_components"]``.  An
+    inactive one adds its constant r_c(0)^2 to every start's objective, so
+    one off the unit circle still fails the zero test.  What that neglects
+    is |r_c(t) - r_c(0)| <= delta = 2 |w0_c| sqrt(2L) tau |t| + 2L tau^2 |t|^2,
+    so the 2-norm read by the zero test, |r| < sqrt(``zero_tol``) = 1e-8,
+    moves by at most sqrt(K) delta over K inactive components: 5.7e-9 at a
+    zero within |t| <= 10, L = 4 and K = 10^4 (mix-D2A1's zeros lie within
+    |t| <= 3.2 up to n = 1000).  With no active component and no lifted
+    product no start moves.
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
-    m, kw = net.graph.m, bear.dim
+    pairs = net.lifted_pairs[1]
+    m, kw, ky = net.graph.m, bear.dim, dist.dim
     method = "sa" if bear.fully_resolved else "rod" if dist.fully_resolved else "general"
-    info = {**_evidence(net), "m": m, "variables": kw + dist.dim}
-    if np.any(~bear.resolved & ~dist.resolved):
-        return _bilinear_solve(net, config, method, info)
+    info = {**_evidence(net), "m": m, "variables": kw + ky + 2 * len(pairs), "lifted_pairs": len(pairs)}
     system = closure_system(net, config.rtol)
     L = info["null_dim"] = system.null_dim
     info["factorization"] = system.factorization
@@ -675,69 +702,41 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
         info["rank_distance_system"] = m - L
     if dist.fully_resolved:
         info["rank_bearing_system"] = 2 * m - L
-    x0 = system.min_norm_solution
+    x0, N = system.min_norm_solution, system.null_basis
+    # The rows of w_c, y_k and z_ck in x for every lifted product.
+    iw, iy = 2 * pairs[:, :1] + [0, 1], kw + pairs[:, 1]
+    iz = kw + ky + 2 * np.arange(len(pairs))[:, None] + [0, 1]
     if L == 0 or kw == 0:
         b, d = _edges_at(net, x0)
         d = d * net.unit
         info["closure_residual"] = float(np.linalg.norm(system.matrix @ x0 - system.rhs))
         info["unit_norm_defect"] = _unit_norm_defect(b)
+        if len(pairs):
+            info["product_defect"] = float(np.max(np.abs(x0[iz] - x0[iy, None] * x0[iw])))
         status = "localizable" if L == 0 else "unlocalizable"
         if status == "localizable" and np.any(d <= 0):
             status = "infeasible"
             info["note"] = "solved distances not strictly positive"
         return EdgeSolution(b, d, method, status, info)
 
-    N = system.null_basis
-    Nw = N[:kw].reshape(-1, 2, L)
-    w0 = x0[:kw].reshape(-1, 2)
+    Nw, w0 = N[:kw].reshape(-1, 2, L), x0[:kw].reshape(-1, 2)
     active = np.max(np.abs(Nw), axis=(1, 2)) > config.active_tol
     Nw, w0, inactive = Nw[active], w0[active], (w0[~active] ** 2).sum(axis=1) - 1.0
     info["active_components"] = len(Nw)
+    Pw, Py, Pz = N[iw], N[iy], N[iz]
 
-    def norms(z):
-        w = w0 + np.einsum("cjl,sl->scj", Nw, z)
-        return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
+    def residuals(t):
+        w = w0 + np.einsum("cjl,sl->scj", Nw, t)
+        r, J = (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
+        if not len(pairs):
+            return r, J
+        pw, py, pz = x0[iw] + np.einsum("pjl,sl->spj", Pw, t), x0[iy] + t @ Py.T, x0[iz] + np.einsum("pjl,sl->spj", Pz, t)
+        rp = (pz - py[..., None] * pw).reshape(len(t), -1)
+        Jp = (Pz - pw[..., None] * Py[:, None, :] - py[..., None, None] * Pw).reshape(len(t), -1, L)
+        return np.concatenate([r, rp], axis=1), np.concatenate([J, Jp], axis=1)
 
-    starts = np.zeros((config.starts, L))
-    starts[1:] = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L) - 1.0) * config.box_half_width
-    z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)  # with no active component, max|r| = 0 and no start moves
-    return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1) + float(inactive @ inactive), config, method, info)
-
-
-def _bilinear_solve(net: SensorNetwork, config: SolverConfig, method: str, info: dict) -> EdgeSolution:
-    """Multi-start over all free references x = (w, y) when an edge is free on both sides.
-
-    The closure is then bilinear.  One batched Levenberg-Marquardt run
-    minimizes the cycle closure, the unit norms of the free SA references
-    and a hinge below ``positivity_eps`` on the distances (in units of the
-    largest anchor distance) from a Latin hypercube of starts; distinct
-    zeros are clustered by position, so the verdict is heuristic.  The
-    closure and its Jacobian come from ``_cycle_sums`` and ``_closure_entries``.
-    """
-    bear, dist = net.bearing_param, net.distance_param
-    kw, ky = bear.dim, dist.dim
-    eps = config.positivity_eps
-    comp = np.arange(kw).reshape(-1, 2)  # the coordinates of each free SA reference
-    rows, kc = 2 * (net.graph.m - net.graph.n + 1), len(comp)
-    free = np.flatnonzero(~dist.resolved)
-    hinge_rows, hinge_cols, rho = rows + kc + free, kw + dist.column[free], dist.transport[free]
-
-    def stacked(x):
-        """Residuals (S, T) and Jacobians (S, T, kw + ky) of every start in the batch x."""
-        b, d = _edges_at(net, x)
-        r = np.concatenate([_cycle_sums(net, d, b).reshape(len(x), rows), (x[:, comp] ** 2).sum(axis=2) - 1.0, np.maximum(0.0, eps - d)], axis=1)
-        J = np.zeros(r.shape + (kw + ky,))
-        i, j, vals = _closure_entries(net, b, d)
-        np.add.at(J, (slice(None), i, j), vals)
-        J[:, rows + np.arange(kc)[:, None], comp] = 2.0 * x[:, comp]
-        J[:, hinge_rows, hinge_cols] = -rho * (d[:, free] < eps)
-        return r, J
-
-    scale_guess = float(np.mean(net.anchor_distances)) / net.unit
-    starts = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts, kw + ky) - 1.0) * config.box_half_width
-    starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
-    x, r = _batched_lm(starts, stacked, 4.0 * np.finfo(float).eps)
-    return _cluster_zeros(net, x, np.sum(r * r, axis=1), config, method, info)
+    t, r = _batched_lm(_null_starts(net, system, config), residuals, 4.0 * np.finfo(float).eps)  # with no residual, no start moves
+    return _cluster_zeros(net, x0 + t @ N.T, np.sum(r * r, axis=1) + float(inactive @ inactive), config, method, info)
 
 
 # --- recovery and entry points ----------------------------------------------
@@ -830,11 +829,11 @@ def localize_network(net: SensorNetwork, config: SolverConfig | None = None) -> 
 def localizability_check(net: SensorNetwork, config: SolverConfig | None = None) -> tuple[str, dict]:
     """Localizability verdict of the localization solve, with its evidence.
 
-    A linear closure with a trivial null space, or a nontrivial one and no
-    free SA component, is exact and keeps the solve status (``localizable``,
-    ``unlocalizable``, ``infeasible``).  The multi-start cases (a nontrivial
-    null space with unit-norm constraints, or an edge free on both sides)
-    say so with ``heuristic: True``: ``heuristic-unique`` for one cluster of
+    A closure with a trivial null space, or a nontrivial one and no free
+    SA component, is exact and keeps the solve status (``localizable``,
+    ``unlocalizable``, ``infeasible``).  The multi-start (a nontrivial null
+    space with unit norms and lifted products to meet) says so with
+    ``heuristic: True``: ``heuristic-unique`` for one cluster of
     zeros, ``heuristic-ambiguous`` for two or more, and ``solver-failed`` or
     ``infeasible`` as the solve reports them when no zero with positive
     distances was found.  Warns when all anchors share one sensing

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import structural_rank
 
 import sarod
+import sarod.snl
 from sarod import Bipartition, Framework, Graph, MeasurementSet, build_network, enumerate_triples, generate_quadrilateralized, synthesize_measurements
 from sarod.cli import build_parser, main
 from sarod.construction import RECIPES, generate
@@ -29,7 +31,7 @@ from sarod.netio import (
 )
 from sarod.rigidity import QuadVerdict, quad_global_rigidity
 
-from conftest import measurement_set
+from conftest import measurement_set, random_framework
 
 
 def test_network_schema_roundtrip(tmp_path, rng):
@@ -241,6 +243,28 @@ def test_cli_analyze_prints_json_for_three_anchors(tmp_path):
     assert 0 < report["evidence"]["active_components"] <= report["evidence"]["free_bearing_dim"] // 2
 
 
+def test_cli_analyze_prints_json_for_a_structurally_singular_closure(tmp_path):
+    # The 64th random framework drawn from rng 7 has 14 edges free on both
+    # sides.  Its lifted closure is 28 x 57 with structural rank 25, and
+    # SuperLU fails on its completion after 13 "On entry to" lines on
+    # stdout, so the rank is left to the dense SVD without calling it.
+    gen = np.random.default_rng(7)
+    for _ in range(64):
+        fw = random_framework(int(gen.integers(5, 10)), gen)
+    net = build_network(fw, (1, 2))
+    A = sarod.snl.closure_system(net).matrix
+    A = A[np.flatnonzero(A.getnnz(axis=1))]
+    assert A.shape == (28, 57) and structural_rank(A) == 25
+    path = tmp_path / "singular.json"
+    save_network(path, fw, anchors=(1, 2))
+    src = str(Path(sarod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "sarod.cli", "analyze", "--net", str(path)], env=env, capture_output=True, text=True, check=True)
+    assert "On entry to" not in run.stdout + run.stderr
+    evidence = json.loads(run.stdout)["evidence"]
+    assert (evidence["factorization"], evidence["lifted_pairs"]) == ("dense-svd", 14)
+
+
 def test_cli_localize_reports_the_active_components(tmp_path):
     # The multi-start's report counts the free angle references it moved:
     # on mix-D2A1 a few of them, the ones the closure's null space touches.
@@ -302,14 +326,18 @@ def test_cli_localize_rejects_inconsistent_ratio_on_sa_connected_network(tmp_pat
 def test_cli_report_reads_solution_evidence(tmp_path):
     spec = tmp_path / "batch.json"
     out = tmp_path / "batch.csv"
-    spec.write_text(json.dumps({"runs": [{"recipe": "bilat-D1A1", "n": 9, "seeds": [0]}]}))
+    spec.write_text(json.dumps({"runs": [{"recipe": "bilat-D1A1", "n": 9, "seeds": [0]}, {"recipe": "minimal", "n": 21, "seeds": [0]}]}))
     assert main(["report", "--spec", str(spec), "--out", str(out)]) == 0
-    (row,) = list(csv.DictReader(open(out)))
+    row, lifted = list(csv.DictReader(open(out)))
     assert row["status"] == "localizable"
     assert row["rod_components"] == "1" and row["free_distance_dim"] == "0"
     assert int(row["sa_components"]) > 1
     assert float(row["sa_closure_mismatch"]) < 1e-12 and float(row["rod_closure_mismatch"]) < 1e-12
     assert row["rank_bearing_system"] == str(4 * 9 - 6)
+    assert (row["lifted_pairs"], row["variables"]) == ("0", row["free_bearing_dim"])
+    # minimal at odd n has one edge free on both sides: one lifted product, two more columns.
+    assert (lifted["status"], lifted["null_dim"], lifted["lifted_pairs"]) == ("heuristic-unique", "2", "1")
+    assert int(lifted["variables"]) == int(lifted["free_bearing_dim"]) + int(lifted["free_distance_dim"]) + 2
 
 
 def test_cli_analyze_report_fields(tmp_path, capsys):

@@ -44,7 +44,7 @@ from sarod import (
 from sarod.construction import generate
 from sarod.geometry import rotation
 from sarod.graph import fundamental_cycle_basis, path_matrix
-from sarod.rigidity import _batched_lm, _svd_factor, numerical_rank
+from sarod.rigidity import _batched_lm, _quad_shapes, _svd_factor, numerical_rank, quad_global_rigidity
 from sarod.snl import (
     LinearSystem,
     _closure_entries,
@@ -882,6 +882,9 @@ def test_closure_solve_matches_full_systems():
                     assert np.max(np.linalg.norm(result.positions - scale * reference, axis=1)) <= 1e-9 * scale * radius, case
 
 
+QUAD = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+
+
 def _bilinear_k4(rng):
     # Anchors 1, 2 both sense angles, so edge (3, 4), joining the two ratio
     # sensors, is in no SA triple and in the one unpinned RoD component.
@@ -892,16 +895,18 @@ def _bilinear_k4(rng):
 def reference_bilinear_solve(net, config=None):
     """The bilinear multi-start as one scipy ``least_squares(method="trf")`` call per start.
 
-    Same residual stack (cycle closure, unit norms of the free SA
-    references, hinge below ``positivity_eps``, distances in anchor units),
-    starts and clustering as the package's batched solve.
+    An independent oracle for the lifted solve: the bilinear closure in
+    all free references x = (w, y), without the lift, with the unit norms
+    of the free SA references and a hinge below ``eps`` on the distances
+    (in anchor units), from its own box of starts; zeros are clustered as
+    the package clusters them.
     """
     config = config or SolverConfig()
     bear, dist = net.bearing_param, net.distance_param
     m, kw, ky = net.graph.m, bear.dim, dist.dim
     C = fundamental_cycle_basis(net.graph).toarray().astype(float)
     NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
-    eps = config.positivity_eps
+    eps, box_half_width = 1e-6, 2.0
     comp = np.arange(kw).reshape(-1, 2)
 
     def residuals(x):
@@ -918,7 +923,7 @@ def reference_bilinear_solve(net, config=None):
         return J
 
     scale_guess = float(np.mean(net.anchor_distances)) / net.anchor_distances.max()
-    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * config.box_half_width
+    starts = (2.0 * qmc.LatinHypercube(d=kw + ky, seed=np.random.default_rng(config.seed)).random(max(config.starts, 1)) - 1.0) * box_half_width
     starts[:, kw:] = np.abs(starts[:, kw:]) * scale_guess + 0.1 * scale_guess
     sols = [least_squares(residuals, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15) for x0 in starts]
     info = {"variables": kw + ky}
@@ -926,26 +931,25 @@ def reference_bilinear_solve(net, config=None):
 
 
 def reference_null_search(net, config=None):
-    """The null-space multi-start over every free SA component, as the linear-closure solve ran it before the active-component cut.
+    """The null-space multi-start over every free SA component, as the solve ran it before the active-component cut.
 
-    Same closure, starts, batched Levenberg-Marquardt and clustering as the
-    package's solve; only every component's unit-norm residual moves with
-    z, the inactive ones included.
+    Same closure, starts (``_null_starts``), batched Levenberg-Marquardt
+    and clustering as the package's solve; only every component's
+    unit-norm residual moves with z, the inactive ones included.  It
+    covers networks without lifted products.
     """
     config = config or SolverConfig()
     kw = net.bearing_param.dim
     system = sarod.snl.closure_system(net, config.rtol)
     N, x0, L = system.null_basis, system.min_norm_solution, system.null_dim
-    assert L > 0 and kw > 0, "the reference covers the multi-start only"
+    assert L > 0 and kw > 0 and not len(net.lifted_pairs[1]), "the reference covers the unlifted multi-start only"
     Nw, w0 = N[:kw].reshape(-1, 2, L), x0[:kw].reshape(-1, 2)
 
     def norms(z):
         w = w0 + np.einsum("cjl,sl->scj", Nw, z)
         return (w * w).sum(axis=2) - 1.0, 2.0 * np.einsum("scj,cjl->scl", w, Nw)
 
-    starts = np.zeros((config.starts, L))
-    starts[1:] = (2.0 * _latin_hypercube(np.random.default_rng(config.seed).spawn(1)[0], config.starts - 1, L) - 1.0) * config.box_half_width
-    z, r = _batched_lm(starts, norms, 4.0 * np.finfo(float).eps)
+    z, r = _batched_lm(sarod.snl._null_starts(net, system, config), norms, 4.0 * np.finfo(float).eps)
     info = {"null_dim": L}
     return _cluster_zeros(net, x0 + z @ N.T, np.sum(r * r, axis=1), config, "rod", info)
 
@@ -965,10 +969,12 @@ def _random_bilinear_networks(count):
 
 
 def test_bilinear_solve_matches_trust_region_reference(rng):
-    # The batched solve reaches the verdict of the per-start trust-region
-    # reference on K4s and on random frameworks with an edge free on both
-    # sides; a unique answer is the same configuration.
+    # The lifted solve reaches the verdict of the per-start trust-region
+    # reference over the bilinear closure on K4s, on random frameworks with
+    # an edge free on both sides and on minimal at odd n (one such edge); a
+    # unique answer is the same configuration.
     nets = [_bilinear_k4(rng) for _ in range(5)] + _random_bilinear_networks(6)
+    nets += [build_network(generate("minimal", n, 0).framework, [1, 2]) for n in (21, 51)]
     statuses = set()
     for k, net in enumerate(nets):
         result = localize_network(net)
@@ -1016,37 +1022,90 @@ def test_linear_closure_needs_no_scipy_solve(monkeypatch):
         assert result.mse < 1e-20
 
 
-def test_bilinear_edges_take_the_trust_region_fallback(rng, monkeypatch):
-    # Edges free on both sides (the K4 with two angle anchors) leave the
-    # linear closure and fall back to the trust-region multi-start: the same
-    # batched Levenberg-Marquardt over (w, y), with no scipy solver call.
+def test_bilinear_edges_lift_into_the_linear_closure(rng, monkeypatch):
+    # An edge free on both sides (the K4 with two angle anchors) gets its
+    # product y_k w_c as one more 2-vector column: the closure stays linear,
+    # and the one multi-start meets the unit norm and the product, with no
+    # scipy solver call.
     _refuse_scipy_solvers(monkeypatch)
     for _ in range(3):
         net = _bilinear_k4(rng)
         both_free = ~net.bearing_param.resolved & ~net.distance_param.resolved
         assert np.flatnonzero(both_free).tolist() == [net.graph.edge_index()[(3, 4)]]
-        with pytest.raises(ValueError, match="bilinear"):
-            closure_system(net)
+        system = closure_system(net)
+        assert system.matrix.shape[1] == 5 and len(net.lifted_pairs[1]) == 1
         result = localize_network(net)
         info = result.solution.info
         assert (result.method, result.solution.status) == ("general", "heuristic-unique")
         assert info["heuristic"] is True and info["zero_clusters"] == 1
-        assert info["variables"] == 3 and info["starts"] == SolverConfig().starts
+        assert (info["variables"], info["lifted_pairs"], info["null_dim"]) == (5, 1, system.null_dim)
+        assert info["starts"] == SolverConfig().starts
         assert result.mse < 1e-20
         assert localizability_check(net)[0] == "heuristic-unique"
 
 
-def test_localizability_check_keeps_a_failed_multi_start():
-    # The 11th random bilinear network finds no zero from any start: the
-    # check reports the failure, not two or more solutions.
-    net = _random_bilinear_networks(11)[-1]
-    sol = localize_network(net).solution
-    assert (net.graph.n, sol.status, sol.info["zero_clusters"]) == (7, "solver-failed", 0)
-    assert sol.info["objective_best"] > SolverConfig.zero_tol
+@pytest.mark.parametrize("n", [101, 301])
+def test_minimal_at_odd_n_lifts_one_product(n):
+    # One D1 addition leaves one edge free on both sides: one lifted
+    # product, a 2-dimensional null space, and the truth as the one zero.
+    net = build_network(generate("minimal", n, 0).framework, [1, 2])
+    result = localize_network(net)
+    info = result.solution.info
+    assert (result.solution.status, info["factorization"], info["null_dim"], info["lifted_pairs"]) == ("heuristic-unique", "sparse-lu", 2, 1)
+    radius = np.max(np.linalg.norm(net.truth - net.truth.mean(axis=0), axis=1))
+    assert np.max(np.linalg.norm(result.positions - net.truth, axis=1)) <= 1e-9 * radius
+
+
+def test_a_pair_four_cycles_find_the_closed_form_shapes():
+    # Adjacent ({1, 2}) and opposite ({1, 3}) A-pair 4-cycles, anchored at
+    # 1 and 2, carry one lifted product; the multi-start's zero clusters are
+    # the shapes the closed form finds, but for a pinned count of opposite
+    # pairs whose second shape no start reaches (at 2.4 to 32 anchor units
+    # from vertex 1; the search before the lift missed as many here).
+    rng, exceptions = np.random.default_rng(0), []
+    for a_set in ([1, 2], [1, 3]):
+        done = 0
+        while done < 100:
+            fw = Framework(QUAD, Bipartition.from_a_set(4, a_set), rng.uniform(0.0, 1.0, (4, 2)))
+            if np.min(np.linalg.norm(fw.points[:, None] - fw.points[None], axis=2) + np.eye(4)) <= 0.05:
+                continue
+            verdict = quad_global_rigidity(fw)
+            if not (verdict.margin > 1e-6 and not verdict.boundary):
+                continue
+            done += 1
+            info = localize_network(build_network(fw, [1, 2])).solution.info
+            assert info["lifted_pairs"] == 1, (a_set, done)
+            if info["zero_clusters"] != len(_quad_shapes(fw)):
+                exceptions.append((a_set, done, info["zero_clusters"]))
+    assert len(exceptions) == 3, exceptions
+
+
+def _off_circle(monkeypatch, net):
+    """Patch ``closure_system`` so that one inactive SA reference of ``net`` sits at 1.1 times its solved value."""
+    real_closure, kw = sarod.snl.closure_system, net.bearing_param.dim
+
+    def off_circle(net, rtol):
+        system = real_closure(net, rtol)
+        blocks = np.max(np.abs(system.null_basis[:kw].reshape(-1, 2, system.null_dim)), axis=(1, 2))
+        c = int(np.argmin(blocks))
+        assert blocks[c] <= SolverConfig.active_tol
+        x0 = system.min_norm_solution.copy()
+        x0[2 * c : 2 * c + 2] *= 1.1
+        return dataclasses.replace(system, min_norm_solution=x0)
+
+    monkeypatch.setattr(sarod.snl, "closure_system", off_circle)
+
+
+def test_localizability_check_keeps_a_failed_multi_start(monkeypatch):
+    # With one inactive reference off the unit circle no start reaches a
+    # zero: the check reports the failure, not two or more solutions.
+    net = build_network(generate("mix-D2A1", 70, 0).framework, [1, 2])
+    _off_circle(monkeypatch, net)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # both anchors sense angles
         verdict, evidence = localizability_check(net)
     assert verdict == "solver-failed" and evidence["heuristic"] is True and evidence["zero_clusters"] == 0
+    assert evidence["objective_best"] > SolverConfig.zero_tol
 
 
 def test_ambiguous_answer_ignores_the_zeros_objectives(monkeypatch):
@@ -1116,7 +1175,8 @@ def test_null_search_without_active_component_keeps_its_starts(monkeypatch):
     (before, after, shape), = runs
     assert shape == (SolverConfig().starts, 0) and np.array_equal(before, after)
     ref = reference_null_search(net)
-    assert (got.solution.status, info["zero_clusters"]) == (ref.status, ref.info["zero_clusters"]) == ("heuristic-ambiguous", 10)
+    # Start 0 (the minimum-norm solution) leaves the bridge at length 0; every other start draws a positive one.
+    assert (got.solution.status, info["zero_clusters"]) == (ref.status, ref.info["zero_clusters"]) == ("heuristic-ambiguous", SolverConfig().starts - 1)
     x = recover_positions(net, ref.bearings, ref.distances, warn=False)
     assert np.max(np.abs(got.positions - x)) <= 1e-12 * np.max(np.abs(x))
 
@@ -1126,18 +1186,7 @@ def test_inactive_component_off_the_unit_circle_keeps_the_verdict_nonzero(monkey
     # objective: with one such reference scaled by 1.1 no start reaches a
     # zero, though every active component does.
     net = build_network(generate("mix-D2A1", 70, 0).framework, [1, 2])
-    real_closure, kw = sarod.snl.closure_system, net.bearing_param.dim
-
-    def off_circle(net, rtol):
-        system = real_closure(net, rtol)
-        blocks = np.max(np.abs(system.null_basis[:kw].reshape(-1, 2, system.null_dim)), axis=(1, 2))
-        c = int(np.argmin(blocks))
-        assert blocks[c] <= SolverConfig.active_tol
-        x0 = system.min_norm_solution.copy()
-        x0[2 * c : 2 * c + 2] *= 1.1
-        return dataclasses.replace(system, min_norm_solution=x0)
-
-    monkeypatch.setattr(sarod.snl, "closure_system", off_circle)
+    _off_circle(monkeypatch, net)
     sol = localize_network(net).solution
     ref = reference_null_search(net)
     assert (sol.status, sol.info["zero_clusters"]) == (ref.status, ref.info["zero_clusters"]) == ("solver-failed", 0)
@@ -1159,43 +1208,56 @@ def test_closure_system_shape():
         assert np.max(np.abs(system.matrix @ x - system.rhs)) < 1e-10
 
 
-def _dense_closure_jacobian(net, b, d):
-    """d(C (d * b))/dx from the dense cycle matrix and bases: the reference for ``_closure_entries``."""
+def _dense_closure_matrix(net):
+    """d(C (d * b))/dx at the propagated offsets from the dense cycle matrix and bases: the reference for ``_closure_entries``.
+
+    An edge free on both sides has zero offsets, so it adds nothing to the
+    w and y columns; it puts rho_e R(phi_e) on the two columns of its
+    lifted product z_ck, one per distinct pair (c, k) in ascending order.
+    """
     bear, dist = net.bearing_param, net.distance_param
     m, kw = net.graph.m, bear.dim
     C = fundamental_cycle_basis(net.graph).toarray().astype(float)
+    b, d = bear.offset, dist.offset / net.unit
     NB, ND = dense_basis(bear).reshape(m, 2, kw), dense_basis(dist)
+    both = np.flatnonzero(~bear.resolved & ~dist.resolved)
+    pairs = sorted({(bear.column[e], dist.column[e]) for e in both})
+    NZ = np.zeros((m, 2, 2 * len(pairs)))
+    for e in both:
+        p = pairs.index((bear.column[e], dist.column[e]))
+        NZ[e, :, 2 * p : 2 * p + 2] = dist.transport[e] * rotation(bear.transport[e])
     JB = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(2 * len(C), kw)
     JD = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(2 * len(C), dist.dim)
-    return np.hstack([JB, JD])
+    JZ = (C @ NZ.reshape(m, -1)).reshape(2 * len(C), 2 * len(pairs))
+    return np.hstack([JB, JD, JZ])
 
 
 RECIPES = ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal")
 
 
 def test_closure_entries_match_dense_formula():
-    # One function gives the closure Jacobian's nonzeros to the linear and the
-    # bilinear solve.  Densified at random free references, it is the dense
-    # C / basis contraction on every recipe and on bilinear networks, and at
-    # the offsets it is the closure system's matrix.
+    # The closure matrix's nonzeros, densified, are the dense C / basis
+    # contraction at the propagated offsets on every recipe, on minimal at
+    # odd n and on networks with edges free on both sides, whose lifted
+    # products take s rho_e R(phi_e); the closure system's matrix is that.
     gen = np.random.default_rng(11)
     nets = [build_network(generate(recipe, 40, 2).framework, [1, 2]) for recipe in RECIPES]
+    nets += [build_network(generate("minimal", 41, 2).framework, [1, 2])]
     nets += [_bilinear_k4(gen) for _ in range(3)]
-    while len(nets) < 11:
+    while len(nets) < 12:
         net = build_network(random_framework(int(gen.integers(5, 10)), gen), [1, 2])
         if _has_bilinear_edge(net):
             nets.append(net)
+    lifted = []
     for k, net in enumerate(nets):
-        dim = net.bearing_param.dim + net.distance_param.dim
-        b, d = _edges_at(net, gen.standard_normal(dim))
-        ref = _dense_closure_jacobian(net, b, d)
-        rows, cols, vals = _closure_entries(net, b, d)
+        ref = _dense_closure_matrix(net)
+        rows, cols, vals = _closure_entries(net)
         J = np.zeros_like(ref)
         np.add.at(J, (rows, cols), vals)
         assert np.max(np.abs(J - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
-        if not _has_bilinear_edge(net):
-            ref = _dense_closure_jacobian(net, *_edges_at(net, np.zeros(dim)))
-            assert np.max(np.abs(closure_system(net).matrix.toarray() - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
+        assert np.max(np.abs(closure_system(net).matrix.toarray() - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
+        lifted.append(len(net.lifted_pairs[1]))
+    assert lifted[:5] == [0] * 5 and min(lifted[5:]) >= 1 and max(lifted) >= 2
 
 
 def test_edges_at_batch_matches_single_calls():
