@@ -136,7 +136,7 @@ def cmd_report(args) -> int:
     base_config = SolverConfig(starts=args.starts, rtol=args.rtol)
     evidence = [
         "sa_components", "rod_components", "free_bearing_dim", "free_distance_dim", "sa_closure_mismatch",
-        "rod_closure_mismatch", "rank_distance_system", "rank_bearing_system", "null_dim", "variables", "lifted_pairs",
+        "rod_closure_mismatch", "rank_distance_system", "rank_bearing_system", "null_dim", "variables", "lifted_pairs", "closure_rows",
     ]
     fields = ["recipe", "n", "seed", "method", "status", "m", *evidence, "mse", "runtime_s"]
     rows = []

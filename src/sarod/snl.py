@@ -45,11 +45,12 @@ components, ``info["active_components"]``); the others add their
 constant norm residual to every start's objective.
 ``localizability_check`` reads its verdict off that same solve.
 ``assemble_distance_system`` and ``assemble_bearing_system`` build the
-full systems for analysis.  The cycle closure reads the signed entries of
-the sparse fundamental cycle basis (``SensorNetwork.cycle_entries``), and
-positions are recovered by telescoping edge displacements from an anchor
-with one sparse product by the root paths of the graph's breadth-first
-vertex tree (``SpanningTree.root_paths``); neither is held dense.
+full systems for analysis.  Each edge displacement is stated once, D0 +
+J x (``SensorNetwork.displacement_map``), the closure is (C kron I_2) J
+with the sparse cycle basis C (``SensorNetwork.cycles``), and positions
+are recovered by telescoping edge displacements from an anchor with one
+sparse product by the root paths of the graph's breadth-first vertex tree
+(``SpanningTree.root_paths``); neither C nor the root paths is held dense.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, structural_rank
 from scipy.sparse.linalg import splu
 
@@ -116,7 +117,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SensorNetwork:
-    """Anchor-augmented framework plus measurements and anchor targets, as read-only arrays (propagation is cached from them)."""
+    """Anchor-augmented framework plus measurements and anchor targets, as read-only arrays (what is derived from them is cached)."""
 
     framework: Framework  # graph already carries the anchor clique
     anchors: tuple[int, ...]
@@ -148,10 +149,9 @@ class SensorNetwork:
         return float(self.anchor_distances.max())
 
     @cached_property
-    def cycle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzeros of the sparse fundamental cycle basis, computed once per network: cycle, edge and sign (+-1.0) of each, row by row."""
-        C = fundamental_cycle_basis(self.graph).tocoo()
-        return C.row, C.col, C.data.astype(float)
+    def cycles(self) -> csr_matrix:
+        """The sparse fundamental cycle basis C, (m - n + 1, m) with entries +-1.0, computed once per network."""
+        return fundamental_cycle_basis(self.graph).astype(float)
 
     @cached_property
     def bearing_param(self) -> "EdgeParameterization":
@@ -176,6 +176,32 @@ class SensorNetwork:
         pair = np.full(self.graph.m, -1)
         pair[both] = inverse.reshape(-1)
         return pair, pairs
+
+    @cached_property
+    def displacement_map(self) -> tuple[csr_matrix, np.ndarray]:
+        """Every edge displacement d_e b_e as D0 + J x in the free references x = (w, y, z), in anchor units, computed once per network.
+
+        J is sparse, (2m, columns), rows 2e and 2e + 1 holding edge e's two
+        coordinates: d0_e R(phi_e) on w_c when only its bearing is free,
+        rho_e b0_e on y_k when only its distance is free, rho_e R(phi_e) on
+        z_ck when both are, nothing when both are resolved.  D0 (m, 2) holds
+        the resolved displacements d0_e b0_e (zero on every free edge).
+        """
+        bear, dist = self.bearing_param, self.distance_param
+        pair, pairs = self.lifted_pairs
+        d0 = dist.offset / self.unit
+        e = np.flatnonzero(~bear.resolved)  # a 2 x 2 block on w_c or z_ck
+        lifted = pair[e] >= 0
+        t = np.where(lifted, bear.dim + dist.dim + 2 * pair[e], 2 * bear.column[e])
+        scale = np.where(lifted, dist.transport[e], d0[e])
+        cos, sin = scale * np.cos(bear.transport[e]), scale * np.sin(bear.transport[e])
+        k = np.flatnonzero(bear.resolved & ~dist.resolved)  # a column on y_k
+        y, rho_b = bear.dim + dist.column[k], dist.transport[k, None] * bear.offset[k]
+        rows = np.concatenate([2 * e, 2 * e + 1, 2 * e, 2 * e + 1, 2 * k, 2 * k + 1])
+        cols = np.concatenate([t, t, t + 1, t + 1, y, y])
+        vals = np.concatenate([cos, sin, -sin, cos, rho_b[:, 0], rho_b[:, 1]])
+        J = csr_matrix((vals, (rows, cols)), shape=(2 * self.graph.m, bear.dim + dist.dim + 2 * len(pairs)))
+        return J, d0[:, None] * bear.offset
 
 
 def build_network(fw: Framework, anchors, measurements: MeasurementSet | None = None) -> SensorNetwork:
@@ -337,7 +363,7 @@ def assemble_distance_system(net: SensorNetwork, bearings: np.ndarray):
     bearing vector.
     """
     g = net.graph
-    C = fundamental_cycle_basis(g).toarray().astype(float)
+    C = net.cycles.toarray()
     Cb = (C[:, None, :] * bearings.T).reshape(-1, g.m)
     n_rows = Cb.shape[0] + len(net.rod_triples) + len(net.anchor_edges)
     A = np.zeros((n_rows, g.m))
@@ -463,7 +489,7 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     """
     g = net.graph
     sa = net.sa_triples
-    C = fundamental_cycle_basis(g).toarray().astype(float)
+    C = net.cycles.toarray()
     C1 = np.kron(C * (distances / net.unit), np.eye(2))
     n_rows = C1.shape[0] + 2 * len(sa) + 2 * len(net.anchor_edges)
     A = np.zeros((n_rows, 2 * g.m))
@@ -482,74 +508,35 @@ def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: flo
     return _solved(A, z, rtol)
 
 
-def _cycle_sums(net: SensorNetwork, distances: np.ndarray, bearings: np.ndarray) -> np.ndarray:
-    """C (d * b) summed in edge order from the signed cycle entries, (m - n + 1, 2)."""
-    cycle, edge, sign = net.cycle_entries
-    w = sign * distances[edge]
-    return np.stack([np.bincount(cycle, w * bearings[edge, j], minlength=net.graph.m - net.graph.n + 1) for j in (0, 1)], axis=1)
-
-
-def _closure_entries(net: SensorNetwork):
-    """The nonzeros (rows, cols, vals) of the closure matrix: d(C (d * b))/dx at the propagated offsets (b0, d0).
-
-    Each signed cycle entry (cycle c, edge e, sign s) puts on rows 2c,
-    2c + 1 the block s d0_e R(phi_e) on a free bearing's two columns when
-    its distance is resolved, s rho_e b0_e on a free distance's column when
-    its bearing is resolved, and s rho_e R(phi_e) on the two columns of its
-    lifted product when both are free; repeated (row, col) pairs sum.
-    """
-    bear, dist = net.bearing_param, net.distance_param
-    cycle, edge, sign = net.cycle_entries
-    r0, r1 = 2 * cycle, 2 * cycle + 1
-    lifted = net.lifted_pairs[0]
-    pair = lifted[edge]
-    rows, cols, vals = [], [], []
-    for k, t, scale in (
-        (np.flatnonzero(~bear.resolved[edge] & (pair < 0)), 2 * bear.column, dist.offset / net.unit),
-        (np.flatnonzero(pair >= 0), bear.dim + dist.dim + 2 * lifted, dist.transport),
-    ):
-        e = edge[k]
-        sd, t = sign[k] * scale[e], t[e]
-        cos, sin = sd * np.cos(bear.transport[e]), sd * np.sin(bear.transport[e])
-        rows += [r0[k], r1[k], r0[k], r1[k]]
-        cols += [t, t, t + 1, t + 1]
-        vals += [cos, sin, -sin, cos]
-    k = np.flatnonzero(~dist.resolved[edge] & (pair < 0))
-    e, t, scale = edge[k], bear.dim + dist.column[edge[k]], sign[k] * dist.transport[edge[k]]
-    rows += [r0[k], r1[k]]
-    cols += [t, t]
-    vals += [scale * bear.offset[e, 0], scale * bear.offset[e, 1]]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
 def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSystem:
     """Cycle closure C (d * b) = 0 as one sparse linear system in the free references of propagation.
 
     Columns: the kw bearing references w, the ky distance references y
     (in units of the largest anchor distance), then one 2-vector z_ck per
     distinct product y_k w_c on an edge free on both sides
-    (``SensorNetwork.lifted_pairs``), whose d_e b_e = rho_e R(phi_e) z_ck;
-    so the closure is linear on every network.  Rows: both coordinates of
-    every fundamental cycle, 2(m - n + 1) in all.  The SA triples, RoD
-    triples and anchor pairs hold by construction; z_ck = y_k w_c is left
-    to the multi-start.
+    (``SensorNetwork.lifted_pairs``), so the closure is linear on every
+    network.  Rows: both coordinates of every fundamental cycle,
+    2(m - n + 1) in all.  The SA triples, RoD triples and anchor pairs hold
+    by construction; z_ck = y_k w_c is left to the multi-start.
 
-    The matrix is the closure Jacobian (``_closure_entries``) at the
-    propagated offsets (b0, d0), as ``scipy.sparse`` CSC, and the
-    right-hand side is -C (d0 * b0).  Only cycles with a free edge are
-    factored: the others, such as the anchor clique's own, give empty rows.
-    One sparse LU decides their rank when its certificate proves full row
-    rank (``_lu_solved``); otherwise (a tall or rank-deficient closure, or
-    a bound too weak to decide) the dense SVD of ``_solved`` does, and
+    The matrix is A = (C kron I_2) J from the edge displacements D0 + J x
+    (``SensorNetwork.displacement_map``), as ``scipy.sparse`` CSC, and the
+    right-hand side is -C D0.  A stores no exact zero, and only its rows
+    that hold an entry are factored (none for a cycle without a free edge,
+    such as the anchor clique's own, or one whose free columns cancel).  One
+    sparse LU decides their rank when its certificate proves full row rank
+    (``_lu_solved``); otherwise (a tall or rank-deficient closure, or a
+    bound too weak to decide) the dense SVD of ``_solved`` does, and
     ``factorization`` says which.  ``matrix`` and ``rhs`` keep every cycle,
     so residuals on them count the dropped ones too.
     """
-    bear, dist = net.bearing_param, net.distance_param
-    rows, cols, vals = _closure_entries(net)
-    shape = (2 * (net.graph.m - net.graph.n + 1), bear.dim + dist.dim + 2 * len(net.lifted_pairs[1]))
-    A = csc_matrix((vals, (rows, cols)), shape=shape)
-    rhs = -_cycle_sums(net, dist.offset / net.unit, bear.offset).ravel()
-    rows = np.unique(rows)  # the cycles with at least one free column
+    (J, D0), C = net.displacement_map, net.cycles
+    row = np.repeat(2 * np.arange(C.shape[0]), np.diff(C.indptr))
+    # C kron I_2 from C's arrays (scipy.sparse.kron takes 5-9 times as long); the CSR product drops exact zeros.
+    kron = csr_matrix((np.tile(C.data, 2), (np.concatenate([row, row + 1]), np.concatenate([2 * C.indices, 2 * C.indices + 1]))), shape=(2 * C.shape[0], J.shape[0]))
+    A = kron @ J
+    rows = np.flatnonzero(np.diff(A.indptr))
+    A, rhs = A.tocsc(), -(C @ D0).ravel()
     system = _lu_solved(A[rows], rhs[rows], rtol) or _solved(A[rows].toarray(), rhs[rows], rtol)
     return replace(system, matrix=A, rhs=rhs)
 
@@ -618,8 +605,11 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     """Cluster the starts that reached a zero with positive distances by recovered position.
 
     Every such zero is recovered in one batched sparse product; the zeros
-    then join clusters in start order, each cluster represented by its
-    best zero.  The first cluster answers: exact zeros' objectives are
+    then join clusters in start order: a zero joins the first cluster
+    whose representative, its best zero, lies within ``cluster_tol`` x
+    max(unit, R), R the representative's largest distance from the base
+    anchor (a far zero converges only to the zero test's relative
+    accuracy).  The first cluster answers: exact zeros' objectives are
     rounding noise, so which cluster they favour is not evidence.  One
     cluster is ``heuristic-unique``, more are ``heuristic-ambiguous``.
     """
@@ -629,9 +619,11 @@ def _cluster_zeros(net: SensorNetwork, xs, objectives, config: SolverConfig, met
     positive = np.all(d > 0, axis=1)
     b, d, obj = b[positive], d[positive] * net.unit, objectives[zero][positive]
     positions = recover_positions(net, b, d, warn=False)
+    base = min(net.anchors) - 1
+    radius = config.cluster_tol * np.maximum(net.unit, np.max(np.linalg.norm(positions - positions[:, base : base + 1], axis=2), axis=1))
     reps: list[int] = []  # per cluster, its best zero so far
     for k in range(len(obj)):
-        j = next((j for j, r in enumerate(reps) if np.max(np.linalg.norm(positions[k] - positions[r], axis=1)) < config.cluster_tol * net.unit), None)
+        j = next((j for j, r in enumerate(reps) if np.max(np.linalg.norm(positions[k] - positions[r], axis=1)) < radius[r]), None)
         if j is None:
             reps.append(k)
         elif obj[k] < obj[reps[j]]:
@@ -666,9 +658,10 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
     The regime is ``"sa"`` when every bearing propagates, else ``"rod"``
     when every distance does, else ``"general"``.  Every network solves one
     linear closure (``closure_system``, its lifted products counted in
-    ``info["lifted_pairs"]``).  A trivial null space gives the exact answer
-    (``localizable``, or ``infeasible`` if a distance is not positive), with
-    the worst unit-norm and, when lifted, product defect |z_ck - y_k w_c|.
+    ``info["lifted_pairs"]``, its factored rows in ``info["closure_rows"]``).
+    A trivial null space gives the exact answer (``localizable``, or
+    ``infeasible`` if a distance is not positive), with the worst unit-norm
+    and, when lifted, product defect |z_ck - y_k w_c|.
     With no free SA component every null direction keeps the closure, so a
     nontrivial null space is ``unlocalizable``.  Otherwise one batched
     Levenberg-Marquardt run moves every start t (``_null_starts``) to a zero
@@ -698,6 +691,7 @@ def _solve(net: SensorNetwork, config: SolverConfig | None = None) -> EdgeSoluti
     system = closure_system(net, config.rtol)
     L = info["null_dim"] = system.null_dim
     info["factorization"] = system.factorization
+    info["closure_rows"] = int(np.count_nonzero(system.matrix.getnnz(axis=1)))
     if bear.fully_resolved:
         info["rank_distance_system"] = m - L
     if dist.fully_resolved:
@@ -786,7 +780,7 @@ def solution_residuals(net: SensorNetwork, solution: EdgeSolution) -> dict:
     rot_res = np.max(np.linalg.norm(s2[:, None] * b[sa.e2] - rotated, axis=1), initial=0.0)
     d2 = d[rod.e2]
     ratio_res = np.max(np.abs(d2 - net.rod * d[rod.e1]) / np.maximum(d2, 1e-300), initial=0.0)
-    cyc_res = float(np.max(np.abs(_cycle_sums(net, d, b)), initial=0.0))
+    cyc_res = float(np.max(np.abs(net.cycles @ (d[:, None] * b)), initial=0.0))
     E = net.anchor_edges
     miss = b[E] - net.anchor_bearings
     # Row norms through matmul, which rounds as the 1-D ``np.linalg.norm`` does (its ``axis`` form does not).

@@ -338,6 +338,8 @@ def test_cli_report_reads_solution_evidence(tmp_path):
     # minimal at odd n has one edge free on both sides: one lifted product, two more columns.
     assert (lifted["status"], lifted["null_dim"], lifted["lifted_pairs"]) == ("heuristic-unique", "2", "1")
     assert int(lifted["variables"]) == int(lifted["free_bearing_dim"]) + int(lifted["free_distance_dim"]) + 2
+    # The factored closure rows: as many as columns for the exact answer, two fewer than the columns at null_dim 2.
+    assert (row["closure_rows"], lifted["closure_rows"]) == (row["variables"], str(int(lifted["variables"]) - 2))
 
 
 def test_cli_analyze_report_fields(tmp_path, capsys):

@@ -47,9 +47,7 @@ from sarod.graph import fundamental_cycle_basis, path_matrix
 from sarod.rigidity import _batched_lm, _quad_shapes, _svd_factor, numerical_rank, quad_global_rigidity
 from sarod.snl import (
     LinearSystem,
-    _closure_entries,
     _cluster_zeros,
-    _cycle_sums,
     _edges_at,
     _latin_hypercube,
     _completed,
@@ -213,14 +211,14 @@ def test_cycle_bearing_matrix_shapes_and_compatibility(rng):
     b = rng.normal(size=(3, 2))
     b /= np.linalg.norm(b, axis=1)[:, None]
     assert assemble_distance_system(tree, b)[0].shape[0] == len(tree.rod_triples) + 1
-    assert _cycle_sums(tree, np.ones(3), b).shape == (0, 2)
+    assert (tree.cycles @ (np.ones(3)[:, None] * b)).shape == (0, 2)
 
     net = triangle_network(rng)
     bt, dt = truth_edges(net)
     Cb = assemble_distance_system(net, bt)[0][:2]
     assert np.max(np.abs(Cb @ dt)) < 1e-12
     assert np.max(np.abs(Cb @ (3.7 * dt))) < 1e-11  # scaling stays compatible
-    assert np.max(np.abs(_cycle_sums(net, 3.7 * dt, bt))) < 1e-11
+    assert np.max(np.abs(net.cycles @ ((3.7 * dt)[:, None] * bt))) < 1e-11
 
 
 def test_propagation_resolves_connected_sets(rng):
@@ -403,7 +401,7 @@ def test_solve_disconnected_ground_truth_objective(rng):
     d = dist.offset + ND @ y
     assert np.max(np.abs(b - bt)) < 1e-8
     assert np.max(np.abs(d - dt)) < 1e-8
-    assert np.max(np.abs(_cycle_sums(net, d, b))) < 1e-8
+    assert np.max(np.abs(net.cycles @ (d[:, None] * b))) < 1e-8
 
 
 def test_recover_positions_roundtrip_two_trees(rng):
@@ -577,7 +575,7 @@ def test_localize_rejects_inconsistent_ratio_on_sa_connected_network():
 
 SCALE_INVARIANT_INFO = (
     "rank_distance_system", "rank_bearing_system", "null_dim", "sa_components", "rod_components",
-    "free_bearing_dim", "free_distance_dim", "zero_clusters",
+    "free_bearing_dim", "free_distance_dim", "zero_clusters", "closure_rows",
 )
 
 
@@ -1080,6 +1078,20 @@ def test_a_pair_four_cycles_find_the_closed_form_shapes():
     assert len(exceptions) == 3, exceptions
 
 
+def test_far_zeros_join_one_cluster():
+    # The 36th opposite A-pair 4-cycle of a 200 + 200 draw of the test above:
+    # its second shape puts vertex 4 about 180 anchor units out, where two
+    # zeros of that shape lie 4e-5 apart.  The cluster radius grows with the
+    # representative's extent, so they join, and the count is the closed
+    # form's 2 shapes (3 clusters under an absolute radius).
+    points = np.array([[0.09752909616287808, 0.2802373069974956], [0.8474489466751813, 0.4255827659082505],
+                       [0.27404391134657835, 0.534901519526517], [0.3302189673009046, 0.30807645459596156]])
+    fw = Framework(QUAD, Bipartition.from_a_set(4, [1, 3]), points)
+    info = localize_network(build_network(fw, [1, 2])).solution.info
+    assert len(_quad_shapes(fw)) == 2
+    assert (info["lifted_pairs"], info["zero_clusters"]) == (1, 2)
+
+
 def _off_circle(monkeypatch, net):
     """Patch ``closure_system`` so that one inactive SA reference of ``net`` sits at 1.1 times its solved value."""
     real_closure, kw = sarod.snl.closure_system, net.bearing_param.dim
@@ -1209,11 +1221,12 @@ def test_closure_system_shape():
 
 
 def _dense_closure_matrix(net):
-    """d(C (d * b))/dx at the propagated offsets from the dense cycle matrix and bases: the reference for ``_closure_entries``.
+    """d(d * b)/dx and d(C (d * b))/dx at the propagated offsets, from the dense cycle matrix and bases: the reference for ``displacement_map`` and ``closure_system``.
 
-    An edge free on both sides has zero offsets, so it adds nothing to the
-    w and y columns; it puts rho_e R(phi_e) on the two columns of its
-    lifted product z_ck, one per distinct pair (c, k) in ascending order.
+    Rows of the first are 2e + j, of the second 2c + j.  An edge free on
+    both sides has zero offsets, so it adds nothing to the w and y columns;
+    it puts rho_e R(phi_e) on the two columns of its lifted product z_ck,
+    one per distinct pair (c, k) in ascending order.
     """
     bear, dist = net.bearing_param, net.distance_param
     m, kw = net.graph.m, bear.dim
@@ -1226,20 +1239,19 @@ def _dense_closure_matrix(net):
     for e in both:
         p = pairs.index((bear.column[e], dist.column[e]))
         NZ[e, :, 2 * p : 2 * p + 2] = dist.transport[e] * rotation(bear.transport[e])
-    JB = (C @ (d[:, None, None] * NB).reshape(m, -1)).reshape(2 * len(C), kw)
-    JD = (C @ (b[:, :, None] * ND[:, None, :]).reshape(m, -1)).reshape(2 * len(C), dist.dim)
-    JZ = (C @ NZ.reshape(m, -1)).reshape(2 * len(C), 2 * len(pairs))
-    return np.hstack([JB, JD, JZ])
+    J = np.concatenate([d[:, None, None] * NB, b[:, :, None] * ND[:, None, :], NZ], axis=2)
+    return J.reshape(2 * m, -1), (C @ J.reshape(m, -1)).reshape(2 * len(C), -1)
 
 
 RECIPES = ("quad2v", "bilat-D1A1", "mix-D2A1", "type2D1", "minimal")
 
 
 def test_closure_entries_match_dense_formula():
-    # The closure matrix's nonzeros, densified, are the dense C / basis
-    # contraction at the propagated offsets on every recipe, on minimal at
-    # odd n and on networks with edges free on both sides, whose lifted
-    # products take s rho_e R(phi_e); the closure system's matrix is that.
+    # The displacement map and the closure matrix (C kron I_2) J, densified,
+    # are the dense basis and C contractions at the propagated offsets on
+    # every recipe, on minimal at odd n and on networks with edges free on
+    # both sides, whose lifted products take rho_e R(phi_e); D0 holds the
+    # resolved displacements, and the closure matrix stores no exact zero.
     gen = np.random.default_rng(11)
     nets = [build_network(generate(recipe, 40, 2).framework, [1, 2]) for recipe in RECIPES]
     nets += [build_network(generate("minimal", 41, 2).framework, [1, 2])]
@@ -1250,12 +1262,13 @@ def test_closure_entries_match_dense_formula():
             nets.append(net)
     lifted = []
     for k, net in enumerate(nets):
-        ref = _dense_closure_matrix(net)
-        rows, cols, vals = _closure_entries(net)
-        J = np.zeros_like(ref)
-        np.add.at(J, (rows, cols), vals)
-        assert np.max(np.abs(J - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
-        assert np.max(np.abs(closure_system(net).matrix.toarray() - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0), k
+        J_ref, A_ref = _dense_closure_matrix(net)
+        J, D0 = net.displacement_map
+        assert np.max(np.abs(J.toarray() - J_ref), initial=0.0) <= 1e-14 * np.max(np.abs(J_ref), initial=0.0), k
+        assert np.array_equal(D0, net.distance_param.offset[:, None] / net.unit * net.bearing_param.offset), k
+        A = closure_system(net).matrix
+        assert np.max(np.abs(A.toarray() - A_ref), initial=0.0) <= 1e-14 * np.max(np.abs(A_ref), initial=0.0), k
+        assert np.all(A.data != 0), k
         lifted.append(len(net.lifted_pairs[1]))
     assert lifted[:5] == [0] * 5 and min(lifted[5:]) >= 1 and max(lifted) >= 2
 
@@ -1327,29 +1340,31 @@ def test_closure_factorization_matches_dense_svd():
 
 def test_closure_falls_back_to_dense_svd():
     # A tall closure (more cycle rows than free references) is left to the
-    # dense SVD, with the verdicts the dense solve always gave: the slider
-    # is unlocalizable, the quadrilateral anchored across a diagonal is
-    # localizable.  The wide closure of a defective quadrilateralization has
-    # full row rank and one null direction, which the certificate decides.
-    # An angle-only path has no cycle: its closure has no row for the LU,
-    # and the SVD of the empty system leaves both free distances open.
+    # dense SVD, with the verdict the dense solve always gave: the slider is
+    # unlocalizable.  The quadrilateral anchored across a diagonal is
+    # localizable: its second cycle row is all exact zeros, so only three
+    # rows are factored, square, by the certified LU.  The wide closure of a
+    # defective quadrilateralization has full row rank and one null
+    # direction, which the certificate decides.  An angle-only path has no
+    # cycle: its closure has no row for the LU, and the SVD of the empty
+    # system leaves both free distances open.
     slider = Framework(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]), Bipartition.from_a_set(4, [1, 3, 4]),
                        np.array([[0.0, 0], [1, 1], [2, 0], [0.7, 0]]))
     quad = Framework(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))), Bipartition.from_a_set(4, [1, 2]), np.array([[0.0, 0], [4, 0], [3, 1], [2, 1]]))
     defect = generate_quadrilateralized(12, 3, defect_quads=1).framework
     path = Framework(Graph(4, ((1, 2), (2, 3), (3, 4))), Bipartition.from_a_set(4, [1, 2, 3, 4]), np.array([[0.0, 0], [1, 0.2], [1.5, 1], [2.5, 1.2]]))
-    for fw, anchors, shape, factorization, status in (
-        (slider, [1, 2], (4, 3), "dense-svd", "unlocalizable"),
-        (quad, [1, 3], (4, 3), "dense-svd", "localizable"),
-        (defect, [1, 2], (10, 11), "sparse-lu", "unlocalizable"),
-        (path, [1, 2], (0, 2), "dense-svd", "unlocalizable"),
+    for fw, anchors, shape, rows, factorization, status in (
+        (slider, [1, 2], (4, 3), 4, "dense-svd", "unlocalizable"),
+        (quad, [1, 3], (4, 3), 3, "sparse-lu", "localizable"),
+        (defect, [1, 2], (10, 11), 10, "sparse-lu", "unlocalizable"),
+        (path, [1, 2], (0, 2), 0, "dense-svd", "unlocalizable"),
     ):
         net = build_network(fw, anchors)
         system = closure_system(net)
         assert system.matrix.shape == shape and system.factorization == factorization
         _assert_matches_dense_svd(system, shape)
         sol = localize_network(net).solution
-        assert (sol.status, sol.info["factorization"], sol.info["null_dim"]) == (status, factorization, system.null_dim)
+        assert (sol.status, sol.info["factorization"], sol.info["null_dim"], sol.info["closure_rows"]) == (status, factorization, system.null_dim, rows)
 
 
 def test_completion_equals_the_stacked_matrix():
