@@ -35,7 +35,8 @@ It is linear on every network (``closure_system``): each distinct product
 y_k w_c on an edge free on both sides gets its own 2-vector column z_ck
 (``info["lifted_pairs"]``).  Its null dimension gives the ranks of the
 full distance and bearing systems.  One certified sparse LU decides its
-rank, or one dense SVD when the certificate cannot;
+rank (rtol min(||A||_F, sqrt(||A||_1 ||A||_inf)) ||A_hat^-1||_F < 1/2), or
+one dense SVD when the certificate cannot;
 ``info["factorization"]`` names which.  A trivial null space is an exact
 answer, in every regime.  A nontrivial one with free SA components keeps
 one multi-start over the null coordinates, one batched
@@ -63,7 +64,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components, structural_rank
 from scipy.sparse.linalg import splu
 
@@ -388,8 +389,10 @@ class LinearSystem:
     pair (``assemble_distance_system``).
     ``factorization`` names what decided the rank: ``"dense-svd"`` (one
     SVD, rank = #{sigma_i > rtol * sigma_max}) or ``"sparse-lu"`` (one
-    sparse LU with a bound proving that this cut gives full row rank, so
-    the verdict is the SVD's; see ``_lu_solved``).
+    sparse LU of the completed square A_hat with the bound
+    rtol min(||A||_F, sqrt(||A||_1 ||A||_inf)) ||A_hat^-1||_F < 1/2, which
+    proves that this cut gives full row rank, so the verdict is the SVD's;
+    see ``_lu_solved``).
     """
 
     matrix: np.ndarray | csc_matrix
@@ -410,19 +413,6 @@ def _solved(A: np.ndarray, rhs: np.ndarray, rtol: float) -> LinearSystem:
     return LinearSystem(A, rhs, rank, vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank]))
 
 
-def _completed(A: csc_matrix, G: np.ndarray) -> csc_matrix:
-    """[A; G] as CSC, each column listing A's entries and then G's, as ``vstack`` gives them."""
-    (r, c), k = A.shape, G.shape[0]
-    indptr = A.indptr + k * np.arange(c + 1)
-    own = np.arange(A.nnz) + k * np.repeat(np.arange(c), np.diff(A.indptr))
-    stacked = np.ones(indptr[-1], dtype=bool)
-    stacked[own] = False
-    indices, data = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
-    indices[own], data[own] = A.indices, A.data
-    indices[stacked], data[stacked] = np.tile(np.arange(r, r + k), c), G.T.ravel()
-    return csc_matrix((data, indices, indptr), shape=(r + k, c))
-
-
 # Columns of the inverse held at once by the certificate.  Of 32, 48, 64, 96, 128 and 256, 48 solved the five
 # recipes' closures at n = 140, 300 and 1000 fastest in total (one BLAS thread); 256 was up to 30 % slower.
 _LU_BLOCK = 48
@@ -431,35 +421,38 @@ _LU_BLOCK = 48
 def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | None:
     """The r x c system from one sparse LU, or None when its certificate cannot decide the rank.
 
-    Every square or wide A is completed to a square A_hat = [A; G] by a
-    fixed seeded Gaussian block G of c - r rows (none when A is square),
-    each of norm ||A||_F / sqrt(c).  Then sigma_max(A) <= ||A||_F and, by
-    interlacing, sigma_r(A) >= sigma_min(A_hat) >= 1 / ||A_hat^-1||_F, so
-    the bound rtol ||A||_F ||A_hat^-1||_F < 1/2 proves that all r singular
-    values lie above twice the cut rtol * sigma_max: the rank is r, the
-    SVD's verdict.  The inverse is solved for in blocks of identity
-    columns and never held whole; one pass over the blocks gives the
-    bound's sum and the null space, spanned by the last c - r columns
-    A_hat^-1 [0; I].  The minimum-norm solution is A_hat^-1 [rhs; 0], one
-    more solve, with its null component removed: summing the blocks times
-    [rhs; 0] would multiply by the explicit inverse, which is not backward
-    stable, and an extra column on a block would write all of its pages.
+    A square A is factored as it is; a wide one is completed to a square
+    A_hat = [A; G] by a fixed seeded Gaussian block G of c - r rows, each
+    of norm ||A||_F / sqrt(c) (the proof holds for any G).  Both ||A||_F and sqrt(||A||_1 ||A||_inf)
+    bound sigma_max(A), so sigma = their minimum does, and by interlacing
+    sigma_r(A) >= sigma_min(A_hat) >= 1 / ||A_hat^-1||_F: the bound
+    rtol sigma ||A_hat^-1||_F < 1/2 proves that all r singular values lie
+    above twice the cut rtol * sigma_max, so the rank is r, the SVD's
+    verdict.  The loop only sums ||A_hat^-1||_F^2, solving for blocks of
+    identity columns that are never held whole.  One last solve of
+    [[rhs; 0] | identity columns r..c-1] gives the minimum-norm solution,
+    with its null component removed, and the null space, spanned by
+    A_hat^-1 [0; I] (the blocks times [rhs; 0] would multiply by the
+    explicit inverse, which is not backward stable).
     An empty, tall or structurally rank-deficient A (on which SuperLU
     writes BLAS errors to stdout), a singular LU or a failed bound: None.
     """
     r, c = A.shape
     if not 0 < r <= c or structural_rank(A) < r:
         return None
-    norm = float(np.linalg.norm(A.data))
-    G = np.random.default_rng(0).standard_normal((c - r, c))
-    G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
-    A_hat = _completed(A, G)
+    norm, magnitude = float(np.linalg.norm(A.data)), np.abs(A.data)
+    column_sums = np.add.reduceat(magnitude, A.indptr[:-1][np.diff(A.indptr) > 0])
+    sigma = min(norm, math.sqrt(column_sums.max() * np.bincount(A.indices, magnitude).max()))
+    A_hat = A
+    if r < c:
+        G = np.random.default_rng(0).standard_normal((c - r, c))
+        G *= norm / math.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
+        A_hat = vstack([A, csc_matrix(G)], format="csc")
     try:
         lu = splu(A_hat)
     except RuntimeError:  # exactly singular
         return None
-    inverse_sq, bound_sq = 0.0, (0.5 / (rtol * norm)) ** 2
-    null = np.empty((c, c - r), order="F")
+    inverse_sq, bound_sq = 0.0, (0.5 / (rtol * sigma)) ** 2
     for k in range(0, c, _LU_BLOCK):
         # Columns k.. of A_hat^-1.  A C-order identity block writes only the pages near its diagonal, so
         # its memory stays mostly untouched; the solution comes back in Fortran order.
@@ -467,13 +460,13 @@ def _lu_solved(A: csc_matrix, rhs: np.ndarray, rtol: float) -> LinearSystem | No
         inverse_sq += float(X.ravel(order="F") @ X.ravel(order="F"))
         if not inverse_sq < bound_sq:  # NaN fails too
             return None
-        if k + X.shape[1] > r:  # the block reaches the null columns r..c-1
-            null[:, max(k - r, 0) : k + X.shape[1] - r] = X[:, max(r - k, 0) :]
-        del X  # not held through the next block's solve
+        del X  # not held through the next solve
+    last = np.eye(c, c - r + 1, 1 - r)
+    last[:r, 0] = rhs
+    X = lu.solve(last)
     # Fortran order, as the SVD's vt[rank:].T: the multi-start's contractions run fastest on it.
-    N = np.asfortranarray(np.linalg.qr(null)[0])
-    x = lu.solve(np.concatenate([rhs, np.zeros(c - r)]))
-    return LinearSystem(A, rhs, r, N, x - N @ (N.T @ x), "sparse-lu")
+    N = np.asfortranarray(np.linalg.qr(X[:, 1:])[0])
+    return LinearSystem(A, rhs, r, N, X[:, 0] - N @ (N.T @ X[:, 0]), "sparse-lu")
 
 
 def assemble_bearing_system(net: SensorNetwork, distances: np.ndarray, rtol: float = DEFAULT_RTOL) -> LinearSystem:
@@ -523,12 +516,14 @@ def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSyst
     (``SensorNetwork.displacement_map``), as ``scipy.sparse`` CSC, and the
     right-hand side is -C D0.  A stores no exact zero, and only its rows
     that hold an entry are factored (none for a cycle without a free edge,
-    such as the anchor clique's own, or one whose free columns cancel).  One
-    sparse LU decides their rank when its certificate proves full row rank
-    (``_lu_solved``); otherwise (a tall or rank-deficient closure, or a
-    bound too weak to decide) the dense SVD of ``_solved`` does, and
-    ``factorization`` says which.  ``matrix`` and ``rhs`` keep every cycle,
-    so residuals on them count the dropped ones too.
+    such as the anchor clique's own, or one whose free columns cancel).
+    One sparse LU decides their rank when its bound
+    rtol min(||A||_F, sqrt(||A||_1 ||A||_inf)) ||A_hat^-1||_F < 1/2 proves
+    full row rank (``_lu_solved``); otherwise (a tall or rank-deficient
+    closure, or a bound too weak to decide) the dense SVD of ``_solved``
+    does, on the same rows, and ``factorization`` says which.  ``matrix``
+    and ``rhs`` keep every cycle, so residuals on them count the dropped
+    ones too.
     """
     (J, D0), C = net.displacement_map, net.cycles
     row = np.repeat(2 * np.arange(C.shape[0]), np.diff(C.indptr))
@@ -537,7 +532,8 @@ def closure_system(net: SensorNetwork, rtol: float = DEFAULT_RTOL) -> LinearSyst
     A = kron @ J
     rows = np.flatnonzero(np.diff(A.indptr))
     A, rhs = A.tocsc(), -(C @ D0).ravel()
-    system = _lu_solved(A[rows], rhs[rows], rtol) or _solved(A[rows].toarray(), rhs[rows], rtol)
+    factored = A[rows]
+    system = _lu_solved(factored, rhs[rows], rtol) or _solved(factored.toarray(), rhs[rows], rtol)
     return replace(system, matrix=A, rhs=rhs)
 
 

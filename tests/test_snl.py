@@ -50,7 +50,6 @@ from sarod.snl import (
     _cluster_zeros,
     _edges_at,
     _latin_hypercube,
-    _completed,
     _lu_solved,
     _solved,
     assemble_bearing_system,
@@ -1367,29 +1366,17 @@ def test_closure_falls_back_to_dense_svd():
         assert (sol.status, sol.info["factorization"], sol.info["null_dim"], sol.info["closure_rows"]) == (status, factorization, system.null_dim, rows)
 
 
-def test_completion_equals_the_stacked_matrix():
-    # The LU factors [A; G] built straight in CSC; its data, indices and
-    # indptr are those of scipy's vstack, so the factorization is unchanged
-    # bit for bit.  The closures are square (quad2v) or wide (mix-D2A1 and
-    # a defective quadrilateralization); the small matrix has an empty column.
-    closures = [closure_system(build_network(fw, [1, 2])).matrix for fw in (
-        generate("quad2v", 70, 0).framework, generate("mix-D2A1", 70, 0).framework, generate_quadrilateralized(12, 3, defect_quads=1).framework)]
-    closures = [A[np.flatnonzero(A.getnnz(axis=1))] for A in closures]
-    rng = np.random.default_rng(3)
-    for A in closures + [scipy.sparse.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))]:
-        G = rng.standard_normal((A.shape[1] - A.shape[0], A.shape[1]))
-        hat, stacked = _completed(A, G), scipy.sparse.vstack([A, scipy.sparse.csc_matrix(G)], format="csc")
-        assert hat.format == "csc" and hat.shape == stacked.shape
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(hat, part), getattr(stacked, part)), (A.shape, part)
-
-
 def test_lu_certificate_is_scale_free_and_one_sided():
     # The certificate holds exactly when every singular value clears the
-    # rank cut with room to spare, relative to ||A||_F: sigma ratio 1e-6
-    # certifies at every scale, 1e-9 (below the 1e-8 cut) never does, and a
-    # singular LU gives up too.  Flipping the bound's direction or dropping
-    # ||A||_F from it fails here.
+    # rank cut with room to spare, relative to the bound sigma on
+    # sigma_max: sigma ratio 1e-6 certifies at every scale, 1e-9 (below
+    # the 1e-8 cut) never does, and a singular LU gives up too.  Flipping
+    # the bound's direction or dropping sigma from it fails here.  sigma is
+    # min(||A||_F, sqrt(||A||_1 ||A||_inf)), and each side of the min
+    # decides one case: on I_100 at rtol 0.01 the Frobenius bound reads
+    # 0.01 * 10 * 10 = 1 and fails, where sqrt(||A||_1 ||A||_inf) = 1 gives
+    # 0.1; on [[1, 1], [0, 1]] at rtol 0.155 the Frobenius norm sqrt(3) is
+    # the smaller and gives 0.155 * 3 = 0.465 < 1/2, where 2 gives 0.537.
     rtol = SolverConfig().rtol
     for scale in (1e-6, 1.0, 1e6):
         for rows, wide in ((np.diag([1.0, 1e-6]), False), (np.array([[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]]), True)):
@@ -1403,6 +1390,11 @@ def test_lu_certificate_is_scale_free_and_one_sided():
             assert _lu_solved(scipy.sparse.csc_matrix(near * scale), rhs, rtol) is None, (scale, wide)
             assert _solved(near * scale, rhs, rtol).rank == 1
     assert _lu_solved(scipy.sparse.csc_matrix(np.ones((2, 2))), np.ones(2), rtol) is None
+    rhs = np.arange(1.0, 101.0)
+    system = _lu_solved(scipy.sparse.csc_matrix(np.eye(100)), rhs, 0.01)
+    assert system is not None and (system.rank, system.null_dim) == (100, 0) and np.allclose(system.min_norm_solution, rhs)
+    system = _lu_solved(scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [0.0, 1.0]])), np.array([3.0, 1.0]), 0.155)
+    assert system is not None and system.rank == 2 and np.allclose(system.min_norm_solution, [2.0, 1.0])
 
 
 def _three_solve_closure(A, rhs, rtol):
@@ -1413,7 +1405,7 @@ def _three_solve_closure(A, rhs, rtol):
     norm = float(np.linalg.norm(A.data))
     G = np.random.default_rng(0).standard_normal((c - r, c))
     G *= norm / np.sqrt(c) / np.linalg.norm(G, axis=1, keepdims=True)
-    lu = scipy.sparse.linalg.splu(_completed(A, G))
+    lu = scipy.sparse.linalg.splu(scipy.sparse.vstack([A, scipy.sparse.csc_matrix(G)], format="csc"))
     if not np.sum(lu.solve(np.eye(c)) ** 2) < (0.5 / (rtol * norm)) ** 2:
         return None
     N = np.asfortranarray(np.linalg.qr(lu.solve(np.eye(c, c - r, -r)))[0])
@@ -1423,8 +1415,8 @@ def _three_solve_closure(A, rhs, rtol):
 
 @pytest.mark.parametrize("block", [7, 48, 256])
 def test_lu_closure_solves_each_block_once(monkeypatch, block):
-    # One pass over blocks of identity columns gives the bound's sum and the
-    # null basis, and one more solve the minimum-norm solution:
+    # One pass over blocks of identity columns gives the bound's sum, and
+    # one more solve the minimum-norm solution and the null basis:
     # ceil(c / block) + 1 LU solves per closure.  Status, null_dim and
     # positions are those of the separate inverse, null-column and
     # right-hand-side solves, on every recipe at three scales; a 7-column
@@ -1462,8 +1454,8 @@ def test_lu_closure_solves_each_block_once(monkeypatch, block):
 
 def test_lu_closure_holds_one_block_at_a_time(monkeypatch):
     # quad2v n = 2000 with 256-column blocks: a block of identity columns
-    # and its solution take 3.9 MiB each.  The closure solve holds one
-    # solution at a time (one kept alive through the next block's solve
+    # and its solution take 3.9 MiB each.  The sum over the blocks holds
+    # one solution at a time (one kept alive through the next block's solve
     # makes the peak three).  At the default block the solve's other
     # allocations are a large share of the peak, so the block is set large
     # here.
@@ -1484,7 +1476,8 @@ def test_lu_closure_null_columns_across_block_edges(monkeypatch, block, r, c):
     # The null columns r..c-1 of A_hat^-1 start inside a block, at its edge
     # or after a block that ends before row r (15 = 2 * 7 + 1 rows with a
     # 5-column null space; 52 = 48 + 4 and 260 = 256 + 4 rows with 10).
-    # The one-pass basis and solution equal the separate solves'.
+    # Wherever the blocks end, the basis and solution from the one last
+    # solve equal the separate solves'.
     monkeypatch.setattr(sarod.snl, "_LU_BLOCK", block)
     rng = np.random.default_rng(r * c)
     A = scipy.sparse.csc_matrix(rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.5) + np.eye(r, c))
